@@ -10,6 +10,11 @@ power) and w_i, v_i are signal/noise weights fixed by the gains. Scaling
 phases are always chosen to add coherently, which is optimal for the rate
 and keeps the model magnitude-only.
 
+``af_optimize`` returns the exact global optimum of the coefficients: the
+KKT conditions leave one free multiplier, and a sorted O(n log n) scan over
+the relays held at full power finds it. ``af_grid_search`` is the
+exhaustive desk-scale oracle it is tested against.
+
 However many relays participate, the achievable rate never beats routing
 over the single best relay by more than the 2*log2(n) beamforming gain;
 ``af_upper_bound`` computes that cap and ``af_snr_bound_sides`` exposes
@@ -26,9 +31,6 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 from .model import Network, RateTable, rate_table
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True, slots=True)
 class AfCoefficients:
@@ -141,74 +143,65 @@ def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def _kkt_alpha(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coefficients maximizing (w.a)**2 / (1 + sum v*a**2) over [0, 1]**n.
 
-
-def af_optimize(net: Network, tol: float = 1e-9, *, max_cycles: int = 100) -> AfReport:
-    """Maximize the amplify-and-forward rate by cyclic coordinate ascent.
-
-    Starts from full power everywhere (relays with a dead gain pinned to 0),
-    solves each coordinate on [0, 1] by golden-section search, accepts only
-    genuine rate improvements, and stops once a full cycle gains less than
-    ``tol``. Deterministic; the result never drops below the starting rate
-    and never exceeds ``af_upper_bound``. The per-coordinate slices are
-    unimodal, but joint global optimality is not claimed.
+    With S = w.a and D = 1 + sum v*a**2, the KKT conditions give
+    alpha_i = min(1, lam * w_i / v_i) with lam = D / S shared by all relays,
+    so the relays at full power are those with the largest w_i / v_i. If
+    the top f of them are clipped, lam = (1 + V_f) / W_f (prefix sums of v
+    and w); each f gives one candidate, scored in closed form from prefix
+    and suffix sums. Relays with w_i / v_i not positive stay at 0.
     """
-    tol = float(tol)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    n = net.n
+    alpha = np.zeros(w.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = w / v  # inf when v underflows, nan or 0 for a dead relay
+    live = np.nonzero(ratio > 0.0)[0]
+    if live.size == 0:
+        return alpha
+    order = live[np.argsort(-ratio[live], kind="stable")]
+    r = ratio[order]
+    w_pre = np.concatenate(([0.0], np.cumsum(w[order])))
+    v_pre = np.concatenate(([0.0], np.cumsum(v[order])))
+    # sum of w_i * lam * r_i over unclipped relays is lam * (suffix sum of w*r)
+    q_suf = np.concatenate((np.cumsum((w[order] * r)[::-1])[::-1], [0.0]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = (1.0 + v_pre[1:]) / w_pre[1:]
+        clipped = np.searchsorted(-r, -1.0 / lam, side="right")
+        q = q_suf[clipped]
+        num = w_pre[clipped] + lam * q
+        score = num * num / (1.0 + v_pre[clipped] + lam * lam * q)
+        best = lam[int(np.argmax(np.where(np.isnan(score), -np.inf, score)))]
+        alpha[live] = np.minimum(1.0, best * ratio[live])
+    return alpha
+
+
+def af_optimize(net: Network) -> AfReport:
+    """Maximize the amplify-and-forward rate exactly, in O(n log n).
+
+    The rate grows with g(a) = (w.a) / sqrt(1 + sum v*a**2), and g is
+    quasi-concave on [0, 1]**n: each superlevel set {g >= t}, t > 0, is the
+    second-order cone w.a >= t * ||(1, sqrt(v)*a)||. The box is compact, so
+    a maximizer exists and satisfies the KKT conditions, which force
+    alpha_i = min(1, lam * w_i / v_i) for one lam; scanning every clipped
+    prefix visits that point, so the best candidate is the global optimum.
+    It is compared through the rate kernel with full power everywhere
+    (relays with a dead gain pinned to 0), and the better of the two is
+    returned, so the result never drops below that start and never exceeds
+    ``af_upper_bound``.
+    """
     w, v = _af_weights(net)
     gs, gd = net.gain_arrays()
-    alive = (gs > 0.0) & (gd > 0.0)
-    alpha = np.where(alive, 1.0, 0.0)
-
-    def true_rate(a):
-        return float(kernels.af_rate_batch(w, v, net.snr, a[None, :])[0])
-
-    rate = true_rate(alpha)
-    coords = np.nonzero(alive)[0]
-    for _ in range(max_cycles):
-        cycle_start = rate
-        for i in coords:
-            num_others = float(w @ alpha) - w[i] * alpha[i]
-            den_others = 1.0 + float(v @ (alpha * alpha)) - v[i] * alpha[i] ** 2
-            wi = w[i]
-            vi = v[i]
-
-            def slice_snr(x):
-                t = num_others + wi * x
-                return t * t / (den_others + vi * x * x)
-
-            x_hat, _ = _golden_max(slice_snr, 0.0, 1.0)
-            old = alpha[i]
-            alpha[i] = x_hat
-            cand = true_rate(alpha)
-            if cand > rate:
-                rate = cand
-            else:
-                alpha[i] = old
-        if rate - cycle_start < tol:
-            break
-    rt = rate_table(net)
-    bound, c1 = af_upper_bound(rt)
+    start = np.where((gs > 0.0) & (gd > 0.0), 1.0, 0.0)
+    alphas = np.stack((start, _kkt_alpha(w, v)))
+    rates = kernels.af_rate_batch(w, v, net.snr, alphas)
+    pick = 1 if rates[1] > rates[0] else 0
+    bound, c1 = af_upper_bound(rate_table(net))
     return AfReport(
-        rate=rate, alpha=AfCoefficients(alpha), upper_bound=bound, c1=c1
+        rate=float(rates[pick]),
+        alpha=AfCoefficients(alphas[pick]),
+        upper_bound=bound,
+        c1=c1,
     )
 
 

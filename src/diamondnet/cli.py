@@ -188,7 +188,7 @@ def cmd_af(args) -> int:
     rt = rate_table(net)
     bound, c1 = af_upper_bound(rt)
     if args.optimize:
-        rep = af_optimize(net, tol=args.tol)
+        rep = af_optimize(net)
         rate, alpha = rep.rate, rep.alpha.alpha
         mode = "optimized"
     else:
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--alpha", help="comma-separated coefficients in [0,1]")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
     add_format(p)
     p.set_defaults(func=cmd_af)
 

@@ -41,6 +41,18 @@ class NetworkFile:
             raise ValidationError(
                 "a network file holds exactly one payload: gains or rates"
             )
+        label = self.label
+        if label is not None and (
+            not isinstance(label, str)
+            or "#" in label
+            or label.splitlines() not in ([], [label])
+            or label != label.strip()
+        ):
+            # anything else would not read back unchanged from ``dumps``
+            raise ValidationError(
+                f"label {label!r} must be a string without '#', line breaks "
+                "or surrounding whitespace"
+            )
 
     @property
     def n(self) -> int:

@@ -113,7 +113,9 @@ def select(
 
     Edge cases: when k >= n the iteration is skipped and all relays with a
     nonzero min-rate are returned (all relays when none qualify); when
-    omega <= 0 the guarantee is vacuous and relay 1 is returned alone.
+    omega <= 0 the guarantee is vacuous and relay 1 is returned alone. An
+    ``omega`` inconsistent with ``rt`` (too large, say) raises
+    ``ValidationError``.
 
     Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
     """
@@ -168,7 +170,7 @@ def select(
                 p = i
                 break
     if p < 0:
-        raise AssertionError(
+        raise ValidationError(
             "no anchor relay clears the top threshold; omega is inconsistent "
             "with the rate table"
         )
@@ -191,7 +193,7 @@ def select(
             a = cand_a
             break
     if a < 0:
-        raise AssertionError("anchor bin not found; omega is inconsistent")
+        raise ValidationError("anchor bin not found; omega is inconsistent")
 
     used = np.zeros(n, dtype=bool)
     used[p] = True
@@ -212,7 +214,7 @@ def select(
                     y = i
                     break
         if y < 0:
-            raise AssertionError(
+            raise ValidationError(
                 "no qualifying relay at a selection round; omega is inconsistent "
                 "with the rate table"
             )
@@ -230,11 +232,11 @@ def select(
                 a_r = cand
                 break
         if a_r < 0:
-            raise AssertionError("round bin not found; omega is inconsistent")
+            raise ValidationError("round bin not found; omega is inconsistent")
         bins.append(a_r)
         a_prev = a_r
     if not terminal:
-        raise AssertionError(
+        raise ValidationError(
             "selection failed to terminate within k-1 rounds; omega is "
             "inconsistent with the rate table"
         )

@@ -193,7 +193,7 @@ def _check_trial(rec, seed, nmax, kmode, rng):
         seed, "af-bound", float(rates.max()) - bound, "random coefficients"
     )
     start = af_rate_batch(net, np.ones((1, n)))[0]
-    opt = af_optimize(net, tol=1e-9)
+    opt = af_optimize(net)
     rec.inequality(seed, "af-bound", opt.rate - bound, "optimized coefficients")
     rec.inequality(
         seed, "af-monotone", float(start) - opt.rate, "optimizer below start"

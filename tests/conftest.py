@@ -14,4 +14,4 @@ def warm_kernels():
     dn.omega_k_bruteforce(rt, 1)
     net = dn.network_from(rt, snr=1.0)
     dn.af_rate(net, np.ones(2))
-    dn.af_optimize(net, tol=1e-6)
+    dn.af_optimize(net)

@@ -96,6 +96,25 @@ class TestRoundTrip:
         assert np.array_equal(back.rates.r_d, rt.r_d)
         assert back.snr == 2.5
 
+    def test_labels_round_trip_or_are_rejected(self):
+        rt = RateTable([1.0, 2.0], [2.0, 1.0])
+        for label in ("", "x", "a=b", "two words", "label = x", "Z\u00fcrich-3"):
+            assert loads(from_rates(rt, label=label).dumps()).label == label
+        injected = "a#b\nrate = 9 9"  # would reload as label 'a' with n = 3
+        for label in (injected, "a#b", "a\nb", "a\r", " a", "a\t", "\u2028", 5):
+            with pytest.raises(ValidationError):
+                from_rates(rt, label=label)
+        # every character, inside and at both ends: rejected, or read back unchanged
+        for code in range(0x3001):
+            c = chr(code)
+            for label in (f"a{c}b", f"{c}a{c}"):
+                try:
+                    nf = from_rates(rt, label=label)
+                except ValidationError:
+                    continue
+                back = loads(nf.dumps())
+                assert back.label == label and back.n == 2
+
     def test_to_rate_table_matches_conversion(self):
         nf = loads(GAINS_TEXT)
         rt = nf.to_rate_table()

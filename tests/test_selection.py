@@ -122,6 +122,16 @@ class TestSelect:
         with pytest.raises(ValidationError):
             select(rt, 2, -1.0)
 
+    def test_rejects_omega_too_large(self):
+        with pytest.raises(ValidationError):
+            select(RateTable([1, 2], [2, 1]), 1, 100.0)
+        for i in range(50):
+            rt = random_rt(i, master=223)
+            omega = omega_fast(rt).value
+            for k in range(1, rt.n):
+                with pytest.raises(ValidationError):
+                    select(rt, k, 4.0 * omega + 1.0)
+
     def test_guarantee_and_budget_sweep(self):
         for i in range(300):
             rt = random_rt(i, master=211)
