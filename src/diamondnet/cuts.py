@@ -34,8 +34,8 @@ class Cut:
     members: frozenset
 
     def __init__(self, members=()):
-        members = frozenset(int(i) for i in members)
-        if any(i < 1 for i in members):
+        members = frozenset(map(int, members))
+        if members and min(members) < 1:
             raise ValidationError("cut members are 1-based relay indices")
         object.__setattr__(self, "members", members)
 
@@ -165,10 +165,9 @@ def omega_fast(rt: RateTable) -> OmegaResult:
     """
     order = np.argsort(rt.r_s, kind="stable")
     value, m_best = kernels.omega_sorted_scan(rt.r_s[order], rt.r_d[order])
-    members = frozenset(int(i) + 1 for i in order[int(m_best):])
     return OmegaResult(
         value=float(value),
-        argmin_cut=Cut(members),
+        argmin_cut=Cut((order[int(m_best):] + 1).tolist()),
         comparisons=_fast_schedule_charge(rt.n),
     )
 

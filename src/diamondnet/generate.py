@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .model import Network, RelayChannels
+from .model import Network
 
 DISTRIBUTIONS = ("rayleigh", "loguniform")
 
@@ -43,7 +43,4 @@ def random_network(
         raise ValidationError(
             f"unknown distribution {distribution!r}; pick from {DISTRIBUTIONS}"
         )
-    relays = tuple(
-        RelayChannels(gain_s=float(g[0]), gain_d=float(g[1])) for g in gains
-    )
-    return Network(snr=snr, relays=relays)
+    return Network.from_gains(snr, gains[:, 0], gains[:, 1])

@@ -12,6 +12,12 @@ in bits/s/Hz. Every algorithm downstream consumes the rate description, so
 ``RateTable`` is the canonical internal form; ``rate_table`` and
 ``network_from`` convert between the two. Channel phases are never stored:
 every quantity computed here depends on magnitudes only.
+
+Both forms hold their per-relay numbers as two read-only float64 arrays,
+validated in bulk, so a network of 10**6 relays holds no per-relay Python
+object. ``Network.from_gains(snr, gain_s, gain_d)`` builds a network from
+arrays; ``Network(snr, relays)`` from ``RelayChannels`` goes through the
+same storage and checks.
 """
 
 from __future__ import annotations
@@ -60,42 +66,104 @@ class RelayChannels:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True, slots=True)
 class Network:
-    """A diamond network: linear SNR plus one ``RelayChannels`` per relay."""
+    """A diamond network: linear SNR plus per-relay channel-gain magnitudes.
 
-    snr: float
-    relays: tuple[RelayChannels, ...]
+    The gains are held as two read-only float64 arrays, one entry per relay
+    in relay order, validated in bulk. Build from arrays with
+    ``Network.from_gains(snr, gain_s, gain_d)`` or, equivalently, from
+    ``RelayChannels`` with ``Network(snr, relays)``; ``relays`` rebuilds that
+    tuple on demand. Instances are immutable and compare by value.
+    """
 
-    def __post_init__(self):
-        snr = float(self.snr)
+    __slots__ = ("snr", "_gain_s", "_gain_d")
+
+    def __init__(self, snr, relays):
+        relays = tuple(relays)
+        if not all(isinstance(r, RelayChannels) for r in relays):
+            raise ValidationError("relays must be RelayChannels instances")
+        n = len(relays)
+        gs = np.fromiter((r.gain_s for r in relays), dtype=np.float64, count=n)
+        gd = np.fromiter((r.gain_d for r in relays), dtype=np.float64, count=n)
+        self._store(snr, gs, gd)
+
+    @classmethod
+    def from_gains(cls, snr, gain_s, gain_d) -> "Network":
+        """Network from per-relay gain magnitudes; the arrays are copied."""
+        gs = np.array(gain_s, dtype=np.float64, copy=True).reshape(-1)
+        gd = np.array(gain_d, dtype=np.float64, copy=True).reshape(-1)
+        if gs.size != gd.size:
+            raise ValidationError(
+                f"gain lists must have equal length, got {gs.size} and {gd.size}"
+            )
+        net = cls.__new__(cls)
+        net._store(snr, gs, gd)
+        return net
+
+    def _store(self, snr, gs, gd):
+        # checks in order: gains, snr, at least one relay, overflow of the
+        # derived rates; each message names the first relay at fault
+        valid = (gs >= 0.0) & (gs < math.inf) & (gd >= 0.0) & (gd < math.inf)
+        if not valid.all():
+            i = int(valid.argmin())
+            RelayChannels(float(gs[i]), float(gd[i]))  # raises the relay's message
+        snr = float(snr)
         _require_finite("snr", snr)
         if snr <= 0.0:
             raise ValidationError(f"snr must be positive, got {snr}")
-        object.__setattr__(self, "snr", snr)
-        relays = tuple(self.relays)
-        if not relays:
+        if gs.size == 0:
             raise ValidationError("a network needs at least one relay")
-        if not all(isinstance(r, RelayChannels) for r in relays):
-            raise ValidationError("relays must be RelayChannels instances")
-        object.__setattr__(self, "relays", relays)
-        # Rates derived from these gains must stay representable.
-        for i, r in enumerate(relays):
-            for name, g in (("gain_s", r.gain_s), ("gain_d", r.gain_d)):
-                if not math.isfinite(snr * g * g):
-                    raise ValidationError(
-                        f"relay {i + 1}: snr * {name}**2 overflows"
-                    )
+        with np.errstate(over="ignore"):
+            fits = np.isfinite(snr * gs * gs) & np.isfinite(snr * gd * gd)
+        if not fits.all():
+            i = int(fits.argmin())
+            g = float(gs[i])
+            name = "gain_d" if math.isfinite(snr * g * g) else "gain_s"
+            raise ValidationError(f"relay {i + 1}: snr * {name}**2 overflows")
+        gs.flags.writeable = False
+        gd.flags.writeable = False
+        object.__setattr__(self, "snr", snr)
+        object.__setattr__(self, "_gain_s", gs)
+        object.__setattr__(self, "_gain_d", gd)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Network is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.relays)
+        return int(self._gain_s.size)
+
+    @property
+    def relays(self) -> tuple[RelayChannels, ...]:
+        """One ``RelayChannels`` per relay, built on each access."""
+        return tuple(
+            RelayChannels(a, b)
+            for a, b in zip(self._gain_s.tolist(), self._gain_d.tolist())
+        )
 
     def gain_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(gain_s, gain_d) as float64 arrays, relay order preserved."""
-        gs = np.array([r.gain_s for r in self.relays], dtype=np.float64)
-        gd = np.array([r.gain_d for r in self.relays], dtype=np.float64)
-        return gs, gd
+        """(gain_s, gain_d): the stored read-only float64 arrays, not copies."""
+        return self._gain_s, self._gain_d
+
+    def __eq__(self, other):
+        if not isinstance(other, Network):
+            return NotImplemented
+        return (
+            self.snr == other.snr
+            and np.array_equal(self._gain_s, other._gain_s)
+            and np.array_equal(self._gain_d, other._gain_d)
+        )
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return (Network.from_gains, (self.snr, self._gain_s, self._gain_d))
+
+    def __repr__(self):
+        return (
+            f"Network(snr={self.snr!r}, gain_s={self._gain_s.tolist()}, "
+            f"gain_d={self._gain_d.tolist()})"
+        )
 
 
 class RateTable:
@@ -164,7 +232,4 @@ def network_from(rt: RateTable, snr: float) -> Network:
         raise ValidationError(f"snr must be positive, got {snr}")
     gs = np.sqrt(np.expm1(rt.r_s * _LN2) / snr)
     gd = np.sqrt(np.expm1(rt.r_d * _LN2) / snr)
-    relays = tuple(
-        RelayChannels(gain_s=float(a), gain_d=float(b)) for a, b in zip(gs, gd)
-    )
-    return Network(snr=snr, relays=relays)
+    return Network.from_gains(snr, gs, gd)

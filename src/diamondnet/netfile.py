@@ -21,10 +21,13 @@ serialized with ``repr`` so a written file parses back to identical floats.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
-from .model import Network, RateTable, RelayChannels, network_from, rate_table
+from .model import Network, RateTable, network_from, rate_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,80 +80,115 @@ class NetworkFile:
 
     def dumps(self) -> str:
         """Serialize back to the canonical text form."""
-        lines = []
+        parts = []
         if self.label is not None:
-            lines.append(f"label = {self.label}")
+            parts.append(f"label = {self.label}\n")
         if self.network is not None:
-            lines.append(f"snr = {self.network.snr!r}")
-            for r in self.network.relays:
-                lines.append(f"relay = {r.gain_s!r} {r.gain_d!r}")
+            parts.append(f"snr = {self.network.snr!r}\n")
+            key, (a, b) = "relay", self.network.gain_arrays()
         else:
             if self.snr is not None:
-                lines.append(f"snr = {self.snr!r}")
-            for rs, rd in zip(self.rates.r_s, self.rates.r_d):
-                lines.append(f"rate = {float(rs)!r} {float(rd)!r}")
-        return "\n".join(lines) + "\n"
+                parts.append(f"snr = {self.snr!r}\n")
+            key, a, b = "rate", self.rates.r_s, self.rates.r_d
+        # one string per block of lines, not per line, keeps the peak memory
+        # near twice the output
+        for i in range(0, a.size, _BLOCK):
+            pairs = zip(a[i : i + _BLOCK].tolist(), b[i : i + _BLOCK].tolist())
+            parts.append("".join([f"{key} = {x!r} {y!r}\n" for x, y in pairs]))
+        return "".join(parts)
 
 
-def _parse_pair(value, lineno, what):
-    parts = value.split()
-    if len(parts) != 2:
-        raise ValidationError(
-            f"line {lineno}: expected two numbers after '{what} =', got {value!r}"
-        )
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ValidationError(f"line {lineno}: {exc}") from None
+# lines formatted into one string at a time by ``dumps``
+_BLOCK = 1 << 16
+
+# characters of text split into lines at a time, so that only one chunk's
+# line strings are alive at once
+_CHUNK = 1 << 20
 
 
 def loads(text: str) -> NetworkFile:
-    """Parse the text form of a network file."""
+    """Parse the text form of a network file.
+
+    Each ``relay`` / ``rate`` pair goes straight into a float64 buffer, so
+    no per-relay object outlives its line.
+    """
     label = None
     snr = None
-    relay_pairs = []
-    rate_pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if key == "label":
-            label = value
-        elif key == "snr":
+    buffers = {"relay": array("d"), "rate": array("d")}  # pairs interleaved
+    lineno = 0
+    start = 0
+    while start < len(text):
+        # a chunk ends just after a '\n', so it splits into the same lines
+        # as the whole text does
+        end = text.find("\n", start + _CHUNK)
+        end = len(text) if end < 0 else end + 1
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            parts = raw.split()
+            if (
+                len(parts) == 4
+                and parts[1] == "="
+                and parts[0] in buffers
+                and "#" not in raw
+            ):
+                # the canonical 'relay = a b' / 'rate = a b' line
+                key, numbers = parts[0], parts[2:]
+            else:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, eq, value = line.partition("=")
+                if not eq:
+                    raise ValidationError(
+                        f"line {lineno}: expected 'key = value', got {raw!r}"
+                    )
+                key = key.strip().lower()
+                value = value.strip()
+                if key == "label":
+                    label = value
+                    continue
+                if key == "snr":
+                    try:
+                        snr = float(value)
+                    except ValueError as exc:
+                        raise ValidationError(f"line {lineno}: {exc}") from None
+                    continue
+                if key not in buffers:
+                    raise ValidationError(f"line {lineno}: unknown key {key!r}")
+                numbers = value.split()
+                if len(numbers) != 2:
+                    raise ValidationError(
+                        f"line {lineno}: expected two numbers after '{key} =', "
+                        f"got {value!r}"
+                    )
             try:
-                snr = float(value)
+                buffers[key].extend(map(float, numbers))
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from None
-        elif key == "relay":
-            relay_pairs.append(_parse_pair(value, lineno, "relay"))
-        elif key == "rate":
-            rate_pairs.append(_parse_pair(value, lineno, "rate"))
-        else:
-            raise ValidationError(f"line {lineno}: unknown key {key!r}")
-    if relay_pairs and rate_pairs:
+        start = end
+    relay, rate = buffers["relay"], buffers["rate"]
+    if relay and rate:
         raise ValidationError("file mixes 'relay' and 'rate' lines; pick one shape")
-    if relay_pairs:
+    if relay:
         if snr is None:
             raise ValidationError("gains form requires an 'snr = ...' line")
-        net = Network(
-            snr=snr,
-            relays=tuple(RelayChannels(gs, gd) for gs, gd in relay_pairs),
-        )
+        gains = np.frombuffer(relay, dtype=np.float64)
+        net = Network.from_gains(snr, gains[0::2], gains[1::2])
         return NetworkFile(network=net, label=label)
-    if rate_pairs:
-        rt = RateTable([p[0] for p in rate_pairs], [p[1] for p in rate_pairs])
+    if rate:
+        rates = np.frombuffer(rate, dtype=np.float64)
+        rt = RateTable(rates[0::2], rates[1::2])
         return NetworkFile(rates=rt, snr=snr, label=label)
     raise ValidationError("file holds neither 'relay' nor 'rate' lines")
 
 
 def load(path) -> NetworkFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    return loads(text)
 
 
 def from_network(net: Network, label: str | None = None) -> NetworkFile:

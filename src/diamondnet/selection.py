@@ -136,17 +136,13 @@ def select(
 
     if k >= n:
         # whole network fits; zero-min-rate relays carry nothing and are dropped
-        keep = []
-        for i in range(n):
-            comparisons += 2  # min of the pair, then the zero test
-            if min(r_s[i], r_d[i]) > 0.0:
-                keep.append(i + 1)
-        gamma = tuple(keep) if keep else tuple(range(1, n + 1))
+        keep = np.flatnonzero(np.minimum(r_s, r_d) > 0.0) + 1
+        gamma = tuple(keep.tolist()) if keep.size else tuple(range(1, n + 1))
         return SelectionResult(
             gamma=gamma,
             omega_gamma=_omega_of_subset(rt, gamma),
             certificate=None,
-            comparisons=comparisons,
+            comparisons=2 * n,  # min of each pair, then its zero test
         )
 
     if omega <= 0.0:
@@ -160,20 +156,21 @@ def select(
 
     tau = [j * omega / (k + 1) for j in range(k + 1)]
 
+    # Each scan below takes the first relay in index order that passes both
+    # tests. It is charged as the scalar loop would be: one comparison per
+    # relay visited up to that relay, plus one more for each that passed
+    # the first test.
+
     # anchor: first relay with r_s >= tau_k and r_d >= tau_1
-    p = -1
-    for i in range(n):
-        comparisons += 1
-        if r_s[i] >= tau[k]:
-            comparisons += 1
-            if r_d[i] >= tau[1]:
-                p = i
-                break
-    if p < 0:
+    hit_s = r_s >= tau[k]
+    hit = hit_s & (r_d >= tau[1])
+    p = int(hit.argmax())
+    if not hit[p]:
         raise ValidationError(
             "no anchor relay clears the top threshold; omega is inconsistent "
             "with the rate table"
         )
+    comparisons += (p + 1) + int(np.count_nonzero(hit_s[: p + 1]))
 
     comparisons += 1
     if r_d[p] >= tau[k]:
@@ -195,30 +192,26 @@ def select(
     if a < 0:
         raise ValidationError("anchor bin not found; omega is inconsistent")
 
-    used = np.zeros(n, dtype=bool)
-    used[p] = True
+    free = np.ones(n, dtype=bool)
+    free[p] = False
     collected: list[int] = []
     bins = [0]
     a_prev = 0
     terminal = False
     for _round in range(k - 1):
-        # find the first unused relay with r_s >= tau_{a_prev+1}, r_d >= tau_{k-a_prev}
-        y = -1
-        for i in range(n):
-            if used[i]:
-                continue
-            comparisons += 1
-            if r_s[i] >= tau[a_prev + 1]:
-                comparisons += 1
-                if r_d[i] >= tau[k - a_prev]:
-                    y = i
-                    break
-        if y < 0:
+        # first free relay with r_s >= tau_{a_prev+1} and r_d >= tau_{k-a_prev}
+        cand_s = free & (r_s >= tau[a_prev + 1])
+        hit = cand_s & (r_d >= tau[k - a_prev])
+        y = int(hit.argmax())
+        if not hit[y]:
             raise ValidationError(
                 "no qualifying relay at a selection round; omega is inconsistent "
                 "with the rate table"
             )
-        used[y] = True
+        comparisons += int(np.count_nonzero(free[: y + 1])) + int(
+            np.count_nonzero(cand_s[: y + 1])
+        )
+        free[y] = False
         collected.append(y + 1)
         comparisons += 1
         if r_s[y] >= tau[a]:
@@ -329,15 +322,35 @@ def strategy_gap(k: int, gap_model: str) -> float:
     relay needs no network code; only valid for k = 1).
     """
     k = _validate_k(k)
+    if gap_model not in GAP_MODELS:
+        raise ValidationError(f"unknown gap model {gap_model!r}; pick from {GAP_MODELS}")
+    if gap_model == "routing" and k != 1:
+        raise ValidationError("the routing gap model applies to k=1 only")
+    return _strategy_gap(k, gap_model)
+
+
+def _strategy_gap(k: int, gap_model: str) -> float:
+    """``strategy_gap`` for a k and a model already checked."""
     if gap_model == "nnc":
         return 1.3 * k
     if gap_model == "optimized":
         return math.log2(k + 1) + math.log2(k) + 1.0
-    if gap_model == "routing":
-        if k != 1:
-            raise ValidationError("the routing gap model applies to k=1 only")
-        return 0.0
-    raise ValidationError(f"unknown gap model {gap_model!r}; pick from {GAP_MODELS}")
+    return 0.0
+
+
+def _validate_c_bar(c_bar_approx) -> float:
+    c_bar_approx = float(c_bar_approx)
+    if not math.isfinite(c_bar_approx) or c_bar_approx < 0.0:
+        raise ValidationError(
+            f"c_bar_approx must be a finite nonnegative rate, got {c_bar_approx}"
+        )
+    return c_bar_approx
+
+
+def _validate_n(n) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def guarantee(
@@ -348,20 +361,15 @@ def guarantee(
     ``c_bar_approx`` approximates the cut-set bound of the full n-relay
     network; s(k) is ``strategy_gap``; G(n) is ``gap_constant``.
     """
-    c_bar_approx = float(c_bar_approx)
-    if not math.isfinite(c_bar_approx) or c_bar_approx < 0.0:
-        raise ValidationError(
-            f"c_bar_approx must be a finite nonnegative rate, got {c_bar_approx}"
-        )
+    c_bar_approx = _validate_c_bar(c_bar_approx)
     k = _validate_k(k)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    n = _validate_n(n)
     if k > n:
         raise ValidationError(f"k={k} exceeds n={n}")
     frac = k / (k + 1)
     mult = frac * c_bar_approx
     sgap = strategy_gap(k, gap_model)
-    bgap = frac * gap_constant(int(n))
+    bgap = frac * gap_constant(n)
     return GuaranteeReport(
         k=k,
         lower_bound=max(0.0, mult - sgap - bgap),
@@ -376,18 +384,27 @@ def hybrid_tradeoff(
     """Guarantee for every k, against the purely additive baseline c - 1.3*n.
 
     ``best_k`` is the smallest k maximizing the guarantee. The routing
-    model only admits k = 1, so its table has a single row.
+    model only admits k = 1, so its table has a single row. Every entry is
+    bit-identical to ``guarantee(c_bar_approx, k, n, gap_model).lower_bound``.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    n = _validate_n(n)
     if gap_model not in GAP_MODELS:
         raise ValidationError(f"unknown gap model {gap_model!r}; pick from {GAP_MODELS}")
-    ks = (1,) if gap_model == "routing" else tuple(range(1, int(n) + 1))
-    entries = tuple(
-        (k, guarantee(c_bar_approx, k, int(n), gap_model).lower_bound) for k in ks
-    )
-    best_k = max(entries, key=lambda kv: (kv[1], -kv[0]))[0]
-    baseline = max(0.0, float(c_bar_approx) - 1.3 * int(n))
+    c_bar_approx = _validate_c_bar(c_bar_approx)
+    gap = gap_constant(n)
+    ks = (1,) if gap_model == "routing" else range(1, n + 1)
+    bounds = []
+    for k in ks:
+        # the float expression of ``guarantee``, term by term in its order
+        frac = k / (k + 1)
+        bounds.append(
+            max(0.0, frac * c_bar_approx - _strategy_gap(k, gap_model) - frac * gap)
+        )
+    best_k = bounds.index(max(bounds)) + 1  # the smallest maximizing k
+    baseline = max(0.0, c_bar_approx - 1.3 * n)
     return TradeoffReport(
-        entries=entries, best_k=best_k, baseline=baseline, gap_model=gap_model
+        entries=tuple(zip(ks, bounds)),
+        best_k=best_k,
+        baseline=baseline,
+        gap_model=gap_model,
     )

@@ -52,6 +52,14 @@ class TestOmegaCommand:
         assert code == 2
         assert "error" in err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"snr = 2\nrelay = 1 \xff\n")
+        code, out, err = run_cli(capsys, "omega", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not UTF-8 text" in err
+
 
 class TestSelectCommand:
     def test_staircase_pick(self, capsys, stair_file):

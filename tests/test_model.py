@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -132,3 +134,103 @@ class TestNetworkValidation:
     def test_zero_gain_relays_are_allowed(self):
         net = Network(snr=1.0, relays=(RelayChannels(0.0, 0.0),))
         assert net.n == 1
+
+
+class TestArrayStorage:
+    def test_from_gains_equals_relay_construction(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 7, 50):
+            gains = rng.uniform(0.0, 6.0, size=(n, 2))
+            gains[0, 0] = 0.0
+            a = Network.from_gains(2.5, gains[:, 0], gains[:, 1])
+            b = Network(snr=2.5, relays=tuple(RelayChannels(*g) for g in gains.tolist()))
+            assert a == b
+            assert a.relays == b.relays
+            assert a.n == b.n == n
+            assert rate_table(a) == rate_table(b)
+        one = Network.from_gains(1.0, [1.0, 2.0], [3.0, 4.0])
+        assert one != Network.from_gains(1.0, [1.0, 2.0], [3.0, 4.5])
+        assert one != Network.from_gains(1.5, [1.0, 2.0], [3.0, 4.0])
+
+    def test_gain_arrays_are_stored_read_only_arrays(self):
+        gs = np.array([1.0, 2.0])
+        net = Network.from_gains(1.0, gs, [3.0, 4.0])
+        gs[0] = 9.0  # the network holds its own copy
+        first = net.gain_arrays()
+        assert first[0].tolist() == [1.0, 2.0]
+        assert first[0].dtype == np.float64
+        second = net.gain_arrays()
+        assert first[0] is second[0] and first[1] is second[1]
+        with pytest.raises(ValueError):
+            first[0][0] = 5.0
+
+    def test_immutable_and_not_hashable(self):
+        net = Network.from_gains(1.0, [1.0], [2.0])
+        with pytest.raises(AttributeError):
+            net.snr = 3.0
+        with pytest.raises(TypeError):
+            hash(net)
+
+    def test_relays_are_rebuilt_on_demand(self):
+        net = Network.from_gains(2.0, [1.5, 0.0], [0.25, 3.0])
+        assert net.relays == (RelayChannels(1.5, 0.25), RelayChannels(0.0, 3.0))
+        assert all(type(r.gain_s) is float for r in net.relays)
+
+    def test_copies_and_pickles_by_value(self):
+        net = Network.from_gains(3.0, [0.5, 2.0], [1.0, 0.0])
+        assert copy.deepcopy(net) == net
+        assert pickle.loads(pickle.dumps(net)) == net
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            Network.from_gains(1.0, [1.0, 2.0], [1.0])
+
+
+class TestValidationMessages:
+    """The message names the first bad relay; checks run gains, snr, overflow."""
+
+    @pytest.mark.parametrize(
+        "gain_s,gain_d,message",
+        [
+            ([1.0, -2.0, -3.0], [1.0, 1.0, 1.0], "gain_s must be nonnegative, got -2.0"),
+            ([1.0, 1.0, -3.0], [1.0, -0.5, 1.0], "gain_d must be nonnegative, got -0.5"),
+            ([1.0, -1.0], [math.inf, 1.0], "gain_d must be finite, got inf"),
+            ([1.0, -math.inf], [1.0, 1.0], "gain_s must be finite, got -inf"),
+            ([1.0, math.nan], [-1.0, 1.0], "gain_d must be nonnegative, got -1.0"),
+            ([1.0, 1.0], [1.0, math.nan], "gain_d must be finite, got nan"),
+            ([1.0, 1.0, 1e200], [1.0, 1e200, 1.0], "relay 2: snr * gain_d**2 overflows"),
+            ([1.0, 1e200], [1.0, 1e200], "relay 2: snr * gain_s**2 overflows"),
+        ],
+    )
+    def test_gain_messages(self, gain_s, gain_d, message):
+        with pytest.raises(ValidationError) as array_path:
+            Network.from_gains(2.0, gain_s, gain_d)
+        assert str(array_path.value) == message
+        with pytest.raises(ValidationError) as relay_path:
+            Network(2.0, [RelayChannels(a, b) for a, b in zip(gain_s, gain_d)])
+        assert str(relay_path.value) == message
+
+    @pytest.mark.parametrize(
+        "snr,message",
+        [
+            (0.0, "snr must be positive, got 0.0"),
+            (-1.0, "snr must be positive, got -1.0"),
+            (math.nan, "snr must be finite, got nan"),
+            (math.inf, "snr must be finite, got inf"),
+        ],
+    )
+    def test_snr_messages(self, snr, message):
+        with pytest.raises(ValidationError) as exc:
+            Network.from_gains(snr, [1.0], [1.0])
+        assert str(exc.value) == message
+        # gains are checked before snr, the relay count after it
+        with pytest.raises(ValidationError, match="gain_s must be nonnegative"):
+            Network.from_gains(snr, [-1.0], [1.0])
+        with pytest.raises(ValidationError) as exc:
+            Network.from_gains(snr, [], [])
+        assert str(exc.value) == message
+
+    def test_overflow_depends_on_snr(self):
+        Network.from_gains(1.0, [1e150], [1.0])
+        with pytest.raises(ValidationError, match="relay 1: snr \\* gain_s\\*\\*2 overflows"):
+            Network.from_gains(1e10, [1e150], [1.0])

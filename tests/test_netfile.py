@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from diamondnet import (
     ValidationError,
     from_network,
     from_rates,
+    load,
     loads,
     rate_table,
 )
@@ -126,3 +129,80 @@ class TestRoundTrip:
         got = rate_table(net)
         np.testing.assert_allclose(got.r_s, nf.rates.r_s, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.r_d, nf.rates.r_d, rtol=1e-12, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def big_lines():
+    """Lines of a canonical gains-form file with 10**5 relays."""
+    rng = np.random.default_rng(41)
+    gains = rng.rayleigh(size=(10**5, 2)).tolist()
+    return ["label = big", "snr = 3.0"] + [f"relay = {a!r} {b!r}" for a, b in gains]
+
+
+class TestLargeFiles:
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("relay = 1", "line 50001: expected two numbers after 'relay =', got '1'"),
+            ("relay = 1 2 3", "line 50001: expected two numbers after 'relay =', got '1 2 3'"),
+            ("relay = 1 q", "line 50001: could not convert string to float: 'q'"),
+            ("  junk  ", "line 50001: expected 'key = value', got '  junk  '"),
+            ("zzz = 1", "line 50001: unknown key 'zzz'"),
+            ("snr = x  ", "line 50001: could not convert string to float: 'x'"),
+            ("relay = 1 -1", "gain_d must be nonnegative, got -1.0"),
+            ("relay = 1e200 1", "relay 49999: snr * gain_s**2 overflows"),
+        ],
+    )
+    def test_errors_deep_in_a_file_keep_their_line(self, big_lines, bad, message):
+        lines = list(big_lines)
+        lines[50000] = bad
+        with pytest.raises(ValidationError) as exc:
+            loads("\n".join(lines) + "\n")
+        assert str(exc.value) == message
+
+    def test_line_numbers_across_line_break_styles(self, big_lines):
+        # '\r\n', '\r' and '\x0c' all end a line, as str.splitlines has it
+        lines = big_lines[:30002]
+        text = "\r\n".join(lines[:20000]) + "\r" + "\x0c".join(lines[20000:])
+        assert loads(text + "\n").n == 30000
+        with pytest.raises(ValidationError, match="^line 29000: "):
+            loads(text.replace(lines[28999], "relay = 1 y") + "\n")
+
+    def test_dumps_is_canonical_and_round_trips(self, big_lines):
+        text = "\n".join(big_lines) + "\n"
+        nf = loads(text)
+        assert nf.n == 10**5
+        assert nf.dumps() == text
+        rng = np.random.default_rng(43)
+        rt = RateTable(rng.uniform(0, 30, 1000), rng.uniform(0, 30, 1000))
+        rates_text = "snr = 2.0\n" + "".join(
+            f"rate = {a!r} {b!r}\n" for a, b in zip(rt.r_s.tolist(), rt.r_d.tolist())
+        )
+        assert from_rates(rt, snr=2.0).dumps() == rates_text
+        assert loads(rates_text).rates == rt
+
+    def test_parse_memory_stays_below_three_times_the_text(self, big_lines):
+        text = "\n".join(big_lines) + "\n"
+        tracemalloc.start()
+        try:
+            nf = loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nf.n == 10**5
+        # about 1x: a parser that keeps a tuple per relay peaks near 4.7x,
+        # and one that splits the whole text into lines at once near 2.6x
+        assert peak < 2 * len(text)
+
+
+class TestLoad:
+    def test_non_utf8_file_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"snr = 2\nrelay = 1 \xff\n")
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            load(path)
+
+    def test_reads_a_written_file(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text(GAINS_TEXT, encoding="utf-8")
+        assert load(path) == loads(GAINS_TEXT)

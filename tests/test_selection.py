@@ -40,6 +40,70 @@ def enum_omega_of_subset(rt, members):
     return best
 
 
+def scalar_select(rt, k, omega):
+    """The relay-by-relay scans ``select`` used to run, kept as its oracle.
+
+    Returns (gamma, certificate, comparisons); certificate is
+    (anchor_bin, bins) or None. Assumes 1 <= k < n and omega > 0.
+    """
+    n, r_s, r_d = rt.n, rt.r_s, rt.r_d
+    comparisons = 0
+    tau = [j * omega / (k + 1) for j in range(k + 1)]
+    p = -1
+    for i in range(n):
+        comparisons += 1
+        if r_s[i] >= tau[k]:
+            comparisons += 1
+            if r_d[i] >= tau[1]:
+                p = i
+                break
+    if p < 0:
+        raise ValidationError("no anchor")
+    comparisons += 1
+    if r_d[p] >= tau[k]:
+        return (p + 1,), (None, ()), comparisons
+    a = -1
+    for cand_a in range(1, k):
+        comparisons += 1
+        if r_d[p] >= tau[k - cand_a]:
+            a = cand_a
+            break
+    if a < 0:
+        raise ValidationError("no anchor bin")
+    used = [False] * n
+    used[p] = True
+    collected, bins, a_prev = [], [0], 0
+    for _round in range(k - 1):
+        y = -1
+        for i in range(n):
+            if used[i]:
+                continue
+            comparisons += 1
+            if r_s[i] >= tau[a_prev + 1]:
+                comparisons += 1
+                if r_d[i] >= tau[k - a_prev]:
+                    y = i
+                    break
+        if y < 0:
+            raise ValidationError("no qualifying relay")
+        used[y] = True
+        collected.append(y + 1)
+        comparisons += 1
+        if r_s[y] >= tau[a]:
+            return tuple(sorted(collected + [p + 1])), (a, tuple(bins)), comparisons
+        a_r = -1
+        for cand in range(a_prev + 1, a):
+            comparisons += 1
+            if r_s[y] < tau[cand + 1]:
+                a_r = cand
+                break
+        if a_r < 0:
+            raise ValidationError("no round bin")
+        bins.append(a_r)
+        a_prev = a_r
+    raise ValidationError("no termination")
+
+
 def random_rt(i, master, nmin=2, nmax=10):
     s = trial_seed(master, i)
     rng = np.random.default_rng(s)
@@ -184,6 +248,58 @@ class TestSelect:
                 assert a.gamma == b.gamma
                 assert a.omega_gamma == b.omega_gamma
                 assert a.comparisons == b.comparisons
+
+
+    def test_matches_scalar_scans_on_tied_tables(self):
+        # integer rates tie often, so the first-qualifying-relay rule and
+        # the comparison charge are both exercised; every k below n
+        rng = np.random.default_rng(229)
+        multi_round = 0
+        for t in range(400):
+            n = int(rng.integers(2, 30))
+            high = 4 if t % 2 else 9
+            rt = RateTable(
+                rng.integers(0, high, n).astype(float),
+                rng.integers(0, high, n).astype(float),
+            )
+            omega = omega_fast(rt).value
+            if omega <= 0.0:
+                continue
+            for k in range(1, n):
+                sel = select(rt, k, omega)
+                gamma, cert, comparisons = scalar_select(rt, k, omega)
+                assert sel.gamma == gamma
+                assert (sel.certificate.anchor_bin, sel.certificate.bins) == cert
+                assert sel.comparisons == comparisons
+                assert sel.omega_gamma == enum_omega_of_subset(rt, gamma)
+                multi_round += len(cert[1]) > 1
+        assert multi_round > 0
+
+    def test_matches_scalar_scans_on_continuous_tables(self):
+        for i in range(200):
+            rt = random_rt(i, master=233, nmax=16)
+            omega = omega_fast(rt).value
+            if omega <= 0.0:
+                continue
+            for k in range(1, rt.n):
+                for target in (omega, 0.6 * omega):
+                    sel = select(rt, k, target)
+                    gamma, cert, comparisons = scalar_select(rt, k, target)
+                    assert sel.gamma == gamma
+                    assert (sel.certificate.anchor_bin, sel.certificate.bins) == cert
+                    assert sel.comparisons == comparisons
+
+    def test_staircase_scan_counts_at_large_n(self):
+        # the staircase makes each round scan far down the table
+        n = 2000
+        i = np.arange(n, dtype=np.float64)
+        rt = RateTable(i + 1.0, n - i)
+        omega = omega_fast(rt).value
+        for k in (2, 5, 8):
+            sel = select(rt, k, omega)
+            gamma, cert, comparisons = scalar_select(rt, k, omega)
+            assert sel.gamma == gamma
+            assert sel.comparisons == comparisons
 
 
 class TestVerifySelection:
@@ -334,6 +450,23 @@ class TestHybridTradeoff:
     def test_routing_table_has_one_row(self):
         tr = hybrid_tradeoff(8.0, 6, "routing")
         assert tr.entries == ((1, guarantee(8.0, 1, 6, "routing").lower_bound),)
+
+    @pytest.mark.parametrize("gap_model", ["nnc", "optimized", "routing"])
+    def test_entries_bit_identical_to_guarantee(self, gap_model):
+        for c_bar, n in ((0.0, 5), (12.5, 40), (300.0, 257), (1e4, 1000)):
+            tr = hybrid_tradeoff(c_bar, n, gap_model)
+            for k, value in tr.entries:
+                assert value == guarantee(c_bar, k, n, gap_model).lower_bound
+            best = max(v for _, v in tr.entries)
+            assert tr.best_k == min(k for k, v in tr.entries if v == best)
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValidationError, match="c_bar_approx"):
+            hybrid_tradeoff(math.nan, 5)
+        with pytest.raises(ValidationError, match="n must be"):
+            hybrid_tradeoff(-1.0, 0)
+        with pytest.raises(ValidationError, match="unknown gap model"):
+            hybrid_tradeoff(-1.0, 3, "bogus")
 
     def test_entries_nonnegative_and_smallest_tie_wins(self):
         tr = hybrid_tradeoff(0.0, 7, "optimized")
