@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -221,3 +222,188 @@ class TestDeterminism:
             _, out1, _ = run_cli(capsys, *argv)
             _, out2, _ = run_cli(capsys, *argv)
             assert out1 == out2
+
+
+# Every subcommand's exact stdout and exit code on two fixed files, in text
+# and machine form: any intended output change must update these pins.
+GOLDEN = [
+    ("omega {stair} --brute --counts", 0, """\
+n = 3
+omega = 3
+argmin_cut = {}
+comparisons = 9
+brute_omega = 3
+oracle_agrees = true
+brute_comparisons = 21
+"""),
+    ("omega {stair} --brute --counts --format machine", 0,
+     '{"n": 3, "omega": 3.0, "argmin_cut": [], "comparisons": 9, "brute_omega": 3.0, '
+     '"oracle_agrees": true, "brute_comparisons": 21}\n'),
+    ("select {stair} 2 --verify", 0, """\
+n = 3
+k = 2
+omega = 3
+gamma = {2}
+omega_gamma = 2
+ratio = 0.666667
+comparisons = 4
+certificate = anchor_bin none; bins ()
+guaranteed_rate[nnc] = 0
+verified = true
+"""),
+    ("select {stair} 2 --verify --format machine", 0,
+     '{"n": 3, "k": 2, "omega": 3.0, "gamma": [2], "omega_gamma": 2.0, '
+     '"ratio": 0.6666666666666666, "comparisons": 4, '
+     '"certificate": {"anchor_bin": null, "bins": []}, "gap_model": "nnc", '
+     '"guaranteed_rate": 0.0, "verified": true}\n'),
+    ("bounds {stair}", 0, """\
+n = 3
+omega = 3
+lower = 3.32193
+upper = 3.32193
+gap = 3.16993
+baseline = 0
+best_k[nnc] = 1 (rate 0)
+best_k[optimized] = 1 (rate 0)
+best_k[routing] = 1 (rate 0)
+k nnc optimized
+1 0 0
+2 0 0
+3 0 0
+"""),
+    ("bounds {stair} --format machine", 0,
+     '{"n": 3, "omega": 3.0, "lower": 3.321928094887362, "upper": 3.321928094887362, '
+     '"gap": 3.169925001442312, "baseline": 0.0, "tradeoff": '
+     '{"nnc": {"best_k": 1, "entries": [[1, 0.0], [2, 0.0], [3, 0.0]]}, '
+     '"optimized": {"best_k": 1, "entries": [[1, 0.0], [2, 0.0], [3, 0.0]]}, '
+     '"routing": {"best_k": 1, "entries": [[1, 0.0]]}}}\n'),
+    # a rates file has no snr, so af refuses it: exit 2, nothing on stdout
+    ("af {stair}", 2, ""),
+    ("af {stair} --format machine", 2, ""),
+    ("af {stair} --optimize", 2, ""),
+    ("af {stair} --optimize --format machine", 2, ""),
+    ("omega {gains} --brute --counts", 0, """\
+n = 6
+omega = 2.7335
+argmin_cut = {6}
+comparisons = 23
+brute_omega = 2.7335
+oracle_agrees = true
+brute_comparisons = 189
+"""),
+    ("omega {gains} --brute --counts --format machine", 0,
+     '{"n": 6, "omega": 2.7334968083211284, "argmin_cut": [6], "comparisons": 23, '
+     '"brute_omega": 2.7334968083211284, "oracle_agrees": true, '
+     '"brute_comparisons": 189}\n'),
+    ("select {gains} 2 --verify", 0, """\
+n = 6
+k = 2
+omega = 2.7335
+gamma = {5}
+omega_gamma = 2.72979
+ratio = 0.998642
+comparisons = 7
+certificate = anchor_bin none; bins ()
+guaranteed_rate[nnc] = 0
+verified = true
+"""),
+    ("select {gains} 2 --verify --format machine", 0,
+     '{"n": 6, "k": 2, "omega": 2.7334968083211284, "gamma": [5], '
+     '"omega_gamma": 2.729785922922521, "ratio": 0.998642440193341, "comparisons": 7, '
+     '"certificate": {"anchor_bin": null, "bins": []}, "gap_model": "nnc", '
+     '"guaranteed_rate": 0.0, "verified": true}\n'),
+    ("bounds {gains}", 0, """\
+n = 6
+omega = 2.7335
+lower = 3.3934
+upper = 3.3934
+gap = 5.16993
+baseline = 0
+best_k[nnc] = 1 (rate 0)
+best_k[optimized] = 1 (rate 0)
+best_k[routing] = 1 (rate 0)
+k nnc optimized
+1 0 0
+2 0 0
+3 0 0
+4 0 0
+5 0 0
+6 0 0
+"""),
+    ("bounds {gains} --format machine", 0,
+     '{"n": 6, "omega": 2.7334968083211284, "lower": 3.3934016895278933, '
+     '"upper": 3.3934016895278933, "gap": 5.169925001442312, "baseline": 0.0, '
+     '"tradeoff": {"nnc": {"best_k": 1, "entries": [[1, 0.0], [2, 0.0], [3, 0.0], '
+     '[4, 0.0], [5, 0.0], [6, 0.0]]}, "optimized": {"best_k": 1, "entries": '
+     '[[1, 0.0], [2, 0.0], [3, 0.0], [4, 0.0], [5, 0.0], [6, 0.0]]}, '
+     '"routing": {"best_k": 1, "entries": [[1, 0.0]]}}}\n'),
+    ("af {gains}", 0, """\
+n = 6
+mode = given
+alpha = [1, 1, 1, 1, 1, 1]
+af_rate = 3.06571
+c1 = 2.72979
+upper_bound = 7.89971
+within_bound = true
+"""),
+    ("af {gains} --format machine", 0,
+     '{"n": 6, "mode": "given", "alpha": [1.0, 1.0, 1.0, 1.0, 1.0, 1.0], '
+     '"af_rate": 3.065711182576132, "c1": 2.729785922922521, '
+     '"upper_bound": 7.899710924364833, "within_bound": true}\n'),
+    ("af {gains} --optimize", 0, """\
+n = 6
+mode = optimized
+alpha = [1, 1, 0.69164, 1, 1, 1]
+af_rate = 3.09321
+c1 = 2.72979
+upper_bound = 7.89971
+within_bound = true
+"""),
+    ("af {gains} --optimize --format machine", 0,
+     '{"n": 6, "mode": "optimized", "alpha": [1.0, 1.0, 0.6916402877569547, 1.0, 1.0, 1.0], '
+     '"af_rate": 3.0932144390197207, "c1": 2.729785922922521, '
+     '"upper_bound": 7.899710924364833, "within_bound": true}\n'),
+    ("gen 6 --seed 0", 0, """\
+label = rayleigh-n6-seed0
+snr = 1.0
+relay = 1.1661319856421997 1.4280035724506186
+relay = 0.19903096537501572 0.0673695284416951
+relay = 1.049135713469948 1.8055140180338591
+relay = 1.1606747629437213 1.2290657897975936
+relay = 2.3735146846294106 3.4807335664892745
+relay = 2.5637582795161262 0.05074939083029151
+"""),
+    ("tight 2", 0, """\
+label = staircase-k2
+rate = 1.0 3.0
+rate = 2.0 2.0
+rate = 3.0 1.0
+"""),
+    ("verify --trials 3", 0, """\
+trials = 3
+failures = 0
+max_violation = 4.441e-16
+elapsed_s = *
+"""),
+    ("verify --trials 3 --format machine", 0,
+     '{"trials": 3, "failures": [], "max_violation": 4.440892098500626e-16, '
+     '"elapsed_s": *}\n'),
+]
+
+
+class TestGoldenOutput:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden")
+        paths = {"stair": str(root / "stair.txt"), "gains": str(root / "gains.txt")}
+        assert main(["tight", "2", "-o", paths["stair"]]) == 0
+        assert main(["gen", "6", "--seed", "0", "-o", paths["gains"]]) == 0
+        return paths
+
+    @pytest.mark.parametrize(
+        "command,code,stdout", GOLDEN, ids=[g[0].replace(" ", "_") for g in GOLDEN]
+    )
+    def test_stdout_and_exit_code(self, capsys, files, command, code, stdout):
+        got_code, out, _ = run_cli(capsys, *command.format(**files).split())
+        out = re.sub(r'(elapsed_s(?: = |": ))[^,}\n]+', r"\1*", out)
+        assert (got_code, out) == (code, stdout)
