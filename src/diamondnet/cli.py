@@ -5,8 +5,7 @@ reads the network file format documented in ``netfile`` and prints either
 human-readable text (rates shown with 6 significant digits, counters as
 exact integers) or machine-readable JSON via ``--format machine``. Output
 is byte-identical across runs for identical command lines, except for the
-elapsed-time field of ``verify``. No environment variables are required;
-``DIAMONDNET_NO_NUMBA=1`` optionally forces the pure-numpy kernel lane.
+elapsed-time field of ``verify``. No environment variables are read.
 """
 
 from __future__ import annotations

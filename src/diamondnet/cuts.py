@@ -69,8 +69,7 @@ class OmegaResult:
     """omega value, the minimizing cut, and a comparison counter.
 
     The counter is the deterministic comparison charge of the algorithm's
-    schedule (sorting, suffix maxima, scans), so both execution lanes
-    report the same number for the same n.
+    schedule (sorting, suffix maxima, scans), a function of n alone.
     """
 
     value: float

@@ -30,6 +30,8 @@ def random_network(
     """Deterministic random diamond network for the given seed."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     if distribution == "rayleigh":
         if not (math.isfinite(sigma) and sigma > 0.0):

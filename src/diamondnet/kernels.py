@@ -1,203 +1,37 @@
-"""Hot numeric kernels, each with a numba twin and a pure-numpy twin.
+"""Numeric kernels, vectorized with numpy.
 
-The numba twins are scalar-loop implementations compiled with ``@njit``;
-the numpy twins are vectorized equivalents. For the min-cut family the two
-produce bit-identical floats (the arithmetic is maxima of inputs plus one
-addition, performed in the same order); for the kernels that reassociate
-sums (``sandwich_scan``, ``af_rate_batch``) they agree to roundoff.
-
-Backend selection happens once at import: numba when importable, unless
-the ``DIAMONDNET_NO_NUMBA`` environment variable is set to a truthy value,
-in which case the numpy twins serve. ``python -m diamondnet.benchmark``
-times one lane against the other.
+Five kernels carry the arithmetic of the package: the 2**n subset-lattice
+enumerations behind the brute-force oracles (``brute_omega``,
+``sandwich_scan``), the sorted suffix scan behind ``omega_fast``
+(``omega_sorted_scan``), the row-wise min-cut of many subnetworks
+(``omega_rows``) and the row-wise amplify-and-forward rate
+(``af_rate_batch``). Each is checked in the tests against a definition
+evaluated directly.
 
 Conventions: relays are 0-indexed here; a cut is a bitmask with bit i set
 when relay i sits on the destination side; the maximum over an empty index
 set is 0.
 """
 
-import math
-import os
-
 import numpy as np
 
-ENV_FLAG = "DIAMONDNET_NO_NUMBA"
+# Read by the benchmark's environment record; numpy is the only backend.
+BACKEND = "numpy"
+HAVE_NUMBA = False
 
 __all__ = [
     "BACKEND",
-    "ENV_FLAG",
     "HAVE_NUMBA",
     "af_rate_batch",
     "brute_omega",
-    "numba_kernels",
-    "numpy_kernels",
     "omega_rows",
     "omega_sorted_scan",
     "sandwich_scan",
 ]
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-HAVE_NUMBA = False
-if not _numba_disabled():
-    try:
-        import numba
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# loop bodies (compiled with @njit when the numba lane is active)
-# ---------------------------------------------------------------------------
-
-
-def _brute_omega_loop(r_s, r_d):
+def brute_omega(r_s, r_d):
     """Min cut value and first-minimal argmin bitmask over all 2**n cuts."""
-    n = r_s.shape[0]
-    size = 1 << n
-    max_d = np.zeros(size)
-    max_s = np.zeros(size)
-    for i in range(n):
-        w = 1 << i
-        di = r_d[i]
-        si = r_s[i]
-        for s in range(w):
-            md = max_d[s]
-            max_d[s | w] = md if md >= di else di
-            ms = max_s[s]
-            max_s[s | w] = ms if ms >= si else si
-    full = size - 1
-    best_val = max_s[full]  # mask 0: every relay on the source side
-    best_mask = 0
-    for mask in range(1, size):
-        v = max_d[mask] + max_s[full ^ mask]
-        if v < best_val:
-            best_val = v
-            best_mask = mask
-    return best_val, best_mask
-
-
-def _omega_sorted_scan_loop(s_sorted, d_sorted):
-    """Min over the n+1 candidate suffix cuts of a table sorted by r_s.
-
-    Candidate m puts the m smallest-r_s relays on the source side; ties in
-    value resolve to the largest m (equivalently the smallest cut bitmask).
-    """
-    n = s_sorted.shape[0]
-    best = s_sorted[n - 1]  # m = n: empty destination side
-    best_m = n
-    dmax = 0.0
-    for m in range(n - 1, -1, -1):
-        dm = d_sorted[m]
-        if dm > dmax:
-            dmax = dm
-        cand = dmax + (s_sorted[m - 1] if m >= 1 else 0.0)
-        if cand < best:
-            best = cand
-            best_m = m
-    return best, best_m
-
-
-def _omega_rows_loop(members, r_s, r_d):
-    """Min-cut value of the subnetwork in each row of ``members``."""
-    m_rows, k = members.shape
-    out = np.empty(m_rows)
-    s_buf = np.empty(k)
-    d_buf = np.empty(k)
-    for r in range(m_rows):
-        for j in range(k):
-            idx = members[r, j]
-            s_buf[j] = r_s[idx]
-            d_buf[j] = r_d[idx]
-        # stable insertion sort of the pairs by s value
-        for j in range(1, k):
-            sv = s_buf[j]
-            dv = d_buf[j]
-            t = j - 1
-            while t >= 0 and s_buf[t] > sv:
-                s_buf[t + 1] = s_buf[t]
-                d_buf[t + 1] = d_buf[t]
-                t -= 1
-            s_buf[t + 1] = sv
-            d_buf[t + 1] = dv
-        best = s_buf[k - 1]
-        dmax = 0.0
-        for m in range(k - 1, -1, -1):
-            if d_buf[m] > dmax:
-                dmax = d_buf[m]
-            cand = dmax + (s_buf[m - 1] if m >= 1 else 0.0)
-            if cand < best:
-                best = cand
-        out[r] = best
-    return out
-
-
-def _sandwich_scan_loop(ts2, td2, td):
-    """Cut-set bracketing mins over all cuts.
-
-    Per cut: lower = log2(1 + sum ts2 over source side)
-                   + log2(1 + sum td2 over destination side),
-             upper = same source term + log2(1 + (sum td over dest)**2).
-    Returns (min lower, min upper).
-    """
-    n = ts2.shape[0]
-    size = 1 << n
-    sum_s2 = np.zeros(size)
-    sum_d2 = np.zeros(size)
-    sum_d = np.zeros(size)
-    for i in range(n):
-        w = 1 << i
-        for s in range(w):
-            sum_s2[s | w] = sum_s2[s] + ts2[i]
-            sum_d2[s | w] = sum_d2[s] + td2[i]
-            sum_d[s | w] = sum_d[s] + td[i]
-    full = size - 1
-    lower_min = np.inf
-    upper_min = np.inf
-    for mask in range(size):
-        src = math.log2(1.0 + sum_s2[full ^ mask])
-        lo = src + math.log2(1.0 + sum_d2[mask])
-        sd = sum_d[mask]
-        up = src + math.log2(1.0 + sd * sd)
-        if lo < lower_min:
-            lower_min = lo
-        if up < upper_min:
-            upper_min = up
-    return lower_min, upper_min
-
-
-def _af_rate_batch_loop(w, v, snr, alphas):
-    """Amplify-and-forward rate for each row of amplification coefficients.
-
-    ``w`` and ``v`` are the per-relay signal and noise weights precomputed
-    from the gains; rate = log2(1 + snr * (w.a)**2 / (1 + v.a**2)).
-    """
-    m_rows, n = alphas.shape
-    out = np.empty(m_rows)
-    for r in range(m_rows):
-        num = 0.0
-        den = 1.0
-        for i in range(n):
-            a = alphas[r, i]
-            num += w[i] * a
-            den += v[i] * a * a
-        out[r] = math.log2(1.0 + snr * num * num / den)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy twins
-# ---------------------------------------------------------------------------
-
-
-def _brute_omega_vec(r_s, r_d):
     n = r_s.shape[0]
     max_d = np.zeros(1)
     max_s = np.zeros(1)
@@ -209,7 +43,12 @@ def _brute_omega_vec(r_s, r_d):
     return float(values[idx]), idx
 
 
-def _omega_sorted_scan_vec(s_sorted, d_sorted):
+def omega_sorted_scan(s_sorted, d_sorted):
+    """Min over the n+1 candidate suffix cuts of a table sorted by r_s.
+
+    Candidate m puts the m smallest-r_s relays on the source side; ties in
+    value resolve to the largest m (equivalently the smallest cut bitmask).
+    """
     n = s_sorted.shape[0]
     suff = np.maximum.accumulate(d_sorted[::-1])[::-1]
     cand = np.empty(n + 1)
@@ -221,7 +60,8 @@ def _omega_sorted_scan_vec(s_sorted, d_sorted):
     return float(cand[m_best]), m_best
 
 
-def _omega_rows_vec(members, r_s, r_d):
+def omega_rows(members, r_s, r_d):
+    """Min-cut value of the subnetwork in each row of ``members``."""
     s_rows = r_s[members]
     d_rows = r_d[members]
     order = np.argsort(s_rows, axis=1, kind="stable")
@@ -237,7 +77,14 @@ def _omega_rows_vec(members, r_s, r_d):
     return cand.min(axis=1)
 
 
-def _sandwich_scan_vec(ts2, td2, td):
+def sandwich_scan(ts2, td2, td):
+    """Cut-set bracketing mins over all cuts.
+
+    Per cut: lower = log2(1 + sum ts2 over source side)
+                   + log2(1 + sum td2 over destination side),
+             upper = same source term + log2(1 + (sum td over dest)**2).
+    Returns (min lower, min upper).
+    """
     n = ts2.shape[0]
     sum_s2 = np.zeros(1)
     sum_d2 = np.zeros(1)
@@ -252,50 +99,12 @@ def _sandwich_scan_vec(ts2, td2, td):
     return float(lower.min()), float(upper.min())
 
 
-def _af_rate_batch_vec(w, v, snr, alphas):
+def af_rate_batch(w, v, snr, alphas):
+    """Amplify-and-forward rate for each row of amplification coefficients.
+
+    ``w`` and ``v`` are the per-relay signal and noise weights precomputed
+    from the gains; rate = log2(1 + snr * (w.a)**2 / (1 + v.a**2)).
+    """
     num = alphas @ w
     den = 1.0 + (alphas * alphas) @ v
     return np.log2(1.0 + snr * num * num / den)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_NUMPY_KERNELS = {
-    "brute_omega": _brute_omega_vec,
-    "omega_sorted_scan": _omega_sorted_scan_vec,
-    "omega_rows": _omega_rows_vec,
-    "sandwich_scan": _sandwich_scan_vec,
-    "af_rate_batch": _af_rate_batch_vec,
-}
-
-if HAVE_NUMBA:
-    _jit = numba.njit(cache=True)
-    _NUMBA_KERNELS = {
-        "brute_omega": _jit(_brute_omega_loop),
-        "omega_sorted_scan": _jit(_omega_sorted_scan_loop),
-        "omega_rows": _jit(_omega_rows_loop),
-        "sandwich_scan": _jit(_sandwich_scan_loop),
-        "af_rate_batch": _jit(_af_rate_batch_loop),
-    }
-else:
-    _NUMBA_KERNELS = None
-
-_ACTIVE = _NUMBA_KERNELS if HAVE_NUMBA else _NUMPY_KERNELS
-
-brute_omega = _ACTIVE["brute_omega"]
-omega_sorted_scan = _ACTIVE["omega_sorted_scan"]
-omega_rows = _ACTIVE["omega_rows"]
-sandwich_scan = _ACTIVE["sandwich_scan"]
-af_rate_batch = _ACTIVE["af_rate_batch"]
-
-
-def numpy_kernels() -> dict:
-    """The pure-numpy twins, keyed by kernel name."""
-    return dict(_NUMPY_KERNELS)
-
-
-def numba_kernels() -> dict | None:
-    """The compiled twins, or None when the numba lane is off."""
-    return dict(_NUMBA_KERNELS) if _NUMBA_KERNELS is not None else None

@@ -32,6 +32,21 @@ from .errors import ValidationError
 _LN2 = math.log(2.0)
 
 
+def _to_float(name, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _float_array(name, values) -> np.ndarray:
+    """A fresh 1-D float64 copy of ``values``."""
+    try:
+        return np.array(values, dtype=np.float64, copy=True).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} entries must be real numbers: {exc}") from None
+
+
 def _require_finite(name, value):
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -39,8 +54,8 @@ def _require_finite(name, value):
 
 def point_capacity(snr: float, gain: float) -> float:
     """Rate log2(1 + snr * gain**2) of a point-to-point AWGN link, bits/s/Hz."""
-    snr = float(snr)
-    gain = float(gain)
+    snr = _to_float("snr", snr)
+    gain = _to_float("gain", gain)
     _require_finite("snr", snr)
     _require_finite("gain", gain)
     if snr <= 0.0:
@@ -59,7 +74,7 @@ class RelayChannels:
 
     def __post_init__(self):
         for name in ("gain_s", "gain_d"):
-            value = float(getattr(self, name))
+            value = _to_float(name, getattr(self, name))
             _require_finite(name, value)
             if value < 0.0:
                 raise ValidationError(f"{name} must be nonnegative, got {value}")
@@ -90,8 +105,8 @@ class Network:
     @classmethod
     def from_gains(cls, snr, gain_s, gain_d) -> "Network":
         """Network from per-relay gain magnitudes; the arrays are copied."""
-        gs = np.array(gain_s, dtype=np.float64, copy=True).reshape(-1)
-        gd = np.array(gain_d, dtype=np.float64, copy=True).reshape(-1)
+        gs = _float_array("gain_s", gain_s)
+        gd = _float_array("gain_d", gain_d)
         if gs.size != gd.size:
             raise ValidationError(
                 f"gain lists must have equal length, got {gs.size} and {gd.size}"
@@ -107,7 +122,7 @@ class Network:
         if not valid.all():
             i = int(valid.argmin())
             RelayChannels(float(gs[i]), float(gd[i]))  # raises the relay's message
-        snr = float(snr)
+        snr = _to_float("snr", snr)
         _require_finite("snr", snr)
         if snr <= 0.0:
             raise ValidationError(f"snr must be positive, got {snr}")
@@ -176,8 +191,8 @@ class RateTable:
     __slots__ = ("r_s", "r_d")
 
     def __init__(self, r_s, r_d):
-        r_s = np.array(r_s, dtype=np.float64, copy=True).reshape(-1)
-        r_d = np.array(r_d, dtype=np.float64, copy=True).reshape(-1)
+        r_s = _float_array("r_s", r_s)
+        r_d = _float_array("r_d", r_d)
         if r_s.size != r_d.size:
             raise ValidationError(
                 f"rate lists must have equal length, got {r_s.size} and {r_d.size}"
@@ -226,7 +241,7 @@ def network_from(rt: RateTable, snr: float) -> Network:
     Inverts the rate formula: gain = sqrt((2**r - 1) / snr). Round-trips
     through ``rate_table`` within 1e-12 relative error.
     """
-    snr = float(snr)
+    snr = _to_float("snr", snr)
     _require_finite("snr", snr)
     if snr <= 0.0:
         raise ValidationError(f"snr must be positive, got {snr}")

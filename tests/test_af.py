@@ -67,6 +67,24 @@ class TestAfRate:
         for row, expected in zip(alphas, batch):
             assert af_rate(net, row) == pytest.approx(float(expected), abs=1e-12)
 
+    def test_batch_matches_formula_row_by_row(self):
+        for i in range(20):
+            net = random_net(i, master=307, nmax=8)
+            rng = np.random.default_rng(i)
+            alphas = rng.uniform(0, 1, (6, net.n))
+            alphas[0] = 0.0
+            alphas[1] = 1.0
+            snr = net.snr
+            gains = [(r.gain_s, r.gain_d) for r in net.relays]
+            w = [gd * gs * math.sqrt(snr / (1 + gs * gs * snr)) for gs, gd in gains]
+            v = [gd * gd * snr / (1 + gs * gs * snr) for gs, gd in gains]
+            batch = af_rate_batch(net, alphas)
+            assert batch[0] == 0.0
+            for row, got in zip(alphas.tolist(), batch.tolist()):
+                num = sum(wi * a for wi, a in zip(w, row))
+                den = 1 + sum(vi * a * a for vi, a in zip(v, row))
+                assert got == pytest.approx(math.log2(1 + snr * num * num / den), rel=1e-12)
+
     def test_phase_alignment_dominates_sampled_phases(self):
         # coherent magnitudes upper-bound every random phase assignment
         rng = np.random.default_rng(17)

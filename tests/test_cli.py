@@ -172,6 +172,9 @@ class TestGenCommand:
     def test_rejects_bad_params(self, capsys):
         code, _, err = run_cli(capsys, "gen", "3", "--sigma", "-1")
         assert code == 2
+        code, _, err = run_cli(capsys, "gen", "3", "--seed", "-1")
+        assert code == 2
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
 
 
 class TestTightCommand:
@@ -186,6 +189,11 @@ class TestTightCommand:
         main(["tight", "3", "-o", str(path)])
         code, out, _ = run_cli(capsys, "omega", str(path))
         assert "omega = 4" in out
+
+    def test_brute_oracle_agrees_on_tight_file(self, capsys, stair_file):
+        code, out, _ = run_cli(capsys, "omega", stair_file, "--brute")
+        assert code == 0
+        assert "oracle_agrees = true" in out
 
 
 class TestVerifyCommand:

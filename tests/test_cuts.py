@@ -226,6 +226,24 @@ class TestSandwich:
             assert sw.lower <= sw.upper + 1e-9
             assert sw.upper <= sw.omega + sw.gap + 1e-9
 
+    def test_matches_definition_over_every_cut(self):
+        for i in range(100):
+            rt = random_rt(i, master=127, nmax=10)
+            ts2 = [math.expm1(r * math.log(2.0)) for r in rt.r_s.tolist()]
+            td2 = [math.expm1(r * math.log(2.0)) for r in rt.r_d.tolist()]
+            lower = upper = math.inf
+            for size in range(rt.n + 1):
+                for combo in combinations(range(1, rt.n + 1), size):
+                    dest = Cut(combo).members
+                    src = math.log2(1.0 + sum(t for j, t in enumerate(ts2, 1) if j not in dest))
+                    dst2 = sum(t for j, t in enumerate(td2, 1) if j in dest)
+                    dst = sum(math.sqrt(t) for j, t in enumerate(td2, 1) if j in dest)
+                    lower = min(lower, src + math.log2(1.0 + dst2))
+                    upper = min(upper, src + math.log2(1.0 + dst * dst))
+            sw = sandwich(rt)
+            assert sw.lower == pytest.approx(lower, rel=1e-12)
+            assert sw.upper == pytest.approx(upper, rel=1e-12)
+
     def test_size_guard(self):
         rt = RateTable(np.ones(25), np.ones(25))
         with pytest.raises(SizeLimitError):

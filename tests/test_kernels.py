@@ -1,122 +1,12 @@
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
-
 from diamondnet import kernels
 
-needs_numba = pytest.mark.skipif(
-    kernels.numba_kernels() is None, reason="numba lane unavailable"
-)
+KERNELS = ("brute_omega", "omega_sorted_scan", "omega_rows", "sandwich_scan", "af_rate_batch")
 
 
-def _workload(seed=99):
-    rng = np.random.default_rng(seed)
-    n = 12
-    return rng.uniform(0, 12, n), rng.uniform(0, 12, n)
-
-
-@needs_numba
-class TestLaneAgreement:
-    def test_brute_omega_bit_exact(self):
-        nb = kernels.numba_kernels()["brute_omega"]
-        vec = kernels.numpy_kernels()["brute_omega"]
-        for seed in range(30):
-            r_s, r_d = _workload(seed)
-            v_nb, m_nb = nb(r_s, r_d)
-            v_np, m_np = vec(r_s, r_d)
-            assert v_nb == v_np
-            assert int(m_nb) == int(m_np)
-
-    def test_sorted_scan_bit_exact(self):
-        nb = kernels.numba_kernels()["omega_sorted_scan"]
-        vec = kernels.numpy_kernels()["omega_sorted_scan"]
-        for seed in range(30):
-            r_s, r_d = _workload(seed)
-            order = np.argsort(r_s, kind="stable")
-            v_nb, m_nb = nb(r_s[order], r_d[order])
-            v_np, m_np = vec(r_s[order], r_d[order])
-            assert v_nb == v_np
-            assert int(m_nb) == int(m_np)
-
-    def test_omega_rows_bit_exact(self):
-        nb = kernels.numba_kernels()["omega_rows"]
-        vec = kernels.numpy_kernels()["omega_rows"]
-        rng = np.random.default_rng(5)
-        r_s, r_d = rng.uniform(0, 9, 14), rng.uniform(0, 9, 14)
-        members = np.sort(
-            np.argsort(rng.random((500, 14)), axis=1)[:, :6].astype(np.int64), axis=1
-        )
-        assert np.array_equal(nb(members, r_s, r_d), vec(members, r_s, r_d))
-
-    def test_sandwich_scan_close(self):
-        nb = kernels.numba_kernels()["sandwich_scan"]
-        vec = kernels.numpy_kernels()["sandwich_scan"]
-        rng = np.random.default_rng(6)
-        ts2 = rng.uniform(0, 100, 10)
-        td2 = rng.uniform(0, 100, 10)
-        lo_nb, up_nb = nb(ts2, td2, np.sqrt(td2))
-        lo_np, up_np = vec(ts2, td2, np.sqrt(td2))
-        assert lo_nb == pytest.approx(lo_np, rel=1e-12)
-        assert up_nb == pytest.approx(up_np, rel=1e-12)
-
-    def test_af_rate_batch_close(self):
-        nb = kernels.numba_kernels()["af_rate_batch"]
-        vec = kernels.numpy_kernels()["af_rate_batch"]
-        rng = np.random.default_rng(7)
-        w = rng.uniform(0, 2, 6)
-        v = rng.uniform(0, 2, 6)
-        alphas = rng.uniform(0, 1, (200, 6))
-        np.testing.assert_allclose(
-            nb(w, v, 3.0, alphas), vec(w, v, 3.0, alphas), rtol=1e-12
-        )
-
-
-class TestBackendSelection:
-    def test_backend_is_reported(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy_lane(self):
-        env = dict(os.environ)
-        env[kernels.ENV_FLAG] = "1"
-        out = subprocess.run(
-            [sys.executable, "-c", "from diamondnet import kernels; print(kernels.BACKEND)"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_flag_off_prefers_numba_when_available(self):
-        if kernels.numba_kernels() is None:
-            pytest.skip("numba unavailable in this environment")
-        env = {k: v for k, v in os.environ.items() if k != kernels.ENV_FLAG}
-        out = subprocess.run(
-            [sys.executable, "-c", "from diamondnet import kernels; print(kernels.BACKEND)"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numba"
-
-    def test_cli_works_on_numpy_lane(self, tmp_path):
-        env = dict(os.environ)
-        env[kernels.ENV_FLAG] = "1"
-        path = tmp_path / "stair.txt"
-        subprocess.run(
-            [sys.executable, "-m", "diamondnet.cli", "tight", "2", "-o", str(path)],
-            env=env,
-            check=True,
-        )
-        out = subprocess.run(
-            [sys.executable, "-m", "diamondnet.cli", "omega", str(path), "--brute"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert "oracle_agrees = true" in out.stdout
+def test_backend_is_reported():
+    # perfbench/report.py records the two constants on every run and
+    # perfbench/tracing.py wraps the five kernels by name
+    assert kernels.BACKEND == "numpy"
+    assert kernels.HAVE_NUMBA is False
+    for name in KERNELS:
+        assert callable(getattr(kernels, name))

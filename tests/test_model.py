@@ -230,6 +230,29 @@ class TestValidationMessages:
             Network.from_gains(snr, [], [])
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (
+                lambda: Network(snr="x", relays=(RelayChannels(1.0, 1.0),)),
+                "snr must be a real number, got 'x'",
+            ),
+            (lambda: RelayChannels("x", 1), "gain_s must be a real number, got 'x'"),
+            (
+                lambda: Network.from_gains(1.0, ["a"], [1.0]),
+                "gain_s entries must be real numbers: could not convert string to float: 'a'",
+            ),
+            (
+                lambda: RateTable(["a"], [1.0]),
+                "r_s entries must be real numbers: could not convert string to float: 'a'",
+            ),
+        ],
+    )
+    def test_non_numeric_messages(self, build, message):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_overflow_depends_on_snr(self):
         Network.from_gains(1.0, [1e150], [1.0])
         with pytest.raises(ValidationError, match="relay 1: snr \\* gain_s\\*\\*2 overflows"):
