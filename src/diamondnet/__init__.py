@@ -48,6 +48,7 @@ from .selection import (
     hybrid_tradeoff,
     omega_k_bruteforce,
     omega_k_ratio,
+    omega_k_table,
     select,
     strategy_gap,
     tight_config,
@@ -95,6 +96,7 @@ __all__ = [
     "omega_fast",
     "omega_k_bruteforce",
     "omega_k_ratio",
+    "omega_k_table",
     "point_capacity",
     "random_network",
     "rate_table",

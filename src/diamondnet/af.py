@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ValidationError
-from .model import Network, RateTable, rate_table
+from .model import Network, RateTable, _float_array, rate_table
 
 @dataclass(frozen=True, slots=True)
 class AfCoefficients:
@@ -39,7 +39,7 @@ class AfCoefficients:
     alpha: np.ndarray
 
     def __init__(self, alpha):
-        alpha = np.array(alpha, dtype=np.float64, copy=True).reshape(-1)
+        alpha = _float_array("alpha", alpha)
         if alpha.size == 0:
             raise ValidationError("alpha must have at least one entry")
         if not np.all(np.isfinite(alpha)):
@@ -97,7 +97,7 @@ def af_rate(net: Network, alpha) -> float:
 
 def af_rate_batch(net: Network, alphas) -> np.ndarray:
     """Amplify-and-forward rate for each row of ``alphas`` (shape (m, n))."""
-    alphas = np.asarray(alphas, dtype=np.float64)
+    alphas = _float_array("alphas", alphas, flat=False)
     if alphas.ndim != 2 or alphas.shape[1] != net.n:
         raise ValidationError(f"alphas must have shape (m, {net.n})")
     if not np.all(np.isfinite(alphas)) or np.any(alphas < 0) or np.any(alphas > 1):
@@ -126,9 +126,9 @@ def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
 
     Returns (lhs, rhs); lhs >= rhs always.
     """
-    u_d = np.asarray(u_d, dtype=np.float64).reshape(-1)
-    u_s = np.asarray(u_s, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    u_d = _float_array("u_d", u_d)
+    u_s = _float_array("u_s", u_s)
+    b = _float_array("b", b)
     if not (u_d.size == u_s.size == b.size) or u_d.size == 0:
         raise ValidationError("u_d, u_s and b must share a positive length")
     if not (np.all(np.isfinite(u_d)) and np.all(np.isfinite(u_s)) and np.all(np.isfinite(b))):

@@ -1,12 +1,13 @@
 """Numeric kernels, vectorized with numpy.
 
-Five kernels carry the arithmetic of the package: the 2**n subset-lattice
+These kernels carry the arithmetic of the package: the 2**n subset-lattice
 enumerations behind the brute-force oracles (``brute_omega``,
-``sandwich_scan``), the sorted suffix scan behind ``omega_fast``
-(``omega_sorted_scan``), the row-wise min-cut of many subnetworks
-(``omega_rows``) and the row-wise amplify-and-forward rate
-(``af_rate_batch``). Each is checked in the tests against a definition
-evaluated directly.
+``sandwich_scan``) and behind the best-k subnetwork table
+(``omega_by_size``), all built on the per-subset maxima of ``subset_max``;
+the sorted suffix scan behind ``omega_fast`` (``omega_sorted_scan``); the
+row-wise min-cut of many subnetworks (``omega_rows``); and the row-wise
+amplify-and-forward rate (``af_rate_batch``). Each is checked in the tests
+against a definition evaluated directly.
 
 Conventions: relays are 0-indexed here; a cut is a bitmask with bit i set
 when relay i sits on the destination side; the maximum over an empty index
@@ -24,21 +25,25 @@ __all__ = [
     "HAVE_NUMBA",
     "af_rate_batch",
     "brute_omega",
+    "omega_by_size",
     "omega_rows",
     "omega_sorted_scan",
     "sandwich_scan",
+    "subset_max",
 ]
+
+
+def subset_max(x):
+    """Max of ``x`` over the relays of every bitmask in 0 .. 2**n - 1."""
+    table = np.zeros(1)
+    for xi in x:
+        table = np.concatenate([table, np.maximum(table, xi)])
+    return table
 
 
 def brute_omega(r_s, r_d):
     """Min cut value and first-minimal argmin bitmask over all 2**n cuts."""
-    n = r_s.shape[0]
-    max_d = np.zeros(1)
-    max_s = np.zeros(1)
-    for i in range(n):
-        max_d = np.concatenate([max_d, np.maximum(max_d, r_d[i])])
-        max_s = np.concatenate([max_s, np.maximum(max_s, r_s[i])])
-    values = max_d + max_s[::-1]  # complement of mask within n bits
+    values = subset_max(r_d) + subset_max(r_s)[::-1]  # complement of mask
     idx = int(np.argmin(values))
     return float(values[idx]), idx
 
@@ -58,6 +63,29 @@ def omega_sorted_scan(s_sorted, d_sorted):
     cand[n] = s_sorted[n - 1]
     m_best = n - int(np.argmin(cand[::-1]))
     return float(cand[m_best]), m_best
+
+
+def omega_by_size(s_sorted, d_sorted):
+    """Max of omega over the relay subsets of each size 0..n, by lattice pass.
+
+    omega(S) is the min over splits of S of max r_s on one part plus max r_d
+    on the other. With the relays sorted by r_s, the splits at each relay j
+    of S suffice: r_s[j] plus the max r_d over the relays of S above j, and
+    the max r_d over all of S. These are the float sums ``omega_rows`` forms,
+    so each entry is bit-identical to a row-wise evaluation. One vectorized
+    pass per relay lowers all 2**n subset values at once.
+    """
+    n = s_sorted.shape[0]
+    max_d = subset_max(d_sorted)
+    omega = max_d.copy()
+    for j in range(n):
+        # the subsets holding relay j, indexed by their relays above j
+        held = omega.reshape(-1, 2, 1 << j)[:, 1, :]
+        above = max_d[:: 1 << (j + 1)]
+        np.minimum(held, (s_sorted[j] + above)[:, None], out=held)
+    best = np.zeros(n + 1)
+    np.maximum.at(best, np.bitwise_count(np.arange(1 << n)), omega)
+    return best
 
 
 def omega_rows(members, r_s, r_d):

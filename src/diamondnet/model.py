@@ -39,12 +39,13 @@ def _to_float(name, value) -> float:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
 
 
-def _float_array(name, values) -> np.ndarray:
-    """A fresh 1-D float64 copy of ``values``."""
+def _float_array(name, values, flat=True) -> np.ndarray:
+    """A fresh float64 copy of ``values``, 1-D unless ``flat`` is false."""
     try:
-        return np.array(values, dtype=np.float64, copy=True).reshape(-1)
+        arr = np.array(values, dtype=np.float64, copy=True)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} entries must be real numbers: {exc}") from None
+    return arr.reshape(-1) if flat else arr
 
 
 def _require_finite(name, value):

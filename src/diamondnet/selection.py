@@ -8,9 +8,11 @@ whose destination rates cover the remaining gap, recording the strictly
 increasing bin certificate that forces termination within k-1 rounds.
 
 ``omega_k_bruteforce`` / ``omega_k_ratio`` are the desk-scale oracles for
-the best k-subnetwork, ``tight_config`` generates the worst-case family
-where the k/(k+1) fraction is achieved exactly, and ``guarantee`` /
-``hybrid_tradeoff`` evaluate the resulting capacity lower bounds.
+the best k-subnetwork at one k; ``omega_k_table`` gives the best value for
+every k at once from one pass over the 2**n subsets, bit-identical to them.
+``tight_config`` generates the worst-case family where the k/(k+1) fraction
+is achieved exactly, and ``guarantee`` / ``hybrid_tradeoff`` evaluate the
+resulting capacity lower bounds.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import kernels
 from .cuts import gap_constant, omega_bruteforce, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
-from .model import RateTable
+from .model import RateTable, _to_float
 
 SUBSET_ENUMERATION_LIMIT = 10**6
 
@@ -120,7 +122,7 @@ def select(
     Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
     """
     k = _validate_k(k)
-    omega = float(omega)
+    omega = _to_float("omega", omega)
     if not math.isfinite(omega) or omega < 0.0:
         raise ValidationError(f"omega must be a finite nonnegative rate, got {omega}")
     if check_omega:
@@ -256,7 +258,7 @@ def verify_selection(
         raise ValidationError("selected relay index out of range")
     r_s, r_d = _subset_rates(rt, sel.gamma)
     value = omega_bruteforce(RateTable(r_s, r_d)).value
-    return value >= (k / (k + 1)) * float(omega) - 1e-9
+    return value >= (k / (k + 1)) * _to_float("omega", omega) - 1e-9
 
 
 def omega_k_bruteforce(rt: RateTable, k: int) -> tuple[float, tuple[int, ...]]:
@@ -285,6 +287,25 @@ def omega_k_bruteforce(rt: RateTable, k: int) -> tuple[float, tuple[int, ...]]:
     return float(values[best]), tuple(int(i) + 1 for i in members[best])
 
 
+def omega_k_table(rt: RateTable) -> tuple[float, ...]:
+    """Max of omega over all k-relay subsets, for every k in 1..n.
+
+    Entry k-1 is bit-identical to ``omega_k_bruteforce(rt, k)[0]``, but all
+    n entries come from one pass over the subset lattice instead of n
+    enumerations. Guarded at 2**n <= 10**6 subsets.
+    """
+    if not isinstance(rt, RateTable):
+        raise ValidationError(f"rt must be a RateTable, got {type(rt).__name__}")
+    n = rt.n
+    if (1 << n) > SUBSET_ENUMERATION_LIMIT:
+        raise SizeLimitError(
+            f"2**{n} subsets exceeds the enumeration limit {SUBSET_ENUMERATION_LIMIT}"
+        )
+    order = np.argsort(rt.r_s, kind="stable")
+    best = kernels.omega_by_size(rt.r_s[order], rt.r_d[order])
+    return tuple(best[1:].tolist())
+
+
 def omega_k_ratio(rt: RateTable, k: int) -> float:
     """Ratio of the best k-subnetwork omega to the full omega.
 
@@ -308,7 +329,7 @@ def tight_config(k: int, base_rate: float = 1.0) -> RateTable:
     exactly k * base_rate.
     """
     k = _validate_k(k)
-    base_rate = float(base_rate)
+    base_rate = _to_float("base_rate", base_rate)
     if not math.isfinite(base_rate) or base_rate <= 0.0:
         raise ValidationError(f"base_rate must be positive, got {base_rate}")
     idx = np.arange(1, k + 2, dtype=np.float64)
@@ -339,7 +360,7 @@ def _strategy_gap(k: int, gap_model: str) -> float:
 
 
 def _validate_c_bar(c_bar_approx) -> float:
-    c_bar_approx = float(c_bar_approx)
+    c_bar_approx = _to_float("c_bar_approx", c_bar_approx)
     if not math.isfinite(c_bar_approx) or c_bar_approx < 0.0:
         raise ValidationError(
             f"c_bar_approx must be a finite nonnegative rate, got {c_bar_approx}"

@@ -59,6 +59,24 @@ class TestAfRate:
         with pytest.raises(ValidationError):
             AfCoefficients([-0.1])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: AfCoefficients(["a"]),
+                "alpha entries must be real numbers: could not convert string to float: 'a'",
+            ),
+            (
+                lambda: af_rate_batch(unit_net(2), [["a", "b"]]),
+                "alphas entries must be real numbers: could not convert string to float: 'a'",
+            ),
+        ],
+    )
+    def test_non_numeric_messages(self, build, message):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_batch_matches_single(self):
         net = random_net(0, master=301, nmax=5)
         rng = np.random.default_rng(1)

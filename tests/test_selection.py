@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondnet import (
     Cut,
@@ -17,6 +19,7 @@ from diamondnet import (
     omega_fast,
     omega_k_bruteforce,
     omega_k_ratio,
+    omega_k_table,
     random_network,
     rate_table,
     select,
@@ -24,6 +27,7 @@ from diamondnet import (
     tight_config,
     verify_selection,
 )
+from diamondnet.selection import SUBSET_ENUMERATION_LIMIT
 from diamondnet.verify import trial_seed
 
 
@@ -185,6 +189,11 @@ class TestSelect:
             select(rt, 0, 3.0)
         with pytest.raises(ValidationError):
             select(rt, 2, -1.0)
+
+    def test_non_numeric_omega_message(self):
+        with pytest.raises(ValidationError) as exc:
+            select(tight_config(2, 1.0), 1, "x")
+        assert str(exc.value) == "omega must be a real number, got 'x'"
 
     def test_rejects_omega_too_large(self):
         with pytest.raises(ValidationError):
@@ -368,6 +377,69 @@ class TestOmegaK:
             omega_k_bruteforce(big, 20)
 
 
+def assert_table_matches_bruteforce(rt):
+    table = omega_k_table(rt)
+    assert len(table) == rt.n
+    for k in range(1, rt.n + 1):
+        assert table[k - 1] == omega_k_bruteforce(rt, k)[0], k
+
+
+class TestOmegaKTable:
+    def test_tied_integer_tables(self):
+        rng = np.random.default_rng(263)
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            assert_table_matches_bruteforce(
+                RateTable(rng.integers(0, 4, n), rng.integers(0, 4, n))
+            )
+
+    def test_continuous_tables(self):
+        rng = np.random.default_rng(269)
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            assert_table_matches_bruteforce(
+                RateTable(rng.exponential(size=n), rng.exponential(size=n))
+            )
+
+    def test_rayleigh_derived_tables(self):
+        for i in range(150):
+            assert_table_matches_bruteforce(random_rt(i, master=271, nmin=1, nmax=12))
+
+    def test_single_relay_and_zero_rates(self):
+        assert omega_k_table(RateTable([3.0], [2.0])) == (2.0,)
+        assert omega_k_table(RateTable(np.zeros(5), np.zeros(5))) == (0.0,) * 5
+        assert_table_matches_bruteforce(RateTable([0.0, 2.0, 0.0], [1.0, 0.0, 0.0]))
+
+    def test_staircase(self):
+        for k in range(1, 9):
+            table = omega_k_table(tight_config(k, 1.0))
+            assert table[k - 1] == float(k)
+            assert table[k] == float(k + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1023.0, allow_subnormal=False),
+                st.floats(0.0, 1023.0, allow_subnormal=False),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_property_matches_bruteforce(self, rates):
+        r_s, r_d = zip(*rates)
+        assert_table_matches_bruteforce(RateTable(r_s, r_d))
+
+    def test_guards(self):
+        n = SUBSET_ENUMERATION_LIMIT.bit_length()  # the first n with 2**n > limit
+        assert len(omega_k_table(RateTable(np.ones(n - 1), np.ones(n - 1)))) == n - 1
+        with pytest.raises(SizeLimitError, match="enumeration limit"):
+            omega_k_table(RateTable(np.ones(n), np.ones(n)))
+        with pytest.raises(ValidationError, match="must be a RateTable"):
+            omega_k_table(([1.0], [1.0]))
+
+
 class TestOmegaKRatio:
     def test_staircase_is_exact(self):
         for k in range(1, 9):
@@ -431,6 +503,11 @@ class TestGuarantee:
             guarantee(-1.0, 1, 10, "nnc")
         with pytest.raises(ValidationError):
             guarantee(10.0, 1, 10, "bogus")
+
+    def test_non_numeric_message(self):
+        with pytest.raises(ValidationError) as exc:
+            guarantee("x", 1, 2, "nnc")
+        assert str(exc.value) == "c_bar_approx must be a real number, got 'x'"
 
 
 class TestHybridTradeoff:

@@ -1,6 +1,12 @@
 import pytest
 
-from diamondnet import ValidationError, run_verification, trial_seed
+from diamondnet import (
+    ValidationError,
+    omega_k_bruteforce,
+    run_verification,
+    trial_seed,
+    verify,
+)
 
 
 class TestTrialSeed:
@@ -36,6 +42,19 @@ class TestRunVerification:
         b = run_verification(trials=15, nmax=8, seed=3)
         assert a.failures == b.failures
         assert a.max_violation == b.max_violation
+
+    @pytest.mark.parametrize("kmode", ["all", "random"])
+    def test_same_report_as_per_k_bruteforce(self, kmode, monkeypatch):
+        # the best-k values once came from one omega_k_bruteforce call per k
+        report = run_verification(trials=200, nmax=12, kmode=kmode, seed=277)
+        monkeypatch.setattr(
+            verify,
+            "omega_k_table",
+            lambda rt: tuple(omega_k_bruteforce(rt, k)[0] for k in range(1, rt.n + 1)),
+        )
+        oracle = run_verification(trials=200, nmax=12, kmode=kmode, seed=277)
+        assert report.failures == oracle.failures == ()
+        assert report.max_violation == oracle.max_violation
 
     @pytest.mark.parametrize(
         "kwargs",
