@@ -42,9 +42,9 @@ class AfCoefficients:
         alpha = _float_array("alpha", alpha)
         if alpha.size == 0:
             raise ValidationError("alpha must have at least one entry")
-        if not np.all(np.isfinite(alpha)):
+        if not np.isfinite(alpha).all():
             raise ValidationError("alpha entries must be finite")
-        if np.any(alpha < 0.0) or np.any(alpha > 1.0):
+        if (alpha < 0.0).any() or (alpha > 1.0).any():
             raise ValidationError("alpha entries must lie in [0, 1]")
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
@@ -100,7 +100,7 @@ def af_rate_batch(net: Network, alphas) -> np.ndarray:
     alphas = _float_array("alphas", alphas, flat=False)
     if alphas.ndim != 2 or alphas.shape[1] != net.n:
         raise ValidationError(f"alphas must have shape (m, {net.n})")
-    if not np.all(np.isfinite(alphas)) or np.any(alphas < 0) or np.any(alphas > 1):
+    if not np.isfinite(alphas).all() or (alphas < 0).any() or (alphas > 1).any():
         raise ValidationError("alpha entries must be finite and lie in [0, 1]")
     w, v = _af_weights(net)
     return np.asarray(kernels.af_rate_batch(w, v, net.snr, alphas))
@@ -131,11 +131,11 @@ def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
     b = _float_array("b", b)
     if not (u_d.size == u_s.size == b.size) or u_d.size == 0:
         raise ValidationError("u_d, u_s and b must share a positive length")
-    if not (np.all(np.isfinite(u_d)) and np.all(np.isfinite(u_s)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(u_d).all() and np.isfinite(u_s).all() and np.isfinite(b).all()):
         raise ValidationError("inputs must be finite")
-    if np.any(u_d <= 0.0) or np.any(u_s <= 0.0):
+    if (u_d <= 0.0).any() or (u_s <= 0.0).any():
         raise ValidationError("u_d and u_s must be positive")
-    if np.any(b < 0.0) or np.any(b > 1.0):
+    if (b < 0.0).any() or (b > 1.0).any():
         raise ValidationError("b entries must lie in [0, 1]")
     ratio = u_d * b / (1.0 + u_s)
     lhs = max(1.0, float(ratio.max())) * float(np.minimum(u_d, u_s).max())

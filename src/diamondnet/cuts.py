@@ -29,12 +29,21 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True, slots=True)
 class Cut:
-    """A destination-side relay subset, 1-based indices; may be empty or full."""
+    """A destination-side relay subset, 1-based indices; may be empty or full.
+
+    Members are integers (numpy integers too, ``bool`` not).
+    """
 
     members: frozenset
 
     def __init__(self, members=()):
-        members = frozenset(map(int, members))
+        members = tuple(members)
+        if not set(map(type, members)) <= {int}:
+            for i in members:
+                if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                    raise ValidationError(f"cut members must be integers, got {i!r}")
+            members = map(int, members)
+        members = frozenset(members)
         if members and min(members) < 1:
             raise ValidationError("cut members are 1-based relay indices")
         object.__setattr__(self, "members", members)
@@ -162,7 +171,7 @@ def omega_fast(rt: RateTable) -> OmegaResult:
     side, so only suffix cuts need evaluation. Bit-identical to
     ``omega_bruteforce`` including the argmin cut.
     """
-    order = np.argsort(rt.r_s, kind="stable")
+    order = rt.r_s.argsort(kind="stable")
     value, m_best = kernels.omega_sorted_scan(rt.r_s[order], rt.r_d[order])
     return OmegaResult(
         value=float(value),

@@ -34,17 +34,27 @@ __all__ = [
 
 
 def subset_max(x):
-    """Max of ``x`` over the relays of every bitmask in 0 .. 2**n - 1."""
-    table = np.zeros(1)
-    for xi in x:
-        table = np.concatenate([table, np.maximum(table, xi)])
+    """Max of ``x`` over the relays of every bitmask in 0 .. 2**n - 1.
+
+    ``x`` is one row of n rates, or a stack of rows sharing n, which gives
+    one table per row from the same loop.
+    """
+    x = np.asarray(x)
+    n = x.shape[-1]
+    table = np.empty(x.shape[:-1] + (1 << n,))
+    table[..., 0] = 0.0
+    for i in range(n):
+        # the masks holding relay i extend the 2**i masks below bit i
+        h = 1 << i
+        np.maximum(table[..., :h], x[..., i, None], out=table[..., h : 2 * h])
     return table
 
 
 def brute_omega(r_s, r_d):
     """Min cut value and first-minimal argmin bitmask over all 2**n cuts."""
-    values = subset_max(r_d) + subset_max(r_s)[::-1]  # complement of mask
-    idx = int(np.argmin(values))
+    max_d, max_s = subset_max(np.array((r_d, r_s)))
+    values = max_d + max_s[::-1]  # complement of mask
+    idx = int(values.argmin())
     return float(values[idx]), idx
 
 
@@ -61,7 +71,7 @@ def omega_sorted_scan(s_sorted, d_sorted):
     if n > 1:
         cand[1:n] = suff[1:] + s_sorted[: n - 1]
     cand[n] = s_sorted[n - 1]
-    m_best = n - int(np.argmin(cand[::-1]))
+    m_best = n - int(cand[::-1].argmin())
     return float(cand[m_best]), m_best
 
 
@@ -90,19 +100,19 @@ def omega_by_size(s_sorted, d_sorted):
 
 def omega_rows(members, r_s, r_d):
     """Min-cut value of the subnetwork in each row of ``members``."""
-    s_rows = r_s[members]
-    d_rows = r_d[members]
-    order = np.argsort(s_rows, axis=1, kind="stable")
-    s_sorted = np.take_along_axis(s_rows, order, axis=1)
-    d_sorted = np.take_along_axis(d_rows, order, axis=1)
     m_rows, k = members.shape
-    suff = np.maximum.accumulate(d_sorted[:, ::-1], axis=1)[:, ::-1]
-    cand = np.empty((m_rows, k + 1))
-    cand[:, 0] = suff[:, 0]
-    if k > 1:
-        cand[:, 1:k] = suff[:, 1:] + s_sorted[:, : k - 1]
-    cand[:, k] = s_sorted[:, k - 1]
-    return cand.min(axis=1)
+    rows = np.arange(m_rows)
+    order = r_s[members].argsort(axis=1, kind="stable")
+    members = members[rows[:, None], order]  # each row sorted by r_s
+    s_sorted = r_s[members]
+    suff = np.maximum.accumulate(r_d[members][:, ::-1], axis=1)[:, ::-1]
+    # candidate m: max r_d over sorted relays m.. plus r_s of relay m-1,
+    # with the first term absent at m = k and the second at m = 0
+    cand = np.concatenate((suff, s_sorted[:, -1:]), axis=1)
+    cand[:, 1:k] += s_sorted[:, : k - 1]
+    # the largest minimizing m, as in omega_sorted_scan (ties of 0.0 and
+    # -0.0 resolve the same way)
+    return cand[rows, k - cand[:, ::-1].argmin(axis=1)]
 
 
 def sandwich_scan(ts2, td2, td):
@@ -113,18 +123,22 @@ def sandwich_scan(ts2, td2, td):
              upper = same source term + log2(1 + (sum td over dest)**2).
     Returns (min lower, min upper).
     """
-    n = ts2.shape[0]
-    sum_s2 = np.zeros(1)
-    sum_d2 = np.zeros(1)
-    sum_d = np.zeros(1)
+    rows = np.array((ts2, td2, td))
+    n = rows.shape[1]
+    sums = np.empty((3, 1 << n))
+    sums[:, 0] = 0.0
     for i in range(n):
-        sum_s2 = np.concatenate([sum_s2, sum_s2 + ts2[i]])
-        sum_d2 = np.concatenate([sum_d2, sum_d2 + td2[i]])
-        sum_d = np.concatenate([sum_d, sum_d + td[i]])
-    src = np.log2(1.0 + sum_s2[::-1])
-    lower = src + np.log2(1.0 + sum_d2)
-    upper = src + np.log2(1.0 + sum_d * sum_d)
-    return float(lower.min()), float(upper.min())
+        h = 1 << i
+        np.add(sums[:, :h], rows[:, i, None], out=sums[:, h : 2 * h])
+    # in place: log2(1 + sum) per row, the dest-side td sum squared first
+    np.multiply(sums[2], sums[2], out=sums[2])
+    np.add(sums, 1.0, out=sums)
+    np.log2(sums, out=sums)
+    src = sums[0, ::-1]  # the source side of a cut is the complement mask
+    per_cut = src + sums[1]
+    lower = float(per_cut.min())
+    np.add(src, sums[2], out=per_cut)  # the upper form, in the same buffer
+    return lower, float(per_cut.min())
 
 
 def af_rate_batch(w, v, snr, alphas):

@@ -201,9 +201,11 @@ class RateTable:
         if r_s.size == 0:
             raise ValidationError("a rate table needs at least one relay")
         for name, arr in (("r_s", r_s), ("r_d", r_d)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} entries must be finite")
-            if np.any(arr < 0.0):
+            # one bulk test (NaN fails both sides, -0.0 passes); the checks
+            # that name the fault run only when it fails
+            if not (0.0 <= arr.min() and arr.max() < math.inf):
+                if not np.isfinite(arr).all():
+                    raise ValidationError(f"{name} entries must be finite")
                 raise ValidationError(f"{name} entries must be nonnegative")
         r_s.flags.writeable = False
         r_d.flags.writeable = False

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from . import kernels
-from .cuts import gap_constant, omega_bruteforce, omega_fast
+from .cuts import BRUTE_FORCE_LIMIT, gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
 from .model import RateTable, _to_float
 
@@ -81,17 +81,15 @@ class TradeoffReport:
     gap_model: str
 
 
-def _subset_rates(rt: RateTable, members) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.array([i - 1 for i in members], dtype=np.int64)
-    return rt.r_s[idx], rt.r_d[idx]
-
-
-def _omega_of_subset(rt: RateTable, members) -> float:
-    """omega of the subnetwork ``members`` via the exact sorted-scan path."""
-    r_s, r_d = _subset_rates(rt, members)
-    order = np.argsort(r_s, kind="stable")
-    value, _ = kernels.omega_sorted_scan(r_s[order], r_d[order])
-    return float(value)
+def _selection(rt: RateTable, gamma, certificate, comparisons) -> SelectionResult:
+    """The result for relay set ``gamma``, with the omega of its subnetwork."""
+    idx = np.array(gamma, dtype=np.int64) - 1
+    return SelectionResult(
+        gamma=gamma,
+        omega_gamma=float(kernels.omega_rows(idx[None, :], rt.r_s, rt.r_d)[0]),
+        certificate=certificate,
+        comparisons=comparisons,
+    )
 
 
 def _validate_k(k) -> int:
@@ -140,21 +138,11 @@ def select(
         # whole network fits; zero-min-rate relays carry nothing and are dropped
         keep = np.flatnonzero(np.minimum(r_s, r_d) > 0.0) + 1
         gamma = tuple(keep.tolist()) if keep.size else tuple(range(1, n + 1))
-        return SelectionResult(
-            gamma=gamma,
-            omega_gamma=_omega_of_subset(rt, gamma),
-            certificate=None,
-            comparisons=2 * n,  # min of each pair, then its zero test
-        )
+        # charge: min of each pair, then its zero test
+        return _selection(rt, gamma, None, 2 * n)
 
     if omega <= 0.0:
-        gamma = (1,)
-        return SelectionResult(
-            gamma=gamma,
-            omega_gamma=_omega_of_subset(rt, gamma),
-            certificate=None,
-            comparisons=comparisons,
-        )
+        return _selection(rt, (1,), None, comparisons)
 
     tau = [j * omega / (k + 1) for j in range(k + 1)]
 
@@ -176,12 +164,8 @@ def select(
 
     comparisons += 1
     if r_d[p] >= tau[k]:
-        gamma = (p + 1,)
-        return SelectionResult(
-            gamma=gamma,
-            omega_gamma=_omega_of_subset(rt, gamma),
-            certificate=Certificate(anchor_bin=None, bins=()),
-            comparisons=comparisons,
+        return _selection(
+            rt, (p + 1,), Certificate(anchor_bin=None, bins=()), comparisons
         )
 
     # bin the anchor's destination rate: tau_{k-a} <= r_d[p] < tau_{k-a+1}
@@ -237,27 +221,39 @@ def select(
         )
 
     gamma = tuple(sorted(collected + [p + 1]))
-    return SelectionResult(
-        gamma=gamma,
-        omega_gamma=_omega_of_subset(rt, gamma),
-        certificate=Certificate(anchor_bin=a, bins=tuple(bins)),
-        comparisons=comparisons,
+    return _selection(
+        rt, gamma, Certificate(anchor_bin=a, bins=tuple(bins)), comparisons
     )
 
 
 def verify_selection(
     rt: RateTable, sel: SelectionResult, k: int, omega: float
 ) -> bool:
-    """Brute-force check that the selected subset carries (k/(k+1)) * omega."""
+    """Brute-force check that the selected subset carries (k/(k+1)) * omega.
+
+    The subset's rows of ``rt`` go straight to the brute-force kernel, which
+    takes the min over all 2**|gamma| cuts of the subnetwork: the rows were
+    validated with ``rt``, so no new ``RateTable`` is built. The relay
+    indices must be distinct integers (numpy integers too, ``bool`` not) in
+    1..n.
+    """
     k = _validate_k(k)
-    if not sel.gamma:
+    gamma = sel.gamma
+    if not gamma:
         raise ValidationError("selection has an empty relay set")
-    if len(sel.gamma) > 24:
-        raise SizeLimitError("brute-force verification limited to 24 relays")
-    if any(i < 1 or i > rt.n for i in sel.gamma):
+    if len(gamma) > BRUTE_FORCE_LIMIT:
+        raise SizeLimitError(
+            f"brute-force verification limited to {BRUTE_FORCE_LIMIT} relays"
+        )
+    for i in gamma:
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+            raise ValidationError(f"selected relay index must be an integer, got {i!r}")
+    if any(i < 1 or i > rt.n for i in gamma):
         raise ValidationError("selected relay index out of range")
-    r_s, r_d = _subset_rates(rt, sel.gamma)
-    value = omega_bruteforce(RateTable(r_s, r_d)).value
+    if len(set(gamma)) != len(gamma):
+        raise ValidationError(f"selected relay indices must be distinct, got {gamma}")
+    idx = np.array(gamma, dtype=np.int64) - 1
+    value, _ = kernels.brute_omega(rt.r_s[idx], rt.r_d[idx])
     return value >= (k / (k + 1)) * _to_float("omega", omega) - 1e-9
 
 
@@ -301,7 +297,7 @@ def omega_k_table(rt: RateTable) -> tuple[float, ...]:
         raise SizeLimitError(
             f"2**{n} subsets exceeds the enumeration limit {SUBSET_ENUMERATION_LIMIT}"
         )
-    order = np.argsort(rt.r_s, kind="stable")
+    order = rt.r_s.argsort(kind="stable")
     best = kernels.omega_by_size(rt.r_s[order], rt.r_d[order])
     return tuple(best[1:].tolist())
 

@@ -73,24 +73,29 @@ class VerifyReport:
 
 
 class _Recorder:
+    """Collects failures and the worst inequality deficit.
+
+    A check's ``details`` is a ``str.format`` template, filled from ``args``
+    only when the check fails, so a passing check formats nothing.
+    """
+
     def __init__(self, tolerance):
         self.tolerance = tolerance
         self.failures = []
         self.max_violation = 0.0
 
-    def inequality(self, seed, invariant, deficit, details=""):
+    def inequality(self, seed, invariant, deficit, details="", *args):
         """Record an inequality check; deficit > 0 means it was violated."""
         deficit = float(deficit)
         if deficit > self.max_violation:
             self.max_violation = deficit
         if deficit > self.tolerance:
-            self.failures.append(
-                Failure(seed, invariant, f"violated by {deficit:.3e}; {details}")
-            )
-
-    def exact(self, seed, invariant, ok, details=""):
-        if not ok:
+            details = f"violated by {deficit:.3e}; " + details.format(*args)
             self.failures.append(Failure(seed, invariant, details))
+
+    def exact(self, seed, invariant, ok, details="", *args):
+        if not ok:
+            self.failures.append(Failure(seed, invariant, details.format(*args)))
 
 
 def _check_trial(rec, seed, nmax, kmode, rng):
@@ -107,7 +112,9 @@ def _check_trial(rec, seed, nmax, kmode, rng):
         seed,
         "omega-oracle",
         fast.value == brute.value,
-        f"fast {fast.value!r} != brute {brute.value!r}",
+        "fast {!r} != brute {!r}",
+        fast.value,
+        brute.value,
     )
     rec.exact(
         seed,
@@ -131,10 +138,11 @@ def _check_trial(rec, seed, nmax, kmode, rng):
         seed,
         "staircase-omega",
         omega_fast(stair).value == float(k_exact + 1),
-        f"k={k_exact}",
+        "k={}",
+        k_exact,
     )
     wk = omega_k_table(stair)[k_exact - 1]
-    rec.exact(seed, "staircase-subset", wk == float(k_exact), f"k={k_exact}")
+    rec.exact(seed, "staircase-subset", wk == float(k_exact), "k={}", k_exact)
 
     # per-k selection and ratio checks
     omega = fast.value
@@ -148,35 +156,37 @@ def _check_trial(rec, seed, nmax, kmode, rng):
         for k in ks:
             wk = table[k - 1]
             ratio = wk / omega
-            rec.inequality(seed, "ratio-lower", k / (k + 1) - ratio, f"k={k}")
-            rec.inequality(seed, "ratio-upper", ratio - 1.0, f"k={k}")
+            rec.inequality(seed, "ratio-lower", k / (k + 1) - ratio, "k={}", k)
+            rec.inequality(seed, "ratio-upper", ratio - 1.0, "k={}", k)
             if kmode == "all":
-                rec.inequality(
-                    seed, "ratio-monotone", prev_ratio - ratio, f"k={k}"
-                )
+                rec.inequality(seed, "ratio-monotone", prev_ratio - ratio, "k={}", k)
                 prev_ratio = ratio
             sel = select(rt, k, omega)
-            rec.exact(
-                seed, "selection-size", 1 <= len(sel.gamma) <= k, f"k={k}"
-            )
+            rec.exact(seed, "selection-size", 1 <= len(sel.gamma) <= k, "k={}", k)
             rec.inequality(
                 seed,
                 "selection-guarantee",
                 (k / (k + 1)) * omega - sel.omega_gamma,
-                f"k={k} gamma={sel.gamma}",
+                "k={} gamma={}",
+                k,
+                sel.gamma,
             )
             rec.exact(
                 seed,
                 "selection-verified",
                 verify_selection(rt, sel, k, omega),
-                f"k={k}",
+                "k={}",
+                k,
             )
             budget = 2 * n * k - (k - 1) * k // 2 + 2 * n
             rec.exact(
                 seed,
                 "selection-budget",
                 sel.comparisons <= budget,
-                f"k={k}: {sel.comparisons} > {budget}",
+                "k={}: {} > {}",
+                k,
+                sel.comparisons,
+                budget,
             )
             cert = sel.certificate
             if cert is not None and cert.anchor_bin is not None and len(cert.bins) > 1:
@@ -187,7 +197,9 @@ def _check_trial(rec, seed, nmax, kmode, rng):
                     seed,
                     "selection-certificate",
                     increasing and cert.bins[-1] < cert.anchor_bin <= k - 1,
-                    f"k={k} cert={cert}",
+                    "k={} cert={}",
+                    k,
+                    cert,
                 )
 
     # amplify-and-forward never beats the best-relay cap
@@ -215,7 +227,7 @@ def _check_trial(rec, seed, nmax, kmode, rng):
     elif edge == 2:
         b[: max(1, m // 2)] = 1.0
     lhs, rhs = af_snr_bound_sides(u_d, u_s, b)
-    rec.inequality(seed, "af-snr-inequality", rhs - lhs, f"m={m}")
+    rec.inequality(seed, "af-snr-inequality", rhs - lhs, "m={}", m)
 
 
 def run_verification(

@@ -266,6 +266,86 @@ class TestAfSnrBoundSides:
             af_snr_bound_sides([1.0, 2.0], [1.0], [1.0])
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestValidationMessages:
+    """Exact texts of every coefficient and SNR-domain check."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_alpha_non_finite(self, bad):
+        with pytest.raises(ValidationError) as exc:
+            AfCoefficients([0.5, bad, -1.0])
+        assert str(exc.value) == "alpha entries must be finite"
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5])
+    def test_alpha_out_of_range(self, bad):
+        with pytest.raises(ValidationError) as exc:
+            AfCoefficients([0.5, bad])
+        assert str(exc.value) == "alpha entries must lie in [0, 1]"
+
+    def test_alpha_empty(self):
+        with pytest.raises(ValidationError) as exc:
+            AfCoefficients([])
+        assert str(exc.value) == "alpha must have at least one entry"
+
+    def test_alpha_accepts_negative_zero(self):
+        alpha = AfCoefficients([-0.0, 1.0]).alpha
+        assert math.copysign(1.0, alpha[0]) == -1.0
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [-0.5, 1.5])
+    def test_alphas_bad_entry(self, bad):
+        with pytest.raises(ValidationError) as exc:
+            af_rate_batch(unit_net(2), [[0.5, 0.5], [bad, 0.5]])
+        assert str(exc.value) == "alpha entries must be finite and lie in [0, 1]"
+
+    def test_alphas_shape(self):
+        with pytest.raises(ValidationError) as exc:
+            af_rate_batch(unit_net(2), [0.5, 0.5])
+        assert str(exc.value) == "alphas must have shape (m, 2)"
+
+    def test_alphas_accepts_negative_zero_and_no_rows(self):
+        net = unit_net(2)
+        assert af_rate_batch(net, [[-0.0, 1.0]])[0] == af_rate_batch(net, [[0.0, 1.0]])[0]
+        assert af_rate_batch(net, np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", ["u_d", "u_s", "b"])
+    def test_snr_sides_non_finite(self, bad, where):
+        args = {"u_d": [1.0, 2.0], "u_s": [1.0, 2.0], "b": [0.5, 0.5]}
+        args[where] = [1.0, bad]
+        # a later domain fault does not mask the finiteness message
+        args["b" if where != "b" else "u_d"] = [-1.0, 0.5]
+        with pytest.raises(ValidationError) as exc:
+            af_snr_bound_sides(**args)
+        assert str(exc.value) == "inputs must be finite"
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -2.0])
+    @pytest.mark.parametrize("where", ["u_d", "u_s"])
+    def test_snr_sides_nonpositive(self, bad, where):
+        args = {"u_d": [1.0, 2.0], "u_s": [1.0, 2.0], "b": [0.5, 1.5]}
+        args[where] = [bad, 2.0]
+        with pytest.raises(ValidationError) as exc:
+            af_snr_bound_sides(**args)
+        assert str(exc.value) == "u_d and u_s must be positive"
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5])
+    def test_snr_sides_fraction_out_of_range(self, bad):
+        with pytest.raises(ValidationError) as exc:
+            af_snr_bound_sides([1.0, 2.0], [1.0, 2.0], [bad, 0.5])
+        assert str(exc.value) == "b entries must lie in [0, 1]"
+
+    def test_snr_sides_length(self):
+        with pytest.raises(ValidationError) as exc:
+            af_snr_bound_sides([1.0], [1.0, 2.0], [0.5])
+        assert str(exc.value) == "u_d, u_s and b must share a positive length"
+
+    def test_snr_sides_accept_negative_zero_fraction(self):
+        assert af_snr_bound_sides([2.0], [3.0], [-0.0]) == af_snr_bound_sides(
+            [2.0], [3.0], [0.0]
+        )
+
+
 class TestAfGridSearch:
     def test_grid_contains_corners(self):
         net = unit_net(2)

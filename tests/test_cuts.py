@@ -71,6 +71,33 @@ class TestCutValue:
         assert Cut.from_mask(cut.mask).members == cut.members
 
 
+class TestCutMembers:
+    @pytest.mark.parametrize(
+        "member,shown",
+        [(1.5, "1.5"), (1.0, "1.0"), (True, "True"), ("1", "'1'"), (None, "None")],
+    )
+    def test_rejects_non_integer_members(self, member, shown):
+        with pytest.raises(ValidationError) as exc:
+            Cut([2, member])
+        assert str(exc.value) == f"cut members must be integers, got {shown}"
+
+    def test_rejects_numpy_float_member(self):
+        with pytest.raises(ValidationError) as exc:
+            Cut([np.float64(2.0)])
+        assert str(exc.value) == "cut members must be integers, got np.float64(2.0)"
+
+    def test_accepts_numpy_integers_and_iterators(self):
+        cut = Cut(np.array([3, 1], dtype=np.int32))
+        assert cut.members == frozenset({1, 3})
+        assert all(type(i) is int for i in cut.members)
+        assert Cut(i for i in (np.int64(2), 5)) == Cut([2, 5])
+
+    def test_rejects_members_below_one(self):
+        with pytest.raises(ValidationError) as exc:
+            Cut([0, 2])
+        assert str(exc.value) == "cut members are 1-based relay indices"
+
+
 class TestOmegaBruteforce:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_staircase_value(self, k):

@@ -23,3 +23,83 @@ def test_subset_max_matches_definition():
         for mask in range(1 << n):
             assert table[mask] == max((x[i] for i in range(n) if mask >> i & 1), default=0.0)
 
+
+
+def old_subset_max(x):
+    """The one-table doubling loop ``subset_max`` ran before it took rows."""
+    table = np.zeros(1)
+    for xi in x:
+        table = np.concatenate([table, np.maximum(table, xi)])
+    return table
+
+
+def old_sandwich_scan(ts2, td2, td):
+    """The three-array loop ``sandwich_scan`` ran before its tables were fused."""
+    sum_s2 = np.zeros(1)
+    sum_d2 = np.zeros(1)
+    sum_d = np.zeros(1)
+    for i in range(ts2.shape[0]):
+        sum_s2 = np.concatenate([sum_s2, sum_s2 + ts2[i]])
+        sum_d2 = np.concatenate([sum_d2, sum_d2 + td2[i]])
+        sum_d = np.concatenate([sum_d, sum_d + td[i]])
+    src = np.log2(1.0 + sum_s2[::-1])
+    lower = src + np.log2(1.0 + sum_d2)
+    upper = src + np.log2(1.0 + sum_d * sum_d)
+    return float(lower.min()), float(upper.min())
+
+
+def rate_rows(seed):
+    """Rate pairs for n <= 12: continuous, tied small integers, signed zeros."""
+    rng = np.random.default_rng(seed)
+    for i in range(120):
+        n = 1 + i % 12
+        kind = i % 3
+        if kind == 0:
+            yield rng.exponential(2.0, n), rng.exponential(2.0, n)
+        elif kind == 1:
+            yield rng.integers(0, 3, n).astype(float), rng.integers(0, 3, n).astype(float)
+        else:
+            yield rng.choice([0.0, -0.0, 1.0], n), rng.choice([0.0, -0.0, 0.5], n)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_fused_subset_max_is_bit_exact():
+    for r_s, r_d in rate_rows(283):
+        both = kernels.subset_max(np.array((r_d, r_s)))
+        assert same_bits(both[0], old_subset_max(r_d))
+        assert same_bits(both[1], old_subset_max(r_s))
+        assert same_bits(kernels.subset_max(r_s), old_subset_max(r_s))
+
+
+def test_fused_brute_omega_is_bit_exact():
+    for r_s, r_d in rate_rows(284):
+        values = old_subset_max(r_d) + old_subset_max(r_s)[::-1]
+        idx = int(np.argmin(values))
+        value, mask = kernels.brute_omega(r_s, r_d)
+        assert mask == idx
+        assert same_bits(value, values[idx])
+
+
+def test_fused_sandwich_scan_is_bit_exact():
+    for r_s, r_d in rate_rows(285):
+        ts2 = np.expm1(np.abs(r_s) * np.log(2.0))
+        td2 = np.expm1(np.abs(r_d) * np.log(2.0))
+        td = np.sqrt(td2)
+        new = kernels.sandwich_scan(ts2, td2, td)
+        old = old_sandwich_scan(ts2, td2, td)
+        assert same_bits(new, old)
+
+
+def test_single_row_omega_matches_sorted_scan_bit_for_bit():
+    # select's omega_gamma moved from omega_sorted_scan to omega_rows; on
+    # ties between 0.0 and -0.0 both keep the largest minimizing candidate
+    rng = np.random.default_rng(286)
+    zeros = [rng.choice([0.0, -0.0], (2, n)) for n in range(1, 13) for _ in range(30)]
+    for r_s, r_d in list(rate_rows(286)) + zeros:
+        order = np.argsort(r_s, kind="stable")
+        want, _ = kernels.omega_sorted_scan(r_s[order], r_d[order])
+        members = np.arange(r_s.size)[None, :]
+        assert same_bits(kernels.omega_rows(members, r_s, r_d)[0], want)

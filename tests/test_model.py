@@ -89,6 +89,53 @@ class TestRateTable:
             rt.r_s[0] = 5.0
 
 
+BAD_RATES = [
+    (math.nan, "must be finite"),
+    (math.inf, "must be finite"),
+    (-math.inf, "must be finite"),
+    (-0.5, "must be nonnegative"),
+]
+
+
+class TestRateTableMessages:
+    """One bulk test passes good tables; a bad one gets the old message."""
+
+    @pytest.mark.parametrize("bad,reason", BAD_RATES)
+    def test_bad_entry_in_r_s(self, bad, reason):
+        with pytest.raises(ValidationError) as exc:
+            RateTable([1.0, bad, 2.0], [1.0, 1.0, 1.0])
+        assert str(exc.value) == f"r_s entries {reason}"
+
+    @pytest.mark.parametrize("bad,reason", BAD_RATES)
+    def test_bad_entry_in_r_d(self, bad, reason):
+        with pytest.raises(ValidationError) as exc:
+            RateTable([1.0, 1.0], [bad, 2.0])
+        assert str(exc.value) == f"r_d entries {reason}"
+
+    @pytest.mark.parametrize("bad_s,reason", BAD_RATES)
+    @pytest.mark.parametrize("bad_d,_", BAD_RATES)
+    def test_r_s_message_wins(self, bad_s, reason, bad_d, _):
+        with pytest.raises(ValidationError) as exc:
+            RateTable([0.0, bad_s], [bad_d, 0.0])
+        assert str(exc.value) == f"r_s entries {reason}"
+
+    def test_nan_beside_a_negative_reports_finiteness(self):
+        # the finiteness check runs first, as before the bulk test
+        with pytest.raises(ValidationError) as exc:
+            RateTable([-1.0, math.nan], [1.0, 1.0])
+        assert str(exc.value) == "r_s entries must be finite"
+
+    def test_negative_zero_is_accepted_and_kept(self):
+        rt = RateTable([-0.0, 1.0], [2.0, -0.0])
+        assert math.copysign(1.0, rt.r_s[0]) == -1.0
+        assert math.copysign(1.0, rt.r_d[1]) == -1.0
+
+    def test_largest_finite_rate_is_accepted(self):
+        big = np.finfo(np.float64).max
+        rt = RateTable([big], [0.0])
+        assert rt.r_s[0] == big
+
+
 class TestNetworkFrom:
     def test_zero_rate_gives_zero_gain(self):
         net = network_from(RateTable([0.0], [0.0]), snr=1.0)

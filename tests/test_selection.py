@@ -16,6 +16,7 @@ from diamondnet import (
     gap_constant,
     guarantee,
     hybrid_tradeoff,
+    omega_bruteforce,
     omega_fast,
     omega_k_bruteforce,
     omega_k_ratio,
@@ -334,6 +335,61 @@ class TestVerifySelection:
                 continue
             for k in range(1, rt.n):
                 assert verify_selection(rt, select(rt, k, omega), k, omega)
+
+    def test_same_verdict_as_bruteforce_on_a_subset_table(self):
+        # the kernel runs on the subset rows; the old path built a RateTable
+        # of them and called omega_bruteforce; thresholds above omega fail
+        for i in range(120):
+            rt = random_rt(i, master=231)
+            omega = omega_fast(rt).value
+            if omega <= 0.0:
+                continue
+            for k in range(1, rt.n):
+                sel = select(rt, k, omega)
+                idx = [j - 1 for j in sel.gamma]
+                sub = omega_bruteforce(RateTable(rt.r_s[idx], rt.r_d[idx])).value
+                assert sub == enum_omega_of_subset(rt, sel.gamma)
+                for target in (omega, 1.2 * omega, 2.0 * omega):
+                    want = sub >= (k / (k + 1)) * target - 1e-9
+                    assert verify_selection(rt, sel, k, target) is want
+
+    @pytest.mark.parametrize(
+        "gamma,message",
+        [
+            ((1.5,), "selected relay index must be an integer, got 1.5"),
+            ((2.0,), "selected relay index must be an integer, got 2.0"),
+            (("1",), "selected relay index must be an integer, got '1'"),
+            ((1, True), "selected relay index must be an integer, got True"),
+            ((2, 2), "selected relay indices must be distinct, got (2, 2)"),
+            ((0,), "selected relay index out of range"),
+            ((1, 4), "selected relay index out of range"),
+        ],
+    )
+    def test_rejects_bad_relay_indices(self, gamma, message):
+        rt = tight_config(2, 1.0)
+        sel = select(rt, 2, 3.0)
+        broken = type(sel)(gamma=gamma, omega_gamma=0.0, certificate=None, comparisons=0)
+        with pytest.raises(ValidationError) as exc:
+            verify_selection(rt, broken, 2, 3.0)
+        assert str(exc.value) == message
+
+    def test_accepts_numpy_integer_indices(self):
+        rt = tight_config(2, 1.0)
+        sel = select(rt, 2, 3.0)
+        as_numpy = type(sel)(
+            gamma=tuple(np.int64(i) for i in sel.gamma),
+            omega_gamma=sel.omega_gamma,
+            certificate=sel.certificate,
+            comparisons=sel.comparisons,
+        )
+        assert verify_selection(rt, as_numpy, 2, 3.0)
+
+    def test_size_limit(self):
+        rt = RateTable(np.ones(25), np.ones(25))
+        sel = select(rt, 25, 1.0)
+        with pytest.raises(SizeLimitError) as exc:
+            verify_selection(rt, sel, 25, 1.0)
+        assert str(exc.value) == "brute-force verification limited to 24 relays"
 
 
 class TestOmegaK:

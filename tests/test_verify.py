@@ -1,12 +1,17 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from diamondnet import (
+    Cut,
     ValidationError,
     omega_k_bruteforce,
     run_verification,
     trial_seed,
     verify,
 )
+from diamondnet.selection import Certificate
 
 
 class TestTrialSeed:
@@ -69,3 +74,181 @@ class TestRunVerification:
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValidationError):
             run_verification(**kwargs)
+
+
+# Checks per invariant in run_verification(200, nmax=12, seed=277), counted
+# before the checks were made to format their details only on failure.
+CHECK_COUNTS = {
+    "all": {
+        "omega-oracle": 200,
+        "omega-argmin": 200,
+        "bracket-lower": 200,
+        "bracket-order": 200,
+        "bracket-gap": 200,
+        "staircase-omega": 200,
+        "staircase-subset": 200,
+        "ratio-lower": 1067,
+        "ratio-upper": 1067,
+        "ratio-monotone": 1067,
+        "selection-size": 1067,
+        "selection-guarantee": 1067,
+        "selection-verified": 1067,
+        "selection-budget": 1067,
+        "selection-certificate": 107,
+        "af-bound": 400,
+        "af-monotone": 200,
+        "af-snr-inequality": 200,
+    },
+    "random": {
+        "omega-oracle": 200,
+        "omega-argmin": 200,
+        "bracket-lower": 200,
+        "bracket-order": 200,
+        "bracket-gap": 200,
+        "staircase-omega": 200,
+        "staircase-subset": 200,
+        "ratio-lower": 181,
+        "ratio-upper": 181,
+        "selection-size": 181,
+        "selection-guarantee": 181,
+        "selection-verified": 181,
+        "selection-budget": 181,
+        "selection-certificate": 10,
+        "af-bound": 400,
+        "af-monotone": 200,
+        "af-snr-inequality": 200,
+    },
+}
+EXACT = {
+    "omega-oracle",
+    "omega-argmin",
+    "staircase-omega",
+    "staircase-subset",
+    "selection-size",
+    "selection-verified",
+    "selection-budget",
+    "selection-certificate",
+}
+
+
+class TestCheckInventory:
+    """A speed-up must not drop a check: count every call into the recorder."""
+
+    @pytest.mark.parametrize("kmode", ["all", "random"])
+    def test_per_invariant_counts(self, kmode, monkeypatch):
+        calls = Counter()
+
+        def spy(kind, method):
+            def counted(self, seed, invariant, *args):
+                calls[kind, invariant] += 1
+                return method(self, seed, invariant, *args)
+
+            return counted
+
+        monkeypatch.setattr(
+            verify._Recorder, "exact", spy("exact", verify._Recorder.exact)
+        )
+        monkeypatch.setattr(
+            verify._Recorder,
+            "inequality",
+            spy("inequality", verify._Recorder.inequality),
+        )
+        report = run_verification(200, nmax=12, kmode=kmode, seed=277)
+        want = {
+            ("exact" if name in EXACT else "inequality", name): count
+            for name, count in CHECK_COUNTS[kmode].items()
+        }
+        assert dict(calls) == want
+        assert report.failures == ()
+        assert report.max_violation == 8.881784197001252e-16
+
+
+def break_every_invariant(monkeypatch):
+    """Perturb what verify calls so that each of its 18 invariants fails."""
+    orig = {
+        name: getattr(verify, name)
+        for name in (
+            "omega_bruteforce",
+            "sandwich",
+            "omega_k_table",
+            "tight_config",
+            "select",
+            "af_upper_bound",
+            "af_snr_bound_sides",
+            "af_optimize",
+        )
+    }
+
+    def brute(rt):
+        res = orig["omega_bruteforce"](rt)
+        return dataclasses.replace(
+            res, value=res.value + 0.5, argmin_cut=Cut(range(1, rt.n + 1))
+        )
+
+    def select(rt, k, omega):
+        sel = orig["select"](rt, k, omega)
+        return dataclasses.replace(
+            sel,
+            gamma=sel.gamma * (k + 1),
+            omega_gamma=sel.omega_gamma / 4,
+            comparisons=10**6,
+            certificate=Certificate(anchor_bin=k + 1, bins=(0, 2, 1)),
+        )
+
+    patches = {
+        "omega_bruteforce": brute,
+        "sandwich": lambda rt: dataclasses.replace(
+            orig["sandwich"](rt), lower=-1.0, upper=-2.0 if rt.n % 2 else 1e3
+        ),
+        "omega_k_table": lambda rt: tuple(
+            v * (0.25 if k % 2 else 3.0)
+            for k, v in enumerate(orig["omega_k_table"](rt), 1)
+        ),
+        "tight_config": lambda k, base: orig["tight_config"](k + 1, base),
+        "select": select,
+        "verify_selection": lambda *args: False,
+        "af_upper_bound": lambda rt: (orig["af_upper_bound"](rt)[0] - 5.0, 0.0),
+        "af_snr_bound_sides": lambda *args: orig["af_snr_bound_sides"](*args)[::-1],
+        "af_optimize": lambda net: dataclasses.replace(
+            orig["af_optimize"](net), rate=-1.0
+        ),
+    }
+    for name, fn in patches.items():
+        monkeypatch.setattr(verify, name, fn)
+
+
+class TestFailureDetails:
+    """Details are formatted only on failure; their text must not change."""
+
+    def test_first_failure_of_every_invariant(self, monkeypatch):
+        break_every_invariant(monkeypatch)
+        report = run_verification(4, nmax=6, kmode="all", seed=31)
+        first = {}
+        for f in report.failures:
+            first.setdefault(f.invariant, (f.seed, f.details))
+        a, b, c = 9312843868474496213, 13606743526313246680, 9971732663584954733
+        assert first == {
+            "af-bound": (a, "violated by 2.469e+00; random coefficients"),
+            "af-monotone": (a, "violated by 6.401e+00; optimizer below start"),
+            "af-snr-inequality": (a, "violated by 4.818e-01; m=1"),
+            "bracket-gap": (a, "violated by 9.923e+02; upper > omega + gap"),
+            "bracket-lower": (a, "violated by 6.711e+00; omega > lower"),
+            "bracket-order": (b, "violated by 1.000e+00; lower > upper"),
+            "omega-argmin": (a, "argmin cuts have different values"),
+            "omega-oracle": (a, "fast 5.711031475191098 != brute 6.211031475191098"),
+            "ratio-lower": (a, "violated by 2.500e-01; k=1"),
+            "ratio-monotone": (c, "violated by 2.750e+00; k=3"),
+            "ratio-upper": (c, "violated by 2.000e+00; k=2"),
+            "selection-budget": (a, "k=1: 1000000 > 8"),
+            "selection-certificate": (
+                a,
+                "k=1 cert=Certificate(anchor_bin=2, bins=(0, 2, 1))",
+            ),
+            "selection-guarantee": (a, "violated by 1.428e+00; k=1 gamma=(1, 1)"),
+            "selection-size": (a, "k=1"),
+            "selection-verified": (a, "k=1"),
+            "staircase-omega": (a, "k=3"),
+            "staircase-subset": (a, "k=3"),
+        }
+        assert len(report.failures) == 80
+        assert report.max_violation == 996.8582232221845
