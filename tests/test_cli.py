@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from diamondnet import cli
 from diamondnet.cli import main
+from diamondnet.verify import Failure, VerifyReport
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +389,92 @@ rate = 1.0 3.0
 rate = 2.0 2.0
 rate = 3.0 1.0
 """),
+    ("omega {stair}", 0, """\
+n = 3
+omega = 3
+argmin_cut = {}
+"""),
+    ("omega {stair} --format machine", 0,
+     '{"n": 3, "omega": 3.0, "argmin_cut": []}\n'),
+    ("omega {stair} --counts", 0, """\
+n = 3
+omega = 3
+argmin_cut = {}
+comparisons = 9
+"""),
+    ("omega {stair} --counts --format machine", 0,
+     '{"n": 3, "omega": 3.0, "argmin_cut": [], "comparisons": 9}\n'),
+    ("omega {stair} --brute", 0, """\
+n = 3
+omega = 3
+argmin_cut = {}
+brute_omega = 3
+oracle_agrees = true
+"""),
+    ("omega {stair} --brute --format machine", 0,
+     '{"n": 3, "omega": 3.0, "argmin_cut": [], "brute_omega": 3.0, '
+     '"oracle_agrees": true}\n'),
+    # k >= n keeps every relay and has no certificate
+    ("select {gains} 9", 0, """\
+n = 6
+k = 9
+omega = 2.7335
+gamma = {1, 2, 3, 4, 5, 6}
+omega_gamma = 2.7335
+ratio = 1
+comparisons = 12
+certificate = none
+guaranteed_rate[nnc] = 0
+"""),
+    ("select {gains} 9 --format machine", 0,
+     '{"n": 6, "k": 9, "omega": 2.7334968083211284, "gamma": [1, 2, 3, 4, 5, 6], '
+     '"omega_gamma": 2.7334968083211284, "ratio": 1.0, "comparisons": 12, '
+     '"certificate": null, "gap_model": "nnc", "guaranteed_rate": 0.0}\n'),
+    ("select {gains} 1 --gap-model routing", 0, """\
+n = 6
+k = 1
+omega = 2.7335
+gamma = {5}
+omega_gamma = 2.72979
+ratio = 0.998642
+comparisons = 7
+certificate = anchor_bin none; bins ()
+guaranteed_rate[routing] = 0
+"""),
+    ("select {gains} 1 --gap-model routing --format machine", 0,
+     '{"n": 6, "k": 1, "omega": 2.7334968083211284, "gamma": [5], '
+     '"omega_gamma": 2.729785922922521, "ratio": 0.998642440193341, "comparisons": 7, '
+     '"certificate": {"anchor_bin": null, "bins": []}, "gap_model": "routing", '
+     '"guaranteed_rate": 0.0}\n'),
+    ("select {gains} 2 --gap-model optimized", 0, """\
+n = 6
+k = 2
+omega = 2.7335
+gamma = {5}
+omega_gamma = 2.72979
+ratio = 0.998642
+comparisons = 7
+certificate = anchor_bin none; bins ()
+guaranteed_rate[optimized] = 0
+"""),
+    ("select {gains} 2 --gap-model optimized --format machine", 0,
+     '{"n": 6, "k": 2, "omega": 2.7334968083211284, "gamma": [5], '
+     '"omega_gamma": 2.729785922922521, "ratio": 0.998642440193341, "comparisons": 7, '
+     '"certificate": {"anchor_bin": null, "bins": []}, "gap_model": "optimized", '
+     '"guaranteed_rate": 0.0}\n'),
+    ("af {gains} --alpha 0.5,1,0,1,1,0.25", 0, """\
+n = 6
+mode = given
+alpha = [0.5, 1, 0, 1, 1, 0.25]
+af_rate = 2.80747
+c1 = 2.72979
+upper_bound = 7.89971
+within_bound = true
+"""),
+    ("af {gains} --alpha 0.5,1,0,1,1,0.25 --format machine", 0,
+     '{"n": 6, "mode": "given", "alpha": [0.5, 1.0, 0.0, 1.0, 1.0, 0.25], '
+     '"af_rate": 2.807465730116696, "c1": 2.729785922922521, '
+     '"upper_bound": 7.899710924364833, "within_bound": true}\n'),
     ("verify --trials 3", 0, """\
 trials = 3
 failures = 0
@@ -415,3 +503,37 @@ class TestGoldenOutput:
         got_code, out, _ = run_cli(capsys, *command.format(**files).split())
         out = re.sub(r'(elapsed_s(?: = |": ))[^,}\n]+', r"\1*", out)
         assert (got_code, out) == (code, stdout)
+
+    def test_certificate_with_bins(self, capsys, tmp_path):
+        path = str(tmp_path / "t4.txt")
+        assert main(["tight", "4", "-o", path]) == 0
+        _, out, _ = run_cli(capsys, "select", path, "3")
+        assert "certificate = anchor_bin 2; bins (0, 1)\n" in out
+        _, out, _ = run_cli(capsys, "select", path, "3", "--format", "machine")
+        assert '"certificate": {"anchor_bin": 2, "bins": [0, 1]}' in out
+
+    @pytest.mark.parametrize("fmt,stdout", [
+        ("text", """\
+trials = 4
+failures = 2
+  seed 11: oracle: fast 1 != brute 2
+  seed 12: staircase: k=3
+max_violation = 1.250e-03
+elapsed_s = 0.50
+"""),
+        ("machine",
+         '{"trials": 4, "failures": [{"seed": 11, "invariant": "oracle", '
+         '"details": "fast 1 != brute 2"}, {"seed": 12, "invariant": "staircase", '
+         '"details": "k=3"}], "max_violation": 0.00125, "elapsed_s": 0.5}\n'),
+    ])
+    def test_verify_failure_report(self, capsys, monkeypatch, fmt, stdout):
+        failures = (
+            Failure(seed=11, invariant="oracle", details="fast 1 != brute 2"),
+            Failure(seed=12, invariant="staircase", details="k=3"),
+        )
+        report = VerifyReport(
+            trials=4, failures=failures, max_violation=1.25e-3, elapsed=0.5
+        )
+        monkeypatch.setattr(cli, "run_verification", lambda **kw: report)
+        code, out, _ = run_cli(capsys, "verify", "--format", fmt)
+        assert (code, out) == (1, stdout)
