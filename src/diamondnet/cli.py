@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: omega, select, bounds, af, gen, tight, verify. Every command
-reads the network file format documented in ``netfile`` and prints either
-human-readable text (rates shown with 6 significant digits, counters as
-exact integers) or machine-readable JSON via ``--format machine``. Output
-is byte-identical across runs for identical command lines, except for the
-elapsed-time field of ``verify``. No environment variables are read.
+reads the network file format documented in ``netfile``; gen and tight
+write one. Each other command builds one ordered payload dict, which
+``_emit`` prints as strict JSON (``--format machine``) or as text, one
+``key = value`` line per field, formatted by type (``_fmt``) unless the
+field has a formatter in ``_TEXT``. Output is byte-identical across runs
+for identical command lines, except for the elapsed-time field of
+``verify``. No environment variables are read.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,117 +36,137 @@ from .selection import (
 from .verify import run_verification
 
 
-def _fmt_rate(x: float) -> str:
-    return f"{x:.6g}"
+def _fmt(value) -> str:
+    """Default text of a value: true/false, 6 significant digits, none, str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return "none" if value is None else str(value)
 
 
-def _fmt_cut(members) -> str:
-    return "{" + ", ".join(str(i) for i in sorted(members)) + "}"
+def _join(values) -> str:
+    return ", ".join(map(_fmt, values))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _certificate(cert) -> str:
+    if cert is None:
+        return "certificate = none"
+    anchor, bins = _fmt(cert["anchor_bin"]), _join(cert["bins"])
+    return f"certificate = anchor_bin {anchor}; bins ({bins})"
+
+
+def _tradeoff(tradeoff: dict) -> str:
+    lines = []
+    for model, tr in tradeoff.items():
+        best_val = dict(tr["entries"])[tr["best_k"]]
+        lines.append(f"best_k[{model}] = {tr['best_k']} (rate {_fmt(best_val)})")
+    lines.append("k nnc optimized")
+    # both models tabulate k = 1..n
+    rows = zip(tradeoff["nnc"]["entries"], tradeoff["optimized"]["entries"])
+    for (k, nnc), (_, opt) in rows:
+        lines.append(f"{k} {_fmt(nnc)} {_fmt(opt)}")
+    return "\n".join(lines)
+
+
+def _failures(failures: list) -> str:
+    lines = [f"failures = {len(failures)}"]
+    for f in failures:
+        lines.append(f"  seed {f['seed']}: {f['invariant']}: {f['details']}")
+    return "\n".join(lines)
+
+
+# The text of each field that is not ``key = <value by type>``, made from
+# the value and the whole payload; None prints nothing.
+_TEXT = {
+    "argmin_cut": lambda v, p: f"argmin_cut = {{{_join(v)}}}",
+    "gamma": lambda v, p: f"gamma = {{{_join(v)}}}",
+    "alpha": lambda v, p: f"alpha = [{_join(v)}]",
+    "certificate": lambda v, p: _certificate(v),
+    "gap_model": lambda v, p: None,  # printed with guaranteed_rate
+    "guaranteed_rate": lambda v, p: f"guaranteed_rate[{p['gap_model']}] = {_fmt(v)}",
+    "tradeoff": lambda v, p: _tradeoff(v),
+    "failures": lambda v, p: _failures(v),
+    "max_violation": lambda v, p: f"max_violation = {v:.3e}",
+    "elapsed_s": lambda v, p: f"elapsed_s = {v:.2f}",
+}
+
+
+def _emit(args, payload: dict, status: int = 0) -> int:
+    """Print ``payload`` in the chosen format and return ``status``."""
     if args.format == "machine":
         print(json.dumps(payload))
+        return status
+    for key, value in payload.items():
+        text = _TEXT[key](value, payload) if key in _TEXT else f"{key} = {_fmt(value)}"
+        if text is not None:
+            print(text)
+    return status
+
+
+def _write(args, nf) -> int:
+    """Write a network file to ``--output``, or to stdout without one."""
+    text = nf.dumps()
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        for line in text_lines:
-            print(line)
-
-
-def _load_rates(path):
-    nf = load(path)
-    return nf, nf.to_rate_table()
+        sys.stdout.write(text)
+    return 0
 
 
 def cmd_omega(args) -> int:
-    nf, rt = _load_rates(args.file)
+    rt = load(args.file).to_rate_table()
     res = omega_fast(rt)
     payload = {
         "n": rt.n,
         "omega": res.value,
         "argmin_cut": list(res.argmin_cut.sorted_members()),
     }
-    lines = [
-        f"n = {rt.n}",
-        f"omega = {_fmt_rate(res.value)}",
-        f"argmin_cut = {_fmt_cut(res.argmin_cut.members)}",
-    ]
     if args.counts:
         payload["comparisons"] = res.comparisons
-        lines.append(f"comparisons = {res.comparisons}")
-    status = 0
-    if args.brute:
-        oracle = omega_bruteforce(rt)
-        agree = oracle.value == res.value
-        payload["brute_omega"] = oracle.value
-        payload["oracle_agrees"] = agree
-        lines.append(f"brute_omega = {_fmt_rate(oracle.value)}")
-        lines.append(f"oracle_agrees = {'true' if agree else 'false'}")
-        if args.counts:
-            payload["brute_comparisons"] = oracle.comparisons
-            lines.append(f"brute_comparisons = {oracle.comparisons}")
-        if not agree:
-            status = 1
-    _emit(args, payload, lines)
-    return status
+    if not args.brute:
+        return _emit(args, payload)
+    oracle = omega_bruteforce(rt)
+    agree = oracle.value == res.value
+    payload["brute_omega"] = oracle.value
+    payload["oracle_agrees"] = agree
+    if args.counts:
+        payload["brute_comparisons"] = oracle.comparisons
+    return _emit(args, payload, 0 if agree else 1)
 
 
 def cmd_select(args) -> int:
-    nf, rt = _load_rates(args.file)
+    rt = load(args.file).to_rate_table()
     omega = omega_fast(rt).value
     sel = select(rt, args.k, omega)
-    ratio = sel.omega_gamma / omega if omega > 0.0 else float("nan")
     # omega is a safe stand-in for the cut-set bound here: the guarantee is
     # nondecreasing in it and omega never exceeds the true bound
     rep = guarantee(omega, min(args.k, rt.n), rt.n, args.gap_model)
-    cert = sel.certificate
     payload = {
         "n": rt.n,
         "k": args.k,
         "omega": omega,
         "gamma": list(sel.gamma),
         "omega_gamma": sel.omega_gamma,
-        "ratio": ratio,
+        # no ratio is defined when omega is 0
+        "ratio": sel.omega_gamma / omega if omega > 0.0 else None,
         "comparisons": sel.comparisons,
-        "certificate": None
-        if cert is None
-        else {"anchor_bin": cert.anchor_bin, "bins": list(cert.bins)},
+        "certificate": None if sel.certificate is None else asdict(sel.certificate),
         "gap_model": args.gap_model,
         "guaranteed_rate": rep.lower_bound,
     }
-    lines = [
-        f"n = {rt.n}",
-        f"k = {args.k}",
-        f"omega = {_fmt_rate(omega)}",
-        f"gamma = {_fmt_cut(sel.gamma)}",
-        f"omega_gamma = {_fmt_rate(sel.omega_gamma)}",
-        f"ratio = {_fmt_rate(ratio)}",
-        f"comparisons = {sel.comparisons}",
-    ]
-    if cert is None:
-        lines.append("certificate = none")
-    else:
-        anchor = "none" if cert.anchor_bin is None else str(cert.anchor_bin)
-        bins = ", ".join(str(b) for b in cert.bins)
-        lines.append(f"certificate = anchor_bin {anchor}; bins ({bins})")
-    lines.append(f"guaranteed_rate[{args.gap_model}] = {_fmt_rate(rep.lower_bound)}")
-    status = 0
-    if args.verify:
-        ok = verify_selection(rt, sel, args.k, omega)
-        payload["verified"] = ok
-        lines.append(f"verified = {'true' if ok else 'false'}")
-        if not ok:
-            status = 1
-    _emit(args, payload, lines)
-    return status
+    if not args.verify:
+        return _emit(args, payload)
+    ok = verify_selection(rt, sel, args.k, omega)
+    payload["verified"] = ok
+    return _emit(args, payload, 0 if ok else 1)
 
 
 def cmd_bounds(args) -> int:
-    nf, rt = _load_rates(args.file)
+    rt = load(args.file).to_rate_table()
     sw = sandwich(rt)
-    models = {}
-    for model in GAP_MODELS:
-        tr = hybrid_tradeoff(sw.omega, rt.n, model)
-        models[model] = tr
+    models = {model: hybrid_tradeoff(sw.omega, rt.n, model) for model in GAP_MODELS}
     payload = {
         "n": rt.n,
         "omega": sw.omega,
@@ -152,44 +175,19 @@ def cmd_bounds(args) -> int:
         "gap": sw.gap,
         "baseline": models["nnc"].baseline,
         "tradeoff": {
-            model: {
-                "best_k": tr.best_k,
-                "entries": [[k, v] for k, v in tr.entries],
-            }
+            model: {"best_k": tr.best_k, "entries": tr.entries}
             for model, tr in models.items()
         },
     }
-    lines = [
-        f"n = {rt.n}",
-        f"omega = {_fmt_rate(sw.omega)}",
-        f"lower = {_fmt_rate(sw.lower)}",
-        f"upper = {_fmt_rate(sw.upper)}",
-        f"gap = {_fmt_rate(sw.gap)}",
-        f"baseline = {_fmt_rate(models['nnc'].baseline)}",
-    ]
-    for model, tr in models.items():
-        best_val = dict(tr.entries)[tr.best_k]
-        lines.append(
-            f"best_k[{model}] = {tr.best_k} (rate {_fmt_rate(best_val)})"
-        )
-    lines.append("k nnc optimized")
-    nnc = dict(models["nnc"].entries)
-    opt = dict(models["optimized"].entries)
-    for k in sorted(nnc):
-        lines.append(f"{k} {_fmt_rate(nnc[k])} {_fmt_rate(opt[k])}")
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, payload)
 
 
 def cmd_af(args) -> int:
-    nf = load(args.file)
-    net = nf.to_network()
-    rt = rate_table(net)
-    bound, c1 = af_upper_bound(rt)
+    net = load(args.file).to_network()
+    bound, c1 = af_upper_bound(rate_table(net))
     if args.optimize:
         rep = af_optimize(net)
         rate, alpha = rep.rate, rep.alpha.alpha
-        mode = "optimized"
     else:
         if args.alpha is not None:
             try:
@@ -200,28 +198,17 @@ def cmd_af(args) -> int:
             alpha = np.ones(net.n)
         alpha = AfCoefficients(alpha).alpha
         rate = af_rate(net, alpha)
-        mode = "given"
     within = rate <= bound + 1e-9
     payload = {
         "n": net.n,
-        "mode": mode,
+        "mode": "optimized" if args.optimize else "given",
         "alpha": [float(a) for a in alpha],
         "af_rate": rate,
         "c1": c1,
         "upper_bound": bound,
         "within_bound": within,
     }
-    lines = [
-        f"n = {net.n}",
-        f"mode = {mode}",
-        "alpha = [" + ", ".join(_fmt_rate(a) for a in alpha) + "]",
-        f"af_rate = {_fmt_rate(rate)}",
-        f"c1 = {_fmt_rate(c1)}",
-        f"upper_bound = {_fmt_rate(bound)}",
-        f"within_bound = {'true' if within else 'false'}",
-    ]
-    _emit(args, payload, lines)
-    return 0 if within else 1
+    return _emit(args, payload, 0 if within else 1)
 
 
 def cmd_gen(args) -> int:
@@ -235,25 +222,12 @@ def cmd_gen(args) -> int:
         hi=args.hi,
     )
     label = f"{args.dist}-n{args.n}-seed{args.seed}"
-    text = from_network(net, label=label).dumps()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(args, from_network(net, label=label))
 
 
 def cmd_tight(args) -> int:
     rt = tight_config(args.k, args.rate)
-    label = f"staircase-k{args.k}"
-    text = from_rates(rt, label=label).dumps()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(args, from_rates(rt, label=f"staircase-k{args.k}"))
 
 
 def cmd_verify(args) -> int:
@@ -266,23 +240,11 @@ def cmd_verify(args) -> int:
     )
     payload = {
         "trials": report.trials,
-        "failures": [
-            {"seed": f.seed, "invariant": f.invariant, "details": f.details}
-            for f in report.failures
-        ],
+        "failures": [asdict(f) for f in report.failures],
         "max_violation": report.max_violation,
         "elapsed_s": report.elapsed,
     }
-    lines = [
-        f"trials = {report.trials}",
-        f"failures = {len(report.failures)}",
-    ]
-    for f in report.failures:
-        lines.append(f"  seed {f.seed}: {f.invariant}: {f.details}")
-    lines.append(f"max_violation = {report.max_violation:.3e}")
-    lines.append(f"elapsed_s = {report.elapsed:.2f}")
-    _emit(args, payload, lines)
-    return 0 if report.ok else 1
+    return _emit(args, payload, 0 if report.ok else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,11 +326,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

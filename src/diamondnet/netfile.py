@@ -15,8 +15,10 @@ rates form (combinatorial description)::
     snr = 4.0                     # optional; needed only to rebuild gains
     rate = 1.0 3.0                # r_s r_d, one line per relay
 
-Relays are 1-based in all input/output and keep file order. Numbers are
-serialized with ``repr`` so a written file parses back to identical floats.
+``label`` and ``snr`` may each appear at most once; a repeated line is an
+error, not an override. Relays are 1-based in all input/output and keep
+file order. Numbers are serialized with ``repr`` so a written file parses
+back to identical floats.
 """
 
 from __future__ import annotations
@@ -112,8 +114,7 @@ def loads(text: str) -> NetworkFile:
     Each ``relay`` / ``rate`` pair goes straight into a float64 buffer, so
     no per-relay object outlives its line.
     """
-    label = None
-    snr = None
+    header = {}  # the 'label' and 'snr' values
     buffers = {"relay": array("d"), "rate": array("d")}  # pairs interleaved
     lineno = 0
     start = 0
@@ -144,14 +145,16 @@ def loads(text: str) -> NetworkFile:
                     )
                 key = key.strip().lower()
                 value = value.strip()
-                if key == "label":
-                    label = value
-                    continue
                 if key == "snr":
                     try:
-                        snr = float(value)
+                        value = float(value)
                     except ValueError as exc:
                         raise ValidationError(f"line {lineno}: {exc}") from None
+                if key in ("label", "snr"):
+                    if key in header:
+                        # keeping either line would silently give another network
+                        raise ValidationError(f"line {lineno}: duplicate {key!r}")
+                    header[key] = value
                     continue
                 if key not in buffers:
                     raise ValidationError(f"line {lineno}: unknown key {key!r}")
@@ -166,6 +169,7 @@ def loads(text: str) -> NetworkFile:
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from None
         start = end
+    label, snr = header.get("label"), header.get("snr")
     relay, rate = buffers["relay"], buffers["rate"]
     if relay and rate:
         raise ValidationError("file mixes 'relay' and 'rate' lines; pick one shape")

@@ -64,6 +64,26 @@ class TestOmegaCommand:
         assert err.startswith("error: ") and "not UTF-8 text" in err
 
 
+class TestErrors:
+    def test_repeated_snr_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text("snr = 1\nsnr = 2\nrelay = 1 1\n")
+        code, out, err = run_cli(capsys, "omega", str(path))
+        assert (code, out, err) == (2, "", "error: line 2: duplicate 'snr'\n")
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, exc, message):
+        def tight_config(k, rate):
+            raise exc
+
+        monkeypatch.setattr(cli, "tight_config", tight_config)
+        code, out, err = run_cli(capsys, "tight", "100000000000")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestSelectCommand:
     def test_staircase_pick(self, capsys, stair_file):
         code, out, _ = run_cli(capsys, "select", stair_file, "2", "--verify")
@@ -475,6 +495,22 @@ within_bound = true
      '{"n": 6, "mode": "given", "alpha": [0.5, 1.0, 0.0, 1.0, 1.0, 0.25], '
      '"af_rate": 2.807465730116696, "c1": 2.729785922922521, '
      '"upper_bound": 7.899710924364833, "within_bound": true}\n'),
+    # omega = 0 leaves the ratio undefined: none, not nan
+    ("select {zero} 1", 0, """\
+n = 2
+k = 1
+omega = 0
+gamma = {1}
+omega_gamma = 0
+ratio = none
+comparisons = 0
+certificate = none
+guaranteed_rate[nnc] = 0
+"""),
+    ("select {zero} 1 --format machine", 0,
+     '{"n": 2, "k": 1, "omega": 0.0, "gamma": [1], "omega_gamma": 0.0, '
+     '"ratio": null, "comparisons": 0, "certificate": null, "gap_model": "nnc", '
+     '"guaranteed_rate": 0.0}\n'),
     ("verify --trials 3", 0, """\
 trials = 3
 failures = 0
@@ -491,9 +527,10 @@ class TestGoldenOutput:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("golden")
-        paths = {"stair": str(root / "stair.txt"), "gains": str(root / "gains.txt")}
+        paths = {name: str(root / f"{name}.txt") for name in ("stair", "gains", "zero")}
         assert main(["tight", "2", "-o", paths["stair"]]) == 0
         assert main(["gen", "6", "--seed", "0", "-o", paths["gains"]]) == 0
+        (root / "zero.txt").write_text("rate = 0 0\nrate = 0 0\n")
         return paths
 
     @pytest.mark.parametrize(
@@ -503,6 +540,17 @@ class TestGoldenOutput:
         got_code, out, _ = run_cli(capsys, *command.format(**files).split())
         out = re.sub(r'(elapsed_s(?: = |": ))[^,}\n]+', r"\1*", out)
         assert (got_code, out) == (code, stdout)
+
+    @pytest.mark.parametrize(
+        "command", [g[0] for g in GOLDEN if g[0].endswith("--format machine")]
+    )
+    def test_machine_output_is_strict_json(self, capsys, files, command):
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        _, out, _ = run_cli(capsys, *command.format(**files).split())
+        if out:
+            json.loads(out, parse_constant=reject)
 
     def test_certificate_with_bins(self, capsys, tmp_path):
         path = str(tmp_path / "t4.txt")

@@ -72,6 +72,17 @@ class TestParsing:
         with pytest.raises(ValidationError):
             loads("snr = 1.0\nrelay = 1.0\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("snr = 1\nsnr = 2\nrelay = 1 1\n", "line 2: duplicate 'snr'"),
+        ("snr = 1\nrate = 1 1\n# note\nSNR = 1\n", "line 4: duplicate 'snr'"),
+        ("label = a\nsnr = 1\nlabel = b\nrelay = 1 1\n", "line 3: duplicate 'label'"),
+        ("label =\nlabel =\nrate = 1 1\n", "line 2: duplicate 'label'"),
+    ])
+    def test_repeated_snr_or_label_rejected(self, text, message):
+        with pytest.raises(ValidationError) as info:
+            loads(text)
+        assert str(info.value) == message
+
     def test_comments_and_blanks_ignored(self):
         nf = loads("\n# header\nsnr = 1.0\n\nrelay = 1 2\n")
         assert nf.n == 1
@@ -149,6 +160,7 @@ class TestLargeFiles:
             ("  junk  ", "line 50001: expected 'key = value', got '  junk  '"),
             ("zzz = 1", "line 50001: unknown key 'zzz'"),
             ("snr = x  ", "line 50001: could not convert string to float: 'x'"),
+            ("snr = 2", "line 50001: duplicate 'snr'"),
             ("relay = 1 -1", "gain_d must be nonnegative, got -1.0"),
             ("relay = 1e200 1", "relay 49999: snr * gain_s**2 overflows"),
         ],

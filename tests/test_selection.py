@@ -466,6 +466,16 @@ class TestOmegaKTable:
         assert omega_k_table(RateTable(np.zeros(5), np.zeros(5))) == (0.0,) * 5
         assert_table_matches_bruteforce(RateTable([0.0, 2.0, 0.0], [1.0, 0.0, 0.0]))
 
+    def test_signed_zero_tables(self):
+        # equal under ==, while a zero entry's sign may differ from the
+        # brute force's: on this table k = 1 gives -0.0 there and 0.0 here
+        r_s = [-0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert_table_matches_bruteforce(RateTable(r_s, [0.0] + [-0.0] * 7))
+        rng = np.random.default_rng(277)
+        for _ in range(50):
+            zeros = rng.choice([0.0, -0.0], size=(2, 8))
+            assert_table_matches_bruteforce(RateTable(zeros[0], zeros[1]))
+
     def test_staircase(self):
         for k in range(1, 9):
             table = omega_k_table(tight_config(k, 1.0))
