@@ -76,6 +76,8 @@ class TestErrors:
         (MemoryError(), "out of memory"),
     ])
     def test_memory_error_exits_2(self, capsys, monkeypatch, exc, message):
+        # stands in for the real call, which asks numpy for terabytes: on a
+        # host that overcommits memory that would not fail fast
         def tight_config(k, rate):
             raise exc
 
