@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ValidationError
-from .model import Network, RateTable, _float_array, rate_table
+from .model import Network, RateTable, _float_array, _to_int, rate_table
 
 @dataclass(frozen=True, slots=True)
 class AfCoefficients:
@@ -211,8 +211,7 @@ def af_grid_search(net: Network, points: int = 21) -> tuple[float, np.ndarray]:
     Exhaustive desk-scale oracle for ``af_optimize``; cost points**n, so
     keep n small. Returns (rate, alpha).
     """
-    if not isinstance(points, (int, np.integer)) or points < 2:
-        raise ValidationError(f"points must be an integer >= 2, got {points!r}")
+    points = _to_int("points", points, minimum=2)
     n = net.n
     w, v = _af_weights(net)
     levels = np.linspace(0.0, 1.0, points)
@@ -224,10 +223,7 @@ def af_grid_search(net: Network, points: int = 21) -> tuple[float, np.ndarray]:
     )
     best_rate = -np.inf
     best_alpha = None
-    if n == inner:
-        rates = kernels.af_rate_batch(w, v, net.snr, inner_block)
-        idx = int(np.argmax(rates))
-        return float(rates[idx]), inner_block[idx].copy()
+    # np.ndindex(()) yields one empty index, so n == inner runs one block
     outer_shape = (points,) * (n - inner)
     block = np.empty((inner_block.shape[0], n))
     block[:, n - inner:] = inner_block

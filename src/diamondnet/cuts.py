@@ -17,14 +17,9 @@ import numpy as np
 
 from . import kernels
 from .errors import SizeLimitError, ValidationError
-from .model import RateTable
+from .model import RateTable, _linear_snrs, _to_int
 
 BRUTE_FORCE_LIMIT = 24
-
-# 2**r - 1 overflows float64 beyond this rate
-_MAX_INVERTIBLE_RATE = 1023.0
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,16 +46,8 @@ class Cut:
     @classmethod
     def from_mask(cls, mask: int) -> "Cut":
         """Cut whose bitmask is ``mask`` (bit i-1 set when relay i is a member)."""
-        if mask < 0:
-            raise ValidationError("cut bitmask must be nonnegative")
-        members = []
-        i = 1
-        while mask:
-            if mask & 1:
-                members.append(i)
-            mask >>= 1
-            i += 1
-        return cls(members)
+        mask = _to_int("cut bitmask", mask, minimum=0)
+        return cls(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
     @property
     def mask(self) -> int:
@@ -122,11 +109,7 @@ def cut_value(rt: RateTable, cut: Cut) -> float:
 
 def gap_constant(n: int) -> float:
     """Beamforming-gap constant max(3*log2(n) - log2(27/4), 2*log2(n))."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValidationError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    l2n = math.log2(n)
+    l2n = math.log2(_to_int("n", n, minimum=1))
     return max(3.0 * l2n - math.log2(27.0 / 4.0), 2.0 * l2n)
 
 
@@ -193,13 +176,7 @@ def sandwich(rt: RateTable) -> SandwichReport:
         raise SizeLimitError(
             f"brute force over 2**{n} cuts refused (limit n <= {BRUTE_FORCE_LIMIT})"
         )
-    if float(rt.r_s.max()) > _MAX_INVERTIBLE_RATE or float(rt.r_d.max()) > _MAX_INVERTIBLE_RATE:
-        raise ValidationError(
-            f"rates above {_MAX_INVERTIBLE_RATE} bits/s/Hz cannot be mapped back "
-            "to linear SNRs in float64"
-        )
-    ts2 = np.expm1(rt.r_s * _LN2)
-    td2 = np.expm1(rt.r_d * _LN2)
+    ts2, td2 = _linear_snrs(rt)
     td = np.sqrt(td2)
     lower, upper = kernels.sandwich_scan(ts2, td2, td)
     return SandwichReport(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .model import Network
+from .model import Network, _to_float, _to_int
 
 DISTRIBUTIONS = ("rayleigh", "loguniform")
 
@@ -28,17 +28,15 @@ def random_network(
     hi: float = 10.0,
 ) -> Network:
     """Deterministic random diamond network for the given seed."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    n = _to_int("n", n, minimum=1)
+    rng = np.random.default_rng(_to_int("seed", seed, minimum=0))
     if distribution == "rayleigh":
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ValidationError(f"sigma must be positive, got {sigma}")
+        sigma = _to_float("sigma", sigma, "positive")
         gains = rng.rayleigh(scale=sigma, size=(n, 2))
     elif distribution == "loguniform":
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
+        lo = _to_float("lo", lo, "positive")
+        hi = _to_float("hi", hi, "positive")
+        if lo > hi:
             raise ValidationError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
         gains = np.exp(rng.uniform(math.log(lo), math.log(hi), size=(n, 2)))
     else:

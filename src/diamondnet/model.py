@@ -18,6 +18,12 @@ validated in bulk, so a network of 10**6 relays holds no per-relay Python
 object. ``Network.from_gains(snr, gain_s, gain_d)`` builds a network from
 arrays; ``Network(snr, relays)`` from ``RelayChannels`` goes through the
 same storage and checks.
+
+Scalar arguments follow one rule everywhere in the package, enforced by
+``_to_int`` and ``_to_float``: an integer (n, k, a seed, a relay index) is a
+Python or numpy integer, never a ``bool`` or a float; a rate or an SNR is a
+finite real number. A violation raises ``ValidationError`` naming the
+argument.
 """
 
 from __future__ import annotations
@@ -31,12 +37,39 @@ from .errors import ValidationError
 
 _LN2 = math.log(2.0)
 
+# 2**r - 1 overflows float64 beyond this rate, in bits/s/Hz
+_MAX_INVERTIBLE_RATE = 1023.0
 
-def _to_float(name, value) -> float:
+
+def _to_float(name, value, sign=None) -> float:
+    """``value`` as a float; with ``sign`` ("positive" or "nonnegative") it
+    must also be finite and of that sign."""
     try:
-        return float(value)
+        value = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:
+        raise ValidationError(f"{name} exceeds the float64 range") from None
+    if sign is not None:
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+        if value < 0.0 or (value == 0.0 and sign == "positive"):
+            raise ValidationError(f"{name} must be {sign}, got {value}")
+    return value
+
+
+def _to_int(name, value, minimum=None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a ``bool``, and
+    at least ``minimum`` when one is given."""
+    if (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and (minimum is None or value >= minimum)
+    ):
+        return int(value)
+    kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+    kind = kind.get(minimum, f"an integer >= {minimum}")
+    raise ValidationError(f"{name} must be {kind}, got {value!r}")
 
 
 def _float_array(name, values, flat=True) -> np.ndarray:
@@ -48,22 +81,14 @@ def _float_array(name, values, flat=True) -> np.ndarray:
     return arr.reshape(-1) if flat else arr
 
 
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-
-
 def point_capacity(snr: float, gain: float) -> float:
     """Rate log2(1 + snr * gain**2) of a point-to-point AWGN link, bits/s/Hz."""
-    snr = _to_float("snr", snr)
-    gain = _to_float("gain", gain)
-    _require_finite("snr", snr)
-    _require_finite("gain", gain)
-    if snr <= 0.0:
-        raise ValidationError(f"snr must be positive, got {snr}")
-    if gain < 0.0:
-        raise ValidationError(f"gain must be nonnegative, got {gain}")
-    return float(np.log1p(snr * gain * gain) / _LN2)
+    snr = _to_float("snr", snr, "positive")
+    gain = _to_float("gain", gain, "nonnegative")
+    x = snr * gain * gain
+    if x == math.inf:
+        raise ValidationError(f"snr * gain**2 overflows: snr {snr}, gain {gain}")
+    return float(np.log1p(x) / _LN2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,10 +100,7 @@ class RelayChannels:
 
     def __post_init__(self):
         for name in ("gain_s", "gain_d"):
-            value = _to_float(name, getattr(self, name))
-            _require_finite(name, value)
-            if value < 0.0:
-                raise ValidationError(f"{name} must be nonnegative, got {value}")
+            value = _to_float(name, getattr(self, name), "nonnegative")
             object.__setattr__(self, name, value)
 
 
@@ -123,10 +145,7 @@ class Network:
         if not valid.all():
             i = int(valid.argmin())
             RelayChannels(float(gs[i]), float(gd[i]))  # raises the relay's message
-        snr = _to_float("snr", snr)
-        _require_finite("snr", snr)
-        if snr <= 0.0:
-            raise ValidationError(f"snr must be positive, got {snr}")
+        snr = _to_float("snr", snr, "positive")
         if gs.size == 0:
             raise ValidationError("a network needs at least one relay")
         with np.errstate(over="ignore"):
@@ -238,16 +257,28 @@ def rate_table(net: Network) -> RateTable:
     return RateTable(r_s, r_d)
 
 
+def _linear_snrs(rt: RateTable) -> tuple[np.ndarray, np.ndarray]:
+    """(2**r_s - 1, 2**r_d - 1), the linear link SNRs behind ``rt``; a rate
+    above ``_MAX_INVERTIBLE_RATE`` is rejected."""
+    if max(rt.r_s.max(), rt.r_d.max()) > _MAX_INVERTIBLE_RATE:
+        raise ValidationError(
+            f"rates above {_MAX_INVERTIBLE_RATE} bits/s/Hz cannot be mapped back "
+            "to linear SNRs in float64"
+        )
+    return np.expm1(rt.r_s * _LN2), np.expm1(rt.r_d * _LN2)
+
+
 def network_from(rt: RateTable, snr: float) -> Network:
     """Network with the given ``snr`` whose rate table reproduces ``rt``.
 
     Inverts the rate formula: gain = sqrt((2**r - 1) / snr). Round-trips
     through ``rate_table`` within 1e-12 relative error.
     """
-    snr = _to_float("snr", snr)
-    _require_finite("snr", snr)
-    if snr <= 0.0:
-        raise ValidationError(f"snr must be positive, got {snr}")
-    gs = np.sqrt(np.expm1(rt.r_s * _LN2) / snr)
-    gd = np.sqrt(np.expm1(rt.r_d * _LN2) / snr)
-    return Network.from_gains(snr, gs, gd)
+    snr = _to_float("snr", snr, "positive")
+    ts2, td2 = _linear_snrs(rt)
+    # division is monotone, so only the largest quotient can overflow
+    if float(max(ts2.max(), td2.max())) / snr == math.inf:
+        raise ValidationError(
+            f"snr {snr} is too small for these rates: (2**r - 1) / snr overflows"
+        )
+    return Network.from_gains(snr, np.sqrt(ts2 / snr), np.sqrt(td2 / snr))

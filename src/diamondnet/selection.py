@@ -27,11 +27,18 @@ import numpy as np
 from . import kernels
 from .cuts import BRUTE_FORCE_LIMIT, gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
-from .model import RateTable, _to_float
+from .model import RateTable, _to_float, _to_int
 
 SUBSET_ENUMERATION_LIMIT = 10**6
 
-GAP_MODELS = ("nnc", "optimized", "routing")
+# the achievability gap s(k) of each relaying strategy
+_STRATEGY_GAPS = {
+    "nnc": lambda k: 1.3 * k,
+    "optimized": lambda k: math.log2(k + 1) + math.log2(k) + 1.0,
+    "routing": lambda k: 0.0,
+}
+
+GAP_MODELS = tuple(_STRATEGY_GAPS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,24 +100,13 @@ def _selection(rt: RateTable, gamma, certificate, comparisons) -> SelectionResul
     )
 
 
-def _validate_k(k) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValidationError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    return int(k)
-
-
-def select(
-    rt: RateTable, k: int, omega: float, *, check_omega: bool = False
-) -> SelectionResult:
+def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
     """Find at most k relays whose subnetwork omega is >= (k/(k+1)) * omega.
 
     ``omega`` is the caller-supplied min-cut approximation of ``rt``
-    (compute it once with ``omega_fast``); pass ``check_omega=True`` to
-    recompute and cross-check it. Threshold comparisons are non-strict
-    (>= tau_j) with no epsilon. Candidate scans run in ascending relay
-    index and take the first qualifying relay.
+    (compute it once with ``omega_fast``). Threshold comparisons are
+    non-strict (>= tau_j) with no epsilon. Candidate scans run in ascending
+    relay index and take the first qualifying relay.
 
     Edge cases: when k >= n the iteration is skipped and all relays with a
     nonzero min-rate are returned (all relays when none qualify); when
@@ -120,16 +116,8 @@ def select(
 
     Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
     """
-    k = _validate_k(k)
-    omega = _to_float("omega", omega)
-    if not math.isfinite(omega) or omega < 0.0:
-        raise ValidationError(f"omega must be a finite nonnegative rate, got {omega}")
-    if check_omega:
-        recomputed = omega_fast(rt).value
-        if abs(omega - recomputed) > 1e-9 * max(1.0, recomputed):
-            raise ValidationError(
-                f"supplied omega {omega} disagrees with recomputed {recomputed}"
-            )
+    k = _to_int("k", k, minimum=1)
+    omega = _to_float("omega", omega, "nonnegative")
     n = rt.n
     r_s = rt.r_s
     r_d = rt.r_d
@@ -235,10 +223,9 @@ def verify_selection(
     The subset's rows of ``rt`` go straight to the brute-force kernel, which
     takes the min over all 2**|gamma| cuts of the subnetwork: the rows were
     validated with ``rt``, so no new ``RateTable`` is built. The relay
-    indices must be distinct integers (numpy integers too, ``bool`` not) in
-    1..n.
+    indices must be distinct integers in 1..n.
     """
-    k = _validate_k(k)
+    k = _to_int("k", k, minimum=1)
     gamma = sel.gamma
     if not gamma:
         raise ValidationError("selection has an empty relay set")
@@ -246,9 +233,7 @@ def verify_selection(
         raise SizeLimitError(
             f"brute-force verification limited to {BRUTE_FORCE_LIMIT} relays"
         )
-    for i in gamma:
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-            raise ValidationError(f"selected relay index must be an integer, got {i!r}")
+    gamma = tuple(_to_int("selected relay index", i) for i in gamma)
     if any(i < 1 or i > rt.n for i in gamma):
         raise ValidationError("selected relay index out of range")
     if len(set(gamma)) != len(gamma):
@@ -264,7 +249,7 @@ def omega_k_bruteforce(rt: RateTable, k: int) -> tuple[float, tuple[int, ...]]:
     Ties resolve to the lexicographically smallest subset. Guarded at
     C(n, k) <= 10**6 enumerated subsets.
     """
-    k = _validate_k(k)
+    k = _to_int("k", k, minimum=1)
     n = rt.n
     if k > n:
         raise ValidationError(f"k={k} exceeds the number of relays n={n}")
@@ -328,12 +313,23 @@ def tight_config(k: int, base_rate: float = 1.0) -> RateTable:
     base_rate, so omega = (k+1) * base_rate while every k-subset achieves
     exactly k * base_rate.
     """
-    k = _validate_k(k)
-    base_rate = _to_float("base_rate", base_rate)
-    if not math.isfinite(base_rate) or base_rate <= 0.0:
-        raise ValidationError(f"base_rate must be positive, got {base_rate}")
+    k = _to_int("k", k, minimum=1)
+    base_rate = _to_float("base_rate", base_rate, "positive")
+    if (k + 1) * base_rate == math.inf:  # the largest rate of the staircase
+        raise ValidationError(
+            f"base_rate {base_rate} is too large for k = {k}: "
+            "(k + 1) * base_rate overflows"
+        )
     idx = np.arange(1, k + 2, dtype=np.float64)
     return RateTable(idx * base_rate, (k + 2 - idx) * base_rate)
+
+
+def _check_gap_model(gap_model, k=1):
+    """Reject an unknown gap model, and the routing model with k != 1."""
+    if gap_model not in GAP_MODELS:
+        raise ValidationError(f"unknown gap model {gap_model!r}; pick from {GAP_MODELS}")
+    if gap_model == "routing" and k != 1:
+        raise ValidationError("the routing gap model applies to k=1 only")
 
 
 def strategy_gap(k: int, gap_model: str) -> float:
@@ -342,36 +338,19 @@ def strategy_gap(k: int, gap_model: str) -> float:
     nnc: 1.3 * k. optimized: log2(k+1) + log2(k) + 1. routing: 0 (a single
     relay needs no network code; only valid for k = 1).
     """
-    k = _validate_k(k)
-    if gap_model not in GAP_MODELS:
-        raise ValidationError(f"unknown gap model {gap_model!r}; pick from {GAP_MODELS}")
-    if gap_model == "routing" and k != 1:
-        raise ValidationError("the routing gap model applies to k=1 only")
-    return _strategy_gap(k, gap_model)
+    k = _to_int("k", k, minimum=1)
+    _check_gap_model(gap_model, k)
+    return _STRATEGY_GAPS[gap_model](k)
 
 
-def _strategy_gap(k: int, gap_model: str) -> float:
-    """``strategy_gap`` for a k and a model already checked."""
-    if gap_model == "nnc":
-        return 1.3 * k
-    if gap_model == "optimized":
-        return math.log2(k + 1) + math.log2(k) + 1.0
-    return 0.0
-
-
-def _validate_c_bar(c_bar_approx) -> float:
-    c_bar_approx = _to_float("c_bar_approx", c_bar_approx)
-    if not math.isfinite(c_bar_approx) or c_bar_approx < 0.0:
-        raise ValidationError(
-            f"c_bar_approx must be a finite nonnegative rate, got {c_bar_approx}"
-        )
-    return c_bar_approx
-
-
-def _validate_n(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    return int(n)
+def _bound(c_bar_approx, k, gap, gap_model):
+    """(lower bound, components) of ``guarantee`` on checked arguments,
+    where ``gap`` is ``gap_constant(n)``."""
+    frac = k / (k + 1)
+    mult = frac * c_bar_approx
+    sgap = _STRATEGY_GAPS[gap_model](k)
+    bgap = frac * gap
+    return max(0.0, mult - sgap - bgap), (mult, sgap, bgap)
 
 
 def guarantee(
@@ -382,21 +361,14 @@ def guarantee(
     ``c_bar_approx`` approximates the cut-set bound of the full n-relay
     network; s(k) is ``strategy_gap``; G(n) is ``gap_constant``.
     """
-    c_bar_approx = _validate_c_bar(c_bar_approx)
-    k = _validate_k(k)
-    n = _validate_n(n)
+    c_bar_approx = _to_float("c_bar_approx", c_bar_approx, "nonnegative")
+    k = _to_int("k", k, minimum=1)
+    n = _to_int("n", n, minimum=1)
     if k > n:
         raise ValidationError(f"k={k} exceeds n={n}")
-    frac = k / (k + 1)
-    mult = frac * c_bar_approx
-    sgap = strategy_gap(k, gap_model)
-    bgap = frac * gap_constant(n)
-    return GuaranteeReport(
-        k=k,
-        lower_bound=max(0.0, mult - sgap - bgap),
-        gap_model=gap_model,
-        components=(mult, sgap, bgap),
-    )
+    _check_gap_model(gap_model, k)
+    lower, components = _bound(c_bar_approx, k, gap_constant(n), gap_model)
+    return GuaranteeReport(k, lower, gap_model, components)
 
 
 def hybrid_tradeoff(
@@ -408,19 +380,12 @@ def hybrid_tradeoff(
     model only admits k = 1, so its table has a single row. Every entry is
     bit-identical to ``guarantee(c_bar_approx, k, n, gap_model).lower_bound``.
     """
-    n = _validate_n(n)
-    if gap_model not in GAP_MODELS:
-        raise ValidationError(f"unknown gap model {gap_model!r}; pick from {GAP_MODELS}")
-    c_bar_approx = _validate_c_bar(c_bar_approx)
+    n = _to_int("n", n, minimum=1)
+    _check_gap_model(gap_model)
+    c_bar_approx = _to_float("c_bar_approx", c_bar_approx, "nonnegative")
     gap = gap_constant(n)
     ks = (1,) if gap_model == "routing" else range(1, n + 1)
-    bounds = []
-    for k in ks:
-        # the float expression of ``guarantee``, term by term in its order
-        frac = k / (k + 1)
-        bounds.append(
-            max(0.0, frac * c_bar_approx - _strategy_gap(k, gap_model) - frac * gap)
-        )
+    bounds = [_bound(c_bar_approx, k, gap, gap_model)[0] for k in ks]
     best_k = bounds.index(max(bounds)) + 1  # the smallest maximizing k
     baseline = max(0.0, c_bar_approx - 1.3 * n)
     return TradeoffReport(

@@ -31,7 +31,7 @@ from .af import af_optimize, af_rate_batch, af_snr_bound_sides, af_upper_bound
 from .cuts import cut_value, omega_bruteforce, omega_fast, sandwich
 from .errors import ValidationError
 from .generate import random_network
-from .model import rate_table
+from .model import _to_float, _to_int, rate_table
 from .selection import omega_k_table, select, tight_config, verify_selection
 
 _MASK64 = (1 << 64) - 1
@@ -46,9 +46,12 @@ def trial_seed(master_seed: int, index: int) -> int:
 
     golden_gamma = 0x9E3779B97F4A7C15; the finalizer xor-shifts and
     multiplies by 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB. Stable across
-    platforms and releases.
+    platforms and releases. Both arguments are integers; a negative one
+    counts mod 2**64.
     """
-    z = (int(master_seed) + 0x9E3779B97F4A7C15 * (int(index) + 1)) & _MASK64
+    master_seed = _to_int("master_seed", master_seed)
+    index = _to_int("index", index)
+    z = (master_seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -248,25 +251,24 @@ def run_verification(
     seed : master seed; trial i uses trial_seed(seed, i).
     tolerance : violation allowance for inequality checks.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(nmax, (int, np.integer)) or not 1 <= nmax <= NMAX_LIMIT:
-        raise ValidationError(f"nmax must lie in 1..{NMAX_LIMIT}, got {nmax!r}")
+    trials = _to_int("trials", trials, minimum=1)
+    nmax = _to_int("nmax", nmax, minimum=1)
+    if nmax > NMAX_LIMIT:
+        raise ValidationError(f"nmax must lie in 1..{NMAX_LIMIT}, got {nmax}")
     if kmode not in KMODES:
         raise ValidationError(f"kmode must be one of {KMODES}, got {kmode!r}")
-    tolerance = float(tolerance)
-    if not math.isfinite(tolerance) or tolerance < 0.0:
-        raise ValidationError(f"tolerance must be nonnegative, got {tolerance}")
+    seed = _to_int("seed", seed)
+    tolerance = _to_float("tolerance", tolerance, "nonnegative")
 
     started = time.perf_counter()
     rec = _Recorder(tolerance)
-    for i in range(int(trials)):
-        s = trial_seed(int(seed), i)
+    for i in range(trials):
+        s = trial_seed(seed, i)
         rng = np.random.default_rng(s)
-        _check_trial(rec, s, int(nmax), kmode, rng)
+        _check_trial(rec, s, nmax, kmode, rng)
     failures = tuple(sorted(rec.failures, key=lambda f: (f.seed, f.invariant)))
     return VerifyReport(
-        trials=int(trials),
+        trials=trials,
         failures=failures,
         max_violation=rec.max_violation,
         elapsed=time.perf_counter() - started,

@@ -86,6 +86,35 @@ class TestErrors:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+    @pytest.mark.parametrize("argv,text,message", [
+        (
+            ["tight", "2", "1e308"],
+            None,
+            "base_rate 1e+308 is too large for k = 2: (k + 1) * base_rate overflows",
+        ),
+        (
+            ["af"],
+            "snr = 1.0\nrate = 2000 1\n",
+            "rates above 1023.0 bits/s/Hz cannot be mapped back to linear SNRs "
+            "in float64",
+        ),
+        (
+            ["af"],
+            "snr = 1e-320\nrate = 1 1\n",
+            "snr 1e-320 is too small for these rates: (2**r - 1) / snr overflows",
+        ),
+    ])
+    def test_overflow_exits_2_with_one_error_line(
+        self, capsys, tmp_path, argv, text, message
+    ):
+        if text is not None:
+            path = tmp_path / "rates.txt"
+            path.write_text(text)
+            argv = [*argv, str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestSelectCommand:
     def test_staircase_pick(self, capsys, stair_file):
         code, out, _ = run_cli(capsys, "select", stair_file, "2", "--verify")

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from diamondnet import (
+    Cut,
     Network,
     RateTable,
     RelayChannels,
     ValidationError,
     network_from,
     point_capacity,
+    random_network,
     rate_table,
+    run_verification,
+    tight_config,
+    trial_seed,
 )
 
 
@@ -304,3 +309,70 @@ class TestValidationMessages:
         Network.from_gains(1.0, [1e150], [1.0])
         with pytest.raises(ValidationError, match="relay 1: snr \\* gain_s\\*\\*2 overflows"):
             Network.from_gains(1e10, [1e150], [1.0])
+
+
+# Each bad scalar argument, with the message that names it; none may emit a
+# numpy warning on the way (the suite turns RuntimeWarning into an error).
+BAD_ARGUMENTS = [
+    (
+        lambda: random_network(3, 1.0, 0, sigma="x"),
+        "sigma must be a real number, got 'x'",
+    ),
+    (
+        lambda: random_network(3, 1.0, 0, "loguniform", lo="x"),
+        "lo must be a real number, got 'x'",
+    ),
+    (lambda: run_verification(True), "trials must be a positive integer, got True"),
+    (
+        lambda: run_verification(1, nmax=True),
+        "nmax must be a positive integer, got True",
+    ),
+    (lambda: run_verification(1, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: run_verification(1, seed="x"), "seed must be an integer, got 'x'"),
+    (
+        lambda: run_verification(1, tolerance="x"),
+        "tolerance must be a real number, got 'x'",
+    ),
+    (lambda: trial_seed("x", 0), "master_seed must be an integer, got 'x'"),
+    (lambda: trial_seed(1.5, 0), "master_seed must be an integer, got 1.5"),
+    (lambda: Cut.from_mask(1.5), "cut bitmask must be a nonnegative integer, got 1.5"),
+    (
+        lambda: Cut.from_mask(True),
+        "cut bitmask must be a nonnegative integer, got True",
+    ),
+    (
+        lambda: point_capacity(1e308, 1e308),
+        "snr * gain**2 overflows: snr 1e+308, gain 1e+308",
+    ),
+    (lambda: point_capacity(10**400, 1.0), "snr exceeds the float64 range"),
+    (
+        lambda: tight_config(2, 1e308),
+        "base_rate 1e+308 is too large for k = 2: (k + 1) * base_rate overflows",
+    ),
+    (lambda: tight_config(2, math.inf), "base_rate must be finite, got inf"),
+    (
+        lambda: network_from(RateTable([2000.0], [1.0]), 1.0),
+        "rates above 1023.0 bits/s/Hz cannot be mapped back to linear SNRs "
+        "in float64",
+    ),
+    (
+        lambda: network_from(RateTable([1.0], [1.0]), 1e-320),
+        "snr 1e-320 is too small for these rates: (2**r - 1) / snr overflows",
+    ),
+]
+
+
+class TestArgumentRules:
+    """Integers are Python or numpy ints, never bool; rates and SNRs are finite."""
+
+    @pytest.mark.parametrize("call,message", BAD_ARGUMENTS)
+    def test_bad_argument_raises_validation_error(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_numpy_integers_and_negative_seeds_are_accepted(self):
+        assert trial_seed(np.int64(-1), np.int32(0)) == trial_seed(2**64 - 1, 0)
+        assert Cut.from_mask(np.int64(5)) == Cut([1, 3])
+        report = run_verification(np.int64(1), nmax=np.int64(3), seed=-1)
+        assert report.trials == 1 and report.ok

@@ -178,12 +178,6 @@ class TestSelect:
         assert sel.gamma == (1,)
         assert sel.comparisons == 0
 
-    def test_check_omega_flag(self):
-        rt = tight_config(2, 1.0)
-        select(rt, 2, 3.0, check_omega=True)
-        with pytest.raises(ValidationError):
-            select(rt, 2, 2.5, check_omega=True)
-
     def test_rejects_bad_k_and_omega(self):
         rt = tight_config(2, 1.0)
         with pytest.raises(ValidationError):
