@@ -33,7 +33,6 @@ from .generate import random_network
 from .model import (
     Network,
     RateTable,
-    RelayChannels,
     network_from,
     point_capacity,
     rate_table,
@@ -70,7 +69,6 @@ __all__ = [
     "NetworkFile",
     "OmegaResult",
     "RateTable",
-    "RelayChannels",
     "SandwichReport",
     "SelectionResult",
     "SizeLimitError",

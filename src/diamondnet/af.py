@@ -30,24 +30,21 @@ import numpy as np
 
 from . import kernels
 from .errors import ValidationError
-from .model import Network, RateTable, _float_array, _to_int, rate_table
+from .model import Network, RateTable, _ArrayValue, _check_range, _float_array
+from .model import _to_int, rate_table
 
-@dataclass(frozen=True, slots=True)
-class AfCoefficients:
+
+class AfCoefficients(_ArrayValue):
     """Normalized amplification magnitudes, one per relay, each in [0, 1]."""
 
-    alpha: np.ndarray
+    __slots__ = ("alpha",)
 
     def __init__(self, alpha):
         alpha = _float_array("alpha", alpha)
         if alpha.size == 0:
             raise ValidationError("alpha must have at least one entry")
-        if not np.isfinite(alpha).all():
-            raise ValidationError("alpha entries must be finite")
-        if (alpha < 0.0).any() or (alpha > 1.0).any():
-            raise ValidationError("alpha entries must lie in [0, 1]")
-        alpha.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
+        _check_range("alpha", alpha, 1.0)
+        self._freeze(alpha)
 
     @property
     def n(self) -> int:
@@ -100,8 +97,7 @@ def af_rate_batch(net: Network, alphas) -> np.ndarray:
     alphas = _float_array("alphas", alphas, flat=False)
     if alphas.ndim != 2 or alphas.shape[1] != net.n:
         raise ValidationError(f"alphas must have shape (m, {net.n})")
-    if not np.isfinite(alphas).all() or (alphas < 0).any() or (alphas > 1).any():
-        raise ValidationError("alpha entries must be finite and lie in [0, 1]")
+    _check_range("alpha", alphas, 1.0)
     w, v = _af_weights(net)
     return np.asarray(kernels.af_rate_batch(w, v, net.snr, alphas))
 
@@ -135,8 +131,7 @@ def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
         raise ValidationError("inputs must be finite")
     if (u_d <= 0.0).any() or (u_s <= 0.0).any():
         raise ValidationError("u_d and u_s must be positive")
-    if (b < 0.0).any() or (b > 1.0).any():
-        raise ValidationError("b entries must lie in [0, 1]")
+    _check_range("b", b, 1.0)
     ratio = u_d * b / (1.0 + u_s)
     lhs = max(1.0, float(ratio.max())) * float(np.minimum(u_d, u_s).max())
     rhs = float((ratio * u_s).max())

@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .af import AfCoefficients, af_optimize, af_rate, af_upper_bound
+from .af import af_optimize, af_rate, af_upper_bound
 from .cuts import omega_bruteforce, omega_fast, sandwich
 from .errors import ValidationError
 from .generate import random_network
@@ -196,7 +196,6 @@ def cmd_af(args) -> int:
                 raise ValidationError(f"bad --alpha value: {exc}") from None
         else:
             alpha = np.ones(net.n)
-        alpha = AfCoefficients(alpha).alpha
         rate = af_rate(net, alpha)
     within = rate <= bound + 1e-9
     payload = {
@@ -287,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("af", help="amplify-and-forward rate and its cap")
     p.add_argument("file")
-    p.add_argument("--alpha", help="comma-separated coefficients in [0,1]")
-    p.add_argument("--optimize", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--alpha", help="comma-separated coefficients in [0,1]")
+    mode.add_argument("--optimize", action="store_true")
     add_format(p)
     p.set_defaults(func=cmd_af)
 

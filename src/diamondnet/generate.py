@@ -33,6 +33,10 @@ def random_network(
     if distribution == "rayleigh":
         sigma = _to_float("sigma", sigma, "positive")
         gains = rng.rayleigh(scale=sigma, size=(n, 2))
+        if gains.max() == math.inf:  # the draws are nonnegative
+            raise ValidationError(
+                f"sigma {sigma} is too large: the Rayleigh draws overflow"
+            )
     elif distribution == "loguniform":
         lo = _to_float("lo", lo, "positive")
         hi = _to_float("hi", hi, "positive")
@@ -43,4 +47,4 @@ def random_network(
         raise ValidationError(
             f"unknown distribution {distribution!r}; pick from {DISTRIBUTIONS}"
         )
-    return Network.from_gains(snr, gains[:, 0], gains[:, 1])
+    return Network(snr, gains[:, 0], gains[:, 1])

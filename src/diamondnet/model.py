@@ -15,9 +15,10 @@ every quantity computed here depends on magnitudes only.
 
 Both forms hold their per-relay numbers as two read-only float64 arrays,
 validated in bulk, so a network of 10**6 relays holds no per-relay Python
-object. ``Network.from_gains(snr, gain_s, gain_d)`` builds a network from
-arrays; ``Network(snr, relays)`` from ``RelayChannels`` goes through the
-same storage and checks.
+object: ``Network(snr, gain_s, gain_d)`` and ``RateTable(r_s, r_d)`` copy
+and check the arrays they are given. Both, and ``af.AfCoefficients``, share
+one base that makes them immutable, compared by value, and copied or
+pickled through their constructor.
 
 Scalar arguments follow one rule everywhere in the package, enforced by
 ``_to_int`` and ``_to_float``: an integer (n, k, a seed, a relay index) is a
@@ -29,7 +30,6 @@ argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,8 @@ _LN2 = math.log(2.0)
 
 # 2**r - 1 overflows float64 beyond this rate, in bits/s/Hz
 _MAX_INVERTIBLE_RATE = 1023.0
+
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 def _to_float(name, value, sign=None) -> float:
@@ -91,60 +93,84 @@ def point_capacity(snr: float, gain: float) -> float:
     return float(np.log1p(x) / _LN2)
 
 
-@dataclass(frozen=True, slots=True)
-class RelayChannels:
-    """Channel-gain magnitudes of one relay: source side and destination side."""
+class _ArrayValue:
+    """Base of the validated, read-only values built from float64 arrays.
 
-    gain_s: float
-    gain_d: float
+    A subclass lists its constructor arguments, in order, as its
+    ``__slots__`` (a leading underscore marks a private one), checks them in
+    ``__init__`` and stores them with ``_freeze``. Instances are immutable,
+    compare by value, are not hashable, and copy and pickle through the
+    constructor, so a copy is checked and read-only again.
+    """
 
-    def __post_init__(self):
-        for name in ("gain_s", "gain_d"):
-            value = _to_float(name, getattr(self, name), "nonnegative")
+    __slots__ = ()
+
+    def _freeze(self, *values):
+        for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
+    def _args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
-class Network:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self._args(), other._args()))
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return (type(self), self._args())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name.lstrip('_')}="
+            + repr(value.tolist() if isinstance(value, np.ndarray) else value)
+            for name, value in zip(self.__slots__, self._args())
+        )
+        return f"{type(self).__name__}({fields})"
+
+
+def _check_range(name, arr, hi=math.inf):
+    """Reject ``arr`` unless every entry is finite and in [0, hi]."""
+    # one bulk test passes a good array (NaN fails it, -0.0 passes); the
+    # checks that name the fault run only when it fails
+    if arr.size and not (0.0 <= arr.min() and arr.max() <= min(hi, _MAX_FLOAT)):
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} entries must be finite")
+        if hi == math.inf:
+            raise ValidationError(f"{name} entries must be nonnegative")
+        raise ValidationError(f"{name} entries must lie in [0, {hi:g}]")
+
+
+class Network(_ArrayValue):
     """A diamond network: linear SNR plus per-relay channel-gain magnitudes.
 
-    The gains are held as two read-only float64 arrays, one entry per relay
-    in relay order, validated in bulk. Build from arrays with
-    ``Network.from_gains(snr, gain_s, gain_d)`` or, equivalently, from
-    ``RelayChannels`` with ``Network(snr, relays)``; ``relays`` rebuilds that
-    tuple on demand. Instances are immutable and compare by value.
+    ``Network(snr, gain_s, gain_d)`` copies the gains into two read-only
+    float64 arrays, one entry per relay in relay order, validated in bulk.
     """
 
     __slots__ = ("snr", "_gain_s", "_gain_d")
 
-    def __init__(self, snr, relays):
-        relays = tuple(relays)
-        if not all(isinstance(r, RelayChannels) for r in relays):
-            raise ValidationError("relays must be RelayChannels instances")
-        n = len(relays)
-        gs = np.fromiter((r.gain_s for r in relays), dtype=np.float64, count=n)
-        gd = np.fromiter((r.gain_d for r in relays), dtype=np.float64, count=n)
-        self._store(snr, gs, gd)
-
-    @classmethod
-    def from_gains(cls, snr, gain_s, gain_d) -> "Network":
-        """Network from per-relay gain magnitudes; the arrays are copied."""
+    def __init__(self, snr, gain_s, gain_d):
         gs = _float_array("gain_s", gain_s)
         gd = _float_array("gain_d", gain_d)
         if gs.size != gd.size:
             raise ValidationError(
                 f"gain lists must have equal length, got {gs.size} and {gd.size}"
             )
-        net = cls.__new__(cls)
-        net._store(snr, gs, gd)
-        return net
-
-    def _store(self, snr, gs, gd):
         # checks in order: gains, snr, at least one relay, overflow of the
         # derived rates; each message names the first relay at fault
         valid = (gs >= 0.0) & (gs < math.inf) & (gd >= 0.0) & (gd < math.inf)
         if not valid.all():
             i = int(valid.argmin())
-            RelayChannels(float(gs[i]), float(gd[i]))  # raises the relay's message
+            _to_float("gain_s", gs[i], "nonnegative")
+            _to_float("gain_d", gd[i], "nonnegative")
         snr = _to_float("snr", snr, "positive")
         if gs.size == 0:
             raise ValidationError("a network needs at least one relay")
@@ -155,53 +181,18 @@ class Network:
             g = float(gs[i])
             name = "gain_d" if math.isfinite(snr * g * g) else "gain_s"
             raise ValidationError(f"relay {i + 1}: snr * {name}**2 overflows")
-        gs.flags.writeable = False
-        gd.flags.writeable = False
-        object.__setattr__(self, "snr", snr)
-        object.__setattr__(self, "_gain_s", gs)
-        object.__setattr__(self, "_gain_d", gd)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Network is immutable")
+        self._freeze(snr, gs, gd)
 
     @property
     def n(self) -> int:
         return int(self._gain_s.size)
 
-    @property
-    def relays(self) -> tuple[RelayChannels, ...]:
-        """One ``RelayChannels`` per relay, built on each access."""
-        return tuple(
-            RelayChannels(a, b)
-            for a, b in zip(self._gain_s.tolist(), self._gain_d.tolist())
-        )
-
     def gain_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(gain_s, gain_d): the stored read-only float64 arrays, not copies."""
         return self._gain_s, self._gain_d
 
-    def __eq__(self, other):
-        if not isinstance(other, Network):
-            return NotImplemented
-        return (
-            self.snr == other.snr
-            and np.array_equal(self._gain_s, other._gain_s)
-            and np.array_equal(self._gain_d, other._gain_d)
-        )
 
-    __hash__ = None
-
-    def __reduce__(self):
-        return (Network.from_gains, (self.snr, self._gain_s, self._gain_d))
-
-    def __repr__(self):
-        return (
-            f"Network(snr={self.snr!r}, gain_s={self._gain_s.tolist()}, "
-            f"gain_d={self._gain_d.tolist()})"
-        )
-
-
-class RateTable:
+class RateTable(_ArrayValue):
     """Per-relay point-to-point rates (r_s, r_d), the canonical description.
 
     Arrays are copied on construction and frozen read-only; instances are
@@ -219,34 +210,13 @@ class RateTable:
             )
         if r_s.size == 0:
             raise ValidationError("a rate table needs at least one relay")
-        for name, arr in (("r_s", r_s), ("r_d", r_d)):
-            # one bulk test (NaN fails both sides, -0.0 passes); the checks
-            # that name the fault run only when it fails
-            if not (0.0 <= arr.min() and arr.max() < math.inf):
-                if not np.isfinite(arr).all():
-                    raise ValidationError(f"{name} entries must be finite")
-                raise ValidationError(f"{name} entries must be nonnegative")
-        r_s.flags.writeable = False
-        r_d.flags.writeable = False
-        object.__setattr__(self, "r_s", r_s)
-        object.__setattr__(self, "r_d", r_d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RateTable is immutable")
+        _check_range("r_s", r_s)
+        _check_range("r_d", r_d)
+        self._freeze(r_s, r_d)
 
     @property
     def n(self) -> int:
         return int(self.r_s.size)
-
-    def __eq__(self, other):
-        if not isinstance(other, RateTable):
-            return NotImplemented
-        return np.array_equal(self.r_s, other.r_s) and np.array_equal(
-            self.r_d, other.r_d
-        )
-
-    def __repr__(self):
-        return f"RateTable(r_s={self.r_s.tolist()}, r_d={self.r_d.tolist()})"
 
 
 def rate_table(net: Network) -> RateTable:
@@ -281,4 +251,4 @@ def network_from(rt: RateTable, snr: float) -> Network:
         raise ValidationError(
             f"snr {snr} is too small for these rates: (2**r - 1) / snr overflows"
         )
-    return Network.from_gains(snr, np.sqrt(ts2 / snr), np.sqrt(td2 / snr))
+    return Network(snr, np.sqrt(ts2 / snr), np.sqrt(td2 / snr))

@@ -29,12 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import Network, RateTable, network_from, rate_table
+from .model import Network, RateTable, _to_float, network_from, rate_table
 
 
 @dataclass(frozen=True, slots=True)
 class NetworkFile:
-    """Parsed network file: exactly one of ``network`` / ``rates`` is set."""
+    """Parsed network file: exactly one of ``network`` / ``rates`` is set.
+
+    ``snr`` belongs to the rates form only (None or a positive finite
+    number); the gains form carries it in ``network``.
+    """
 
     network: Network | None = None
     rates: RateTable | None = None
@@ -46,6 +50,13 @@ class NetworkFile:
             raise ValidationError(
                 "a network file holds exactly one payload: gains or rates"
             )
+        if self.snr is not None:
+            if self.network is not None:
+                raise ValidationError(
+                    "snr is for the rates form; a gains-form file takes it "
+                    "from the network"
+                )
+            object.__setattr__(self, "snr", _to_float("snr", self.snr, "positive"))
         label = self.label
         if label is not None and (
             not isinstance(label, str)
@@ -177,7 +188,7 @@ def loads(text: str) -> NetworkFile:
         if snr is None:
             raise ValidationError("gains form requires an 'snr = ...' line")
         gains = np.frombuffer(relay, dtype=np.float64)
-        net = Network.from_gains(snr, gains[0::2], gains[1::2])
+        net = Network(snr, gains[0::2], gains[1::2])
         return NetworkFile(network=net, label=label)
     if rate:
         rates = np.frombuffer(rate, dtype=np.float64)

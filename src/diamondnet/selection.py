@@ -314,6 +314,8 @@ def tight_config(k: int, base_rate: float = 1.0) -> RateTable:
     exactly k * base_rate.
     """
     k = _to_int("k", k, minimum=1)
+    if k + 1 > np.iinfo(np.intp).max // 8:  # bytes of one float64 array
+        raise ValidationError("k is too large: k + 1 relays exceed numpy's array size")
     base_rate = _to_float("base_rate", base_rate, "positive")
     if (k + 1) * base_rate == math.inf:  # the largest rate of the staircase
         raise ValidationError(

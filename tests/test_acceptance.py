@@ -15,7 +15,6 @@ import pytest
 from diamondnet import (
     Network,
     RateTable,
-    RelayChannels,
     af_grid_search,
     af_optimize,
     af_rate_batch,
@@ -162,7 +161,7 @@ def test_bracketing_chain_sweep():
 
 
 def test_two_relay_symmetric_example_gap_within_one_bit():
-    net = Network(snr=1.0, relays=(RelayChannels(4, 16), RelayChannels(4, 16)))
+    net = Network(1.0, [4.0, 4.0], [16.0, 16.0])
     rt = rate_table(net)
     sw = sandwich(rt)
     _, c1 = af_upper_bound(rt)

@@ -8,7 +8,6 @@ from diamondnet import (
     AfCoefficients,
     Network,
     RateTable,
-    RelayChannels,
     ValidationError,
     af_grid_search,
     af_optimize,
@@ -24,7 +23,7 @@ from diamondnet.verify import trial_seed
 
 
 def unit_net(n):
-    return Network(snr=1.0, relays=tuple(RelayChannels(1, 1) for _ in range(n)))
+    return Network(1.0, np.ones(n), np.ones(n))
 
 
 def random_net(i, master, nmax=8, snr_hi=64.0):
@@ -93,7 +92,7 @@ class TestAfRate:
             alphas[0] = 0.0
             alphas[1] = 1.0
             snr = net.snr
-            gains = [(r.gain_s, r.gain_d) for r in net.relays]
+            gains = list(zip(*(g.tolist() for g in net.gain_arrays())))
             w = [gd * gs * math.sqrt(snr / (1 + gs * gs * snr)) for gs, gd in gains]
             v = [gd * gd * snr / (1 + gs * gs * snr) for gs, gd in gains]
             batch = af_rate_batch(net, alphas)
@@ -177,16 +176,14 @@ class TestAfOptimize:
         for i in range(20):
             net = random_net(i, master=337, nmax=5)
             perm = rng.permutation(net.n)
-            permuted = Network(snr=net.snr, relays=tuple(net.relays[j] for j in perm))
+            gs, gd = net.gain_arrays()
+            permuted = Network(net.snr, gs[perm], gd[perm])
             a = af_optimize(net)
             b = af_optimize(permuted)
             assert a.rate == pytest.approx(b.rate, abs=1e-12)
 
     def test_dead_relays_pinned_to_zero(self):
-        net = Network(
-            snr=4.0,
-            relays=(RelayChannels(0.0, 3.0), RelayChannels(1.0, 1.0)),
-        )
+        net = Network(4.0, [0.0, 1.0], [3.0, 1.0])
         rep = af_optimize(net)
         assert rep.alpha.alpha[0] == 0.0
 
@@ -196,8 +193,9 @@ class TestAfOptimize:
         for i in range(100):
             net = random_net(i, master=347, nmax=12)
             if i % 3 == 0:
-                dead = RelayChannels(0.0, 2.0) if i % 2 else RelayChannels(1.5, 0.0)
-                net = Network(snr=net.snr, relays=net.relays + (dead,))
+                dead = (0.0, 2.0) if i % 2 else (1.5, 0.0)
+                gs, gd = net.gain_arrays()
+                net = Network(net.snr, [*gs, dead[0]], [*gd, dead[1]])
             gs, gd = net.gain_arrays()
             scale = net.snr / (1.0 + gs * gs * net.snr)
             w = gd * gs * np.sqrt(scale)
@@ -297,7 +295,9 @@ class TestValidationMessages:
     def test_alphas_bad_entry(self, bad):
         with pytest.raises(ValidationError) as exc:
             af_rate_batch(unit_net(2), [[0.5, 0.5], [bad, 0.5]])
-        assert str(exc.value) == "alpha entries must be finite and lie in [0, 1]"
+        # the same texts as AfCoefficients
+        reason = "be finite" if bad in NON_FINITE else "lie in [0, 1]"
+        assert str(exc.value) == f"alpha entries must {reason}"
 
     def test_alphas_shape(self):
         with pytest.raises(ValidationError) as exc:
@@ -356,15 +356,9 @@ class TestAfGridSearch:
     def test_chunked_path_matches_flat_path(self):
         # n=5 exercises the outer-loop chunking; compare against n<=4 logic
         # by restricting the fifth coordinate to zero gain
-        net = Network(
-            snr=2.0,
-            relays=tuple(RelayChannels(1.0, 1.0) for _ in range(4))
-            + (RelayChannels(0.0, 0.0),),
-        )
+        net = Network(2.0, [1.0] * 4 + [0.0], [1.0] * 4 + [0.0])
         rate5, _ = af_grid_search(net, 5)
-        rate4, _ = af_grid_search(
-            Network(snr=2.0, relays=net.relays[:4]), 5
-        )
+        rate4, _ = af_grid_search(Network(2.0, [1.0] * 4, [1.0] * 4), 5)
         assert rate5 == pytest.approx(rate4, abs=1e-12)
 
     def test_rejects_bad_points(self):

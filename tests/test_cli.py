@@ -199,6 +199,14 @@ class TestAfCommand:
         code, _, err = run_cli(capsys, "af", str(path), "--alpha", "zzz")
         assert code == 2
 
+    def test_optimize_and_alpha_exclude_each_other(self, capsys, gains_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["af", gains_file, "--optimize", "--alpha", "1,1,1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --alpha: not allowed with argument --optimize" in captured.err
+
 
 class TestGenCommand:
     def test_deterministic(self, capsys):
@@ -228,6 +236,14 @@ class TestGenCommand:
         code, _, err = run_cli(capsys, "gen", "3", "--seed", "-1")
         assert code == 2
         assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+    def test_huge_sigma_names_sigma(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "3", "--sigma", "1e308")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: sigma 1e+308 is too large: the Rayleigh draws overflow\n"
+        )
 
 
 class TestTightCommand:

@@ -8,7 +8,6 @@ from diamondnet import (
     Cut,
     Network,
     RateTable,
-    RelayChannels,
     SizeLimitError,
     ValidationError,
     cut_value,
@@ -240,7 +239,7 @@ class TestSandwich:
         assert sw.gap == 0.0
 
     def test_two_stage_symmetric_instance(self):
-        net = Network(snr=1.0, relays=(RelayChannels(4, 16), RelayChannels(4, 16)))
+        net = Network(1.0, [4.0, 4.0], [16.0, 16.0])
         sw = sandwich(rate_table(net))
         assert sw.omega == pytest.approx(math.log2(17.0), abs=1e-12)
         assert sw.upper == pytest.approx(math.log2(33.0), abs=1e-9)

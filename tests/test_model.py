@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from diamondnet import (
+    AfCoefficients,
     Cut,
     Network,
     RateTable,
-    RelayChannels,
     ValidationError,
+    af_optimize,
+    from_network,
+    from_rates,
     network_from,
     point_capacity,
     random_network,
@@ -51,14 +54,14 @@ class TestPointCapacity:
 
 class TestRateTable:
     def test_single_relay(self):
-        net = Network(snr=1.0, relays=(RelayChannels(1.0, 1.0),))
+        net = Network(1.0, [1.0], [1.0])
         rt = rate_table(net)
         assert rt.r_s.tolist() == [1.0]
         assert rt.r_d.tolist() == [1.0]
 
     def test_two_stage_symmetric_instance(self):
         # gains t=4 on the first stage, t**2=16 on the second, snr=1
-        net = Network(snr=1.0, relays=(RelayChannels(4, 16), RelayChannels(4, 16)))
+        net = Network(1.0, [4, 4], [16, 16])
         rt = rate_table(net)
         np.testing.assert_allclose(rt.r_s, math.log2(17.0), rtol=1e-14)
         np.testing.assert_allclose(rt.r_d, math.log2(257.0), rtol=1e-14)
@@ -66,14 +69,14 @@ class TestRateTable:
     def test_matches_point_capacity_entrywise(self):
         rng = np.random.default_rng(11)
         gains = rng.uniform(0.0, 8.0, size=(6, 2))
-        net = Network(snr=3.5, relays=tuple(RelayChannels(*g) for g in gains))
+        net = Network(3.5, gains[:, 0], gains[:, 1])
         rt = rate_table(net)
         for i, (gs, gd) in enumerate(gains):
             assert rt.r_s[i] == point_capacity(3.5, gs)
             assert rt.r_d[i] == point_capacity(3.5, gd)
 
     def test_rate_zero_iff_gain_zero(self):
-        net = Network(snr=2.0, relays=(RelayChannels(0.0, 1.5),))
+        net = Network(2.0, [0.0], [1.5])
         rt = rate_table(net)
         assert rt.r_s[0] == 0.0
         assert rt.r_d[0] > 0.0
@@ -144,16 +147,16 @@ class TestRateTableMessages:
 class TestNetworkFrom:
     def test_zero_rate_gives_zero_gain(self):
         net = network_from(RateTable([0.0], [0.0]), snr=1.0)
-        assert net.relays[0].gain_s == 0.0
+        assert net.gain_arrays()[0][0] == 0.0
 
     def test_unit_rate_unit_snr(self):
         net = network_from(RateTable([1.0], [1.0]), snr=1.0)
-        assert net.relays[0].gain_s == pytest.approx(1.0, rel=1e-12)
+        assert net.gain_arrays()[0][0] == pytest.approx(1.0, rel=1e-12)
 
     def test_rate_three_snr_seven(self):
         # 2**3 - 1 = 7 and 7/7 = 1
         net = network_from(RateTable([3.0], [3.0]), snr=7.0)
-        assert net.relays[0].gain_s == pytest.approx(1.0, rel=1e-12)
+        assert net.gain_arrays()[0][0] == pytest.approx(1.0, rel=1e-12)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(23)
@@ -173,40 +176,39 @@ class TestNetworkFrom:
 class TestNetworkValidation:
     def test_needs_a_relay(self):
         with pytest.raises(ValidationError):
-            Network(snr=1.0, relays=())
+            Network(1.0, [], [])
 
     def test_rejects_negative_gain(self):
         with pytest.raises(ValidationError):
-            RelayChannels(-1.0, 1.0)
+            Network(1.0, [-1.0], [1.0])
 
     def test_rejects_infinite_gain(self):
         with pytest.raises(ValidationError):
-            RelayChannels(math.inf, 1.0)
+            Network(1.0, [math.inf], [1.0])
 
     def test_zero_gain_relays_are_allowed(self):
-        net = Network(snr=1.0, relays=(RelayChannels(0.0, 0.0),))
+        net = Network(1.0, [0.0], [0.0])
         assert net.n == 1
 
 
 class TestArrayStorage:
-    def test_from_gains_equals_relay_construction(self):
+    def test_arrays_and_lists_give_equal_networks(self):
         rng = np.random.default_rng(31)
         for n in (1, 2, 7, 50):
             gains = rng.uniform(0.0, 6.0, size=(n, 2))
             gains[0, 0] = 0.0
-            a = Network.from_gains(2.5, gains[:, 0], gains[:, 1])
-            b = Network(snr=2.5, relays=tuple(RelayChannels(*g) for g in gains.tolist()))
+            a = Network(2.5, gains[:, 0], gains[:, 1])
+            b = Network(2.5, gains[:, 0].tolist(), gains[:, 1].tolist())
             assert a == b
-            assert a.relays == b.relays
             assert a.n == b.n == n
             assert rate_table(a) == rate_table(b)
-        one = Network.from_gains(1.0, [1.0, 2.0], [3.0, 4.0])
-        assert one != Network.from_gains(1.0, [1.0, 2.0], [3.0, 4.5])
-        assert one != Network.from_gains(1.5, [1.0, 2.0], [3.0, 4.0])
+        one = Network(1.0, [1.0, 2.0], [3.0, 4.0])
+        assert one != Network(1.0, [1.0, 2.0], [3.0, 4.5])
+        assert one != Network(1.5, [1.0, 2.0], [3.0, 4.0])
 
     def test_gain_arrays_are_stored_read_only_arrays(self):
         gs = np.array([1.0, 2.0])
-        net = Network.from_gains(1.0, gs, [3.0, 4.0])
+        net = Network(1.0, gs, [3.0, 4.0])
         gs[0] = 9.0  # the network holds its own copy
         first = net.gain_arrays()
         assert first[0].tolist() == [1.0, 2.0]
@@ -217,25 +219,92 @@ class TestArrayStorage:
             first[0][0] = 5.0
 
     def test_immutable_and_not_hashable(self):
-        net = Network.from_gains(1.0, [1.0], [2.0])
+        net = Network(1.0, [1.0], [2.0])
         with pytest.raises(AttributeError):
             net.snr = 3.0
         with pytest.raises(TypeError):
             hash(net)
 
-    def test_relays_are_rebuilt_on_demand(self):
-        net = Network.from_gains(2.0, [1.5, 0.0], [0.25, 3.0])
-        assert net.relays == (RelayChannels(1.5, 0.25), RelayChannels(0.0, 3.0))
-        assert all(type(r.gain_s) is float for r in net.relays)
-
     def test_copies_and_pickles_by_value(self):
-        net = Network.from_gains(3.0, [0.5, 2.0], [1.0, 0.0])
+        net = Network(3.0, [0.5, 2.0], [1.0, 0.0])
         assert copy.deepcopy(net) == net
         assert pickle.loads(pickle.dumps(net)) == net
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError, match="equal length"):
-            Network.from_gains(1.0, [1.0, 2.0], [1.0])
+            Network(1.0, [1.0, 2.0], [1.0])
+
+
+# One value of each immutable type; each builds a fresh, equal value.
+VALUES = {
+    "RateTable": lambda: RateTable([1.0, -0.0], [2.5, 3.0]),
+    "Network": lambda: Network(3.0, [0.5, 2.0], [1.0, 0.0]),
+    "AfCoefficients": lambda: AfCoefficients([0.5, 0.25]),
+    "AfReport": lambda: af_optimize(Network(3.0, [0.5, 2.0], [1.0, 0.7])),
+    "NetworkFile-gains": lambda: from_network(Network(2.0, [1.5], [0.25]), "g"),
+    "NetworkFile-rates": lambda: from_rates(RateTable([1.0], [3.0]), 4.0, "r"),
+}
+
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+def frozen_arrays(value):
+    """Every array a value of ``VALUES`` holds, however deep."""
+    if isinstance(value, (RateTable, AfCoefficients)):
+        return [getattr(value, name) for name in type(value).__slots__]
+    if isinstance(value, Network):
+        return list(value.gain_arrays())
+    if hasattr(value, "alpha"):  # AfReport
+        return frozen_arrays(value.alpha)
+    return frozen_arrays(value.network or value.rates)  # NetworkFile
+
+
+class TestValueSemantics:
+    """Copies and pickles rebuild through the constructor and compare equal."""
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+    @pytest.mark.parametrize("kind", VALUES)
+    def test_round_trip_is_equal_and_read_only(self, kind, clone):
+        value = VALUES[kind]()
+        back = clone(value)
+        assert type(back) is type(value)
+        assert back == value and not back != value
+        assert back == VALUES[kind]()
+        arrays = frozen_arrays(back)
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("kind", VALUES)
+    def test_unequal_values_and_types(self, kind):
+        value = VALUES[kind]()
+        assert value != object()
+        for other in VALUES:
+            if other != kind:
+                assert value != VALUES[other]()
+
+    def test_equality_is_by_every_field(self):
+        assert RateTable([1.0], [2.0]) != RateTable([1.0], [2.5])
+        assert AfCoefficients([0.5, 0.25]) != AfCoefficients([0.5, 0.5])
+        assert AfCoefficients([0.5]) != AfCoefficients([0.5, 0.5])
+
+    @pytest.mark.parametrize("kind", ["RateTable", "Network", "AfCoefficients"])
+    def test_immutable_and_not_hashable(self, kind):
+        value = VALUES[kind]()
+        with pytest.raises(AttributeError, match=f"^{kind} is immutable$"):
+            value.n = 3
+        with pytest.raises(TypeError):
+            hash(value)
+
+    def test_reprs(self):
+        kinds = ("RateTable", "Network", "AfCoefficients")
+        assert [repr(VALUES[kind]()) for kind in kinds] == [
+            "RateTable(r_s=[1.0, -0.0], r_d=[2.5, 3.0])",
+            "Network(snr=3.0, gain_s=[0.5, 2.0], gain_d=[1.0, 0.0])",
+            "AfCoefficients(alpha=[0.5, 0.25])",
+        ]
 
 
 class TestValidationMessages:
@@ -255,12 +324,9 @@ class TestValidationMessages:
         ],
     )
     def test_gain_messages(self, gain_s, gain_d, message):
-        with pytest.raises(ValidationError) as array_path:
-            Network.from_gains(2.0, gain_s, gain_d)
-        assert str(array_path.value) == message
-        with pytest.raises(ValidationError) as relay_path:
-            Network(2.0, [RelayChannels(a, b) for a, b in zip(gain_s, gain_d)])
-        assert str(relay_path.value) == message
+        with pytest.raises(ValidationError) as exc:
+            Network(2.0, gain_s, gain_d)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "snr,message",
@@ -273,25 +339,21 @@ class TestValidationMessages:
     )
     def test_snr_messages(self, snr, message):
         with pytest.raises(ValidationError) as exc:
-            Network.from_gains(snr, [1.0], [1.0])
+            Network(snr, [1.0], [1.0])
         assert str(exc.value) == message
         # gains are checked before snr, the relay count after it
         with pytest.raises(ValidationError, match="gain_s must be nonnegative"):
-            Network.from_gains(snr, [-1.0], [1.0])
+            Network(snr, [-1.0], [1.0])
         with pytest.raises(ValidationError) as exc:
-            Network.from_gains(snr, [], [])
+            Network(snr, [], [])
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "build,message",
         [
+            (lambda: Network("x", [1.0], [1.0]), "snr must be a real number, got 'x'"),
             (
-                lambda: Network(snr="x", relays=(RelayChannels(1.0, 1.0),)),
-                "snr must be a real number, got 'x'",
-            ),
-            (lambda: RelayChannels("x", 1), "gain_s must be a real number, got 'x'"),
-            (
-                lambda: Network.from_gains(1.0, ["a"], [1.0]),
+                lambda: Network(1.0, ["a"], [1.0]),
                 "gain_s entries must be real numbers: could not convert string to float: 'a'",
             ),
             (
@@ -306,9 +368,9 @@ class TestValidationMessages:
         assert str(exc.value) == message
 
     def test_overflow_depends_on_snr(self):
-        Network.from_gains(1.0, [1e150], [1.0])
+        Network(1.0, [1e150], [1.0])
         with pytest.raises(ValidationError, match="relay 1: snr \\* gain_s\\*\\*2 overflows"):
-            Network.from_gains(1e10, [1e150], [1.0])
+            Network(1e10, [1e150], [1.0])
 
 
 # Each bad scalar argument, with the message that names it; none may emit a
@@ -350,6 +412,18 @@ BAD_ARGUMENTS = [
         "base_rate 1e+308 is too large for k = 2: (k + 1) * base_rate overflows",
     ),
     (lambda: tight_config(2, math.inf), "base_rate must be finite, got inf"),
+    (
+        lambda: tight_config(10**400),
+        "k is too large: k + 1 relays exceed numpy's array size",
+    ),
+    (
+        lambda: tight_config(2**60, 1e308),
+        "k is too large: k + 1 relays exceed numpy's array size",
+    ),
+    (
+        lambda: random_network(3, 1.0, 0, sigma=1e308),
+        "sigma 1e+308 is too large: the Rayleigh draws overflow",
+    ),
     (
         lambda: network_from(RateTable([2000.0], [1.0]), 1.0),
         "rates above 1023.0 bits/s/Hz cannot be mapped back to linear SNRs "

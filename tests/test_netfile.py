@@ -1,12 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondnet import (
     Network,
+    NetworkFile,
     RateTable,
-    RelayChannels,
     ValidationError,
     from_network,
     from_rates,
@@ -31,13 +34,20 @@ rate = 2.5 0.0
 """
 
 
+# labels that ``dumps`` writes and ``loads`` reads back unchanged
+LABELS = st.text(
+    st.characters(blacklist_characters="#"), max_size=12
+).filter(lambda s: s == s.strip() and s.splitlines() in ([], [s]))
+
+
 class TestParsing:
     def test_gains_form(self):
         nf = loads(GAINS_TEXT)
         assert nf.label == "demo"
         assert nf.network is not None and nf.rates is None
         assert nf.network.snr == 2.0
-        assert nf.network.relays[0] == RelayChannels(1.5, 0.25)
+        gs, gd = nf.network.gain_arrays()
+        assert (gs[0], gd[0]) == (1.5, 0.25)
         assert nf.n == 2
 
     def test_rates_form(self):
@@ -87,20 +97,51 @@ class TestParsing:
         nf = loads("\n# header\nsnr = 1.0\n\nrelay = 1 2\n")
         assert nf.n == 1
 
+    @pytest.mark.parametrize("snr,message", [
+        ("-3", "snr must be positive, got -3.0"),
+        ("0", "snr must be positive, got 0.0"),
+        ("nan", "snr must be finite, got nan"),
+        ("inf", "snr must be finite, got inf"),
+    ])
+    def test_rates_form_snr_must_be_positive_and_finite(self, snr, message):
+        with pytest.raises(ValidationError) as info:
+            loads(f"snr = {snr}\nrate = 1 1\n")
+        assert str(info.value) == message
+
+
+class TestNetworkFileSnr:
+    """A rates payload takes None or a positive finite snr; a gains one None."""
+
+    def test_rates_snr_is_checked_and_stored_as_float(self):
+        rt = RateTable([1.0], [2.0])
+        assert from_rates(rt).snr is None
+        nf = from_rates(rt, snr=4)
+        assert type(nf.snr) is float and nf.snr == 4.0
+        assert loads(nf.dumps()) == nf
+        for bad, message in [
+            ("abc", "snr must be a real number, got 'abc'"),
+            (math.nan, "snr must be finite, got nan"),
+            (-1.0, "snr must be positive, got -1.0"),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                from_rates(rt, snr=bad)
+            assert str(info.value) == message
+
+    def test_gains_payload_rejects_a_separate_snr(self):
+        net = Network(2.0, [1.0], [1.0])
+        assert NetworkFile(network=net).snr is None
+        with pytest.raises(ValidationError, match="^snr is for the rates form"):
+            NetworkFile(network=net, snr=5.0)
+
 
 class TestRoundTrip:
     def test_gains_round_trip_is_lossless(self):
         rng = np.random.default_rng(3)
-        net = Network(
-            snr=float(rng.uniform(0.1, 10)),
-            relays=tuple(
-                RelayChannels(float(a), float(b))
-                for a, b in rng.uniform(0, 5, (6, 2))
-            ),
-        )
+        gains = rng.uniform(0, 5, (6, 2))
+        net = Network(float(rng.uniform(0.1, 10)), gains[:, 0], gains[:, 1])
         back = loads(from_network(net, label="x").dumps())
         assert back.network.snr == net.snr
-        assert back.network.relays == net.relays
+        assert back.network == net
 
     def test_rates_round_trip_is_lossless(self):
         rng = np.random.default_rng(5)
@@ -128,6 +169,28 @@ class TestRoundTrip:
                     continue
                 back = loads(nf.dumps())
                 assert back.label == label and back.n == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_file_reads_back_equal(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        label = data.draw(st.none() | LABELS, label="label")
+        if data.draw(st.booleans(), label="gains form"):
+            snr = data.draw(st.floats(1e-100, 1e100), label="snr")
+            gains = st.lists(st.floats(0.0, 1e100), min_size=n, max_size=n)
+            net = Network(snr, data.draw(gains), data.draw(gains))
+            nf = from_network(net, label=label)
+        else:
+            rates = st.lists(
+                st.floats(0.0, allow_infinity=False), min_size=n, max_size=n
+            )
+            positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+            snr = data.draw(st.none() | positive, label="snr")
+            nf = from_rates(RateTable(data.draw(rates), data.draw(rates)), snr, label)
+        text = nf.dumps()
+        back = loads(text)
+        assert back == nf
+        assert back.dumps() == text
 
     def test_to_rate_table_matches_conversion(self):
         nf = loads(GAINS_TEXT)
