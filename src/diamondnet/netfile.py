@@ -50,6 +50,12 @@ class NetworkFile:
             raise ValidationError(
                 "a network file holds exactly one payload: gains or rates"
             )
+        for name, kind in (("network", Network), ("rates", RateTable)):
+            payload = getattr(self, name)
+            if payload is not None and not isinstance(payload, kind):
+                raise ValidationError(
+                    f"{name} must be a {kind.__name__}, got {type(payload).__name__}"
+                )
         if self.snr is not None:
             if self.network is not None:
                 raise ValidationError(
@@ -114,13 +120,44 @@ class NetworkFile:
 # lines formatted into one string at a time by ``dumps``
 _BLOCK = 1 << 16
 
-# characters of text split into lines at a time, so that only one chunk's
-# line strings are alive at once
-_CHUNK = 1 << 20
+# characters of text read and split into lines at a time, so that only one
+# block's text and line strings are alive at once. Blocks stay below glibc's
+# default 128 KiB mmap threshold: freeing 1 MiB blocks raised its dynamic
+# threshold, so that later multi-megabyte arrays were placed on the heap and
+# kept, which cost the scale benchmark 21 MB of peak RSS.
+_CHUNK = 1 << 16
 
 
 def loads(text: str) -> NetworkFile:
-    """Parse the text form of a network file.
+    """Parse the text form of a network file."""
+    return _parse(_text_blocks(text))
+
+
+def load(path) -> NetworkFile:
+    """Read and parse a network file, one block of lines at a time."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            # each block ends at a line break (or the end of the file), so no
+            # more than one block of the text is held at once
+            return _parse(iter(lambda: fh.read(_CHUNK) + fh.readline(), ""))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _text_blocks(text):
+    """``text`` in blocks of about ``_CHUNK`` characters, each ending just
+    after a '\n', so that the blocks split into the same lines as the whole
+    text does."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK)
+        end = len(text) if end < 0 else end + 1
+        yield text[start:end]
+        start = end
+
+
+def _parse(blocks) -> NetworkFile:
+    """Parse a network file given as consecutive blocks of whole lines.
 
     Each ``relay`` / ``rate`` pair goes straight into a float64 buffer, so
     no per-relay object outlives its line.
@@ -128,13 +165,8 @@ def loads(text: str) -> NetworkFile:
     header = {}  # the 'label' and 'snr' values
     buffers = {"relay": array("d"), "rate": array("d")}  # pairs interleaved
     lineno = 0
-    start = 0
-    while start < len(text):
-        # a chunk ends just after a '\n', so it splits into the same lines
-        # as the whole text does
-        end = text.find("\n", start + _CHUNK)
-        end = len(text) if end < 0 else end + 1
-        for raw in text[start:end].splitlines():
+    for block in blocks:
+        for raw in block.splitlines():
             lineno += 1
             parts = raw.split()
             if (
@@ -179,7 +211,6 @@ def loads(text: str) -> NetworkFile:
                 buffers[key].extend(map(float, numbers))
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from None
-        start = end
     label, snr = header.get("label"), header.get("snr")
     relay, rate = buffers["relay"], buffers["rate"]
     if relay and rate:
@@ -195,15 +226,6 @@ def loads(text: str) -> NetworkFile:
         rt = RateTable(rates[0::2], rates[1::2])
         return NetworkFile(rates=rt, snr=snr, label=label)
     raise ValidationError("file holds neither 'relay' nor 'rate' lines")
-
-
-def load(path) -> NetworkFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    return loads(text)
 
 
 def from_network(net: Network, label: str | None = None) -> NetworkFile:

@@ -1,6 +1,11 @@
-import numpy as np
+import tracemalloc
+from unittest import mock
 
-from diamondnet import kernels
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diamondnet import RateTable, cut_value, kernels, omega_bruteforce, omega_fast, sandwich
 
 KERNELS = ("brute_omega", "omega_sorted_scan", "omega_rows", "sandwich_scan", "af_rate_batch")
 
@@ -20,8 +25,11 @@ def test_subset_max_matches_definition():
         x = rng.integers(0, 5, n).astype(float)
         table = kernels.subset_max(x)
         assert table.shape == (1 << n,)
+        sums = kernels.subset_max(x, np.add)
         for mask in range(1 << n):
-            assert table[mask] == max((x[i] for i in range(n) if mask >> i & 1), default=0.0)
+            members = [x[i] for i in range(n) if mask >> i & 1]
+            assert table[mask] == max(members, default=0.0)
+            assert sums[mask] == sum(members, 0.0)
 
 
 
@@ -74,23 +82,82 @@ def test_fused_subset_max_is_bit_exact():
         assert same_bits(kernels.subset_max(r_s), old_subset_max(r_s))
 
 
-def test_fused_brute_omega_is_bit_exact():
-    for r_s, r_d in rate_rows(284):
-        values = old_subset_max(r_d) + old_subset_max(r_s)[::-1]
-        idx = int(np.argmin(values))
-        value, mask = kernels.brute_omega(r_s, r_d)
-        assert mask == idx
-        assert same_bits(value, values[idx])
+# widths 1 to 3 split the tables of rate_rows into up to 2**11 tiles
+TILE_WIDTHS = (1, 2, 3, kernels._TILE_BITS)
 
 
-def test_fused_sandwich_scan_is_bit_exact():
-    for r_s, r_d in rate_rows(285):
-        ts2 = np.expm1(np.abs(r_s) * np.log(2.0))
-        td2 = np.expm1(np.abs(r_d) * np.log(2.0))
-        td = np.sqrt(td2)
-        new = kernels.sandwich_scan(ts2, td2, td)
-        old = old_sandwich_scan(ts2, td2, td)
-        assert same_bits(new, old)
+def assert_brute_omega_is_bit_exact(r_s, r_d):
+    values = old_subset_max(r_d) + old_subset_max(r_s)[::-1]
+    idx = int(np.argmin(values))
+    value, mask = kernels.brute_omega(r_s, r_d)
+    assert mask == idx
+    assert same_bits(value, values[idx])
+
+
+def assert_sandwich_scan_is_bit_exact(r_s, r_d):
+    ts2 = np.expm1(np.abs(r_s) * np.log(2.0))
+    td2 = np.expm1(np.abs(r_d) * np.log(2.0))
+    td = np.sqrt(td2)
+    assert same_bits(kernels.sandwich_scan(ts2, td2, td), old_sandwich_scan(ts2, td2, td))
+
+
+def test_fused_brute_omega_is_bit_exact(monkeypatch):
+    for bits in TILE_WIDTHS:
+        monkeypatch.setattr(kernels, "_TILE_BITS", bits)
+        for r_s, r_d in rate_rows(284):
+            assert_brute_omega_is_bit_exact(r_s, r_d)
+
+
+def test_fused_sandwich_scan_is_bit_exact(monkeypatch):
+    for bits in TILE_WIDTHS:
+        monkeypatch.setattr(kernels, "_TILE_BITS", bits)
+        for r_s, r_d in rate_rows(285):
+            assert_sandwich_scan_is_bit_exact(r_s, r_d)
+
+
+def test_tiled_kernels_are_bit_exact_past_one_tile():
+    # n = 18 spans 16 tiles at the default width
+    assert kernels._TILE_BITS < 18
+    rng = np.random.default_rng(287)
+    tied = rng.integers(0, 3, (2, 18)).astype(float)
+    for r_s, r_d in (rng.exponential(2.0, (2, 18)), tied):
+        assert_brute_omega_is_bit_exact(r_s, r_d)
+        assert_sandwich_scan_is_bit_exact(r_s, r_d)
+
+
+def test_brute_force_working_memory_stays_within_a_few_tiles():
+    # whole 2**20 tables took 24 MB (omega) and 32 MB (sandwich)
+    rng = np.random.default_rng(288)
+    rt = RateTable(rng.exponential(2.0, 20), rng.exponential(2.0, 20))
+    for oracle in (omega_bruteforce, sandwich):
+        tracemalloc.start()
+        try:
+            oracle(rt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, oracle.__name__
+
+
+# tied and zero rates, and rates at and near the 1023-bit cap
+TIE_RATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 1022.0, 1023.0]),
+    st.floats(0.0, 1023.0),
+    st.floats(1022.0, 1023.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(TIE_RATES, TIE_RATES), min_size=1, max_size=10))
+def test_tiled_bruteforce_matches_omega_fast(rates):
+    r_s, r_d = zip(*rates)
+    rt = RateTable(r_s, r_d)
+    with mock.patch.object(kernels, "_TILE_BITS", 2):  # up to 2**8 tiles
+        brute = omega_bruteforce(rt)
+    fast = omega_fast(rt)
+    assert brute.value == fast.value  # -0.0 and 0.0 may differ in sign
+    assert brute.argmin_cut == fast.argmin_cut
+    assert cut_value(rt, brute.argmin_cut) == fast.value
 
 
 def test_single_row_omega_matches_sorted_scan_bit_for_bit():

@@ -134,6 +134,19 @@ class TestNetworkFileSnr:
             NetworkFile(network=net, snr=5.0)
 
 
+class TestNetworkFilePayload:
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"rates": [[1.0], [2.0]]}, "rates must be a RateTable, got list"),
+            ({"network": RateTable([1.0], [2.0])}, "network must be a Network, got RateTable"),
+        ],
+    )
+    def test_payload_of_the_wrong_type_is_rejected(self, payload, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            NetworkFile(**payload)
+
+
 class TestRoundTrip:
     def test_gains_round_trip_is_lossless(self):
         rng = np.random.default_rng(3)
@@ -281,3 +294,18 @@ class TestLoad:
         path = tmp_path / "net.txt"
         path.write_text(GAINS_TEXT, encoding="utf-8")
         assert load(path) == loads(GAINS_TEXT)
+
+    def test_load_memory_stays_below_one_and_a_half_times_the_file(self, tmp_path, big_lines):
+        # the file is read in blocks of lines; reading it whole held the
+        # bytes and the decoded text at once, near 2x
+        lines = big_lines + big_lines[2:]
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            nf = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nf.n == 2 * 10**5
+        assert peak < 1.5 * path.stat().st_size
