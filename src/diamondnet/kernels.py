@@ -2,16 +2,16 @@
 
 These kernels carry the arithmetic of the package: the 2**n subset-lattice
 enumerations behind the brute-force oracles (``brute_omega``,
-``sandwich_scan``) and behind the best-k subnetwork table
-(``omega_by_size``), all built on the per-subset folds of ``subset_max``;
-the sorted suffix scan behind ``omega_fast`` (``omega_sorted_scan``); the
-row-wise min-cut of many subnetworks (``omega_rows``); and the row-wise
-amplify-and-forward rate (``af_rate_batch``). Each is checked in the tests
-against a definition evaluated directly.
+``sandwich_scan``), built on the per-subset folds of ``subset_max``; the
+sorted suffix scan behind ``omega_fast`` (``omega_sorted_scan``); the chain
+recurrence behind the best-k table (``best_chains``); the row-wise min-cut
+of many subnetworks (``omega_rows``); and the row-wise amplify-and-forward
+rate (``af_rate_batch``). Each is checked in the tests against a definition
+evaluated directly.
 
 The two oracles walk the 2**n cuts in tiles of 2**_TILE_BITS (``_cut_tiles``),
 so their working memory is O(n * 2**_TILE_BITS) floats at any n, not whole
-2**n tables; ``omega_by_size`` still builds whole tables (n <= 19).
+2**n tables.
 
 Conventions: relays are 0-indexed here; a cut is a bitmask with bit i set
 when relay i sits on the destination side; the maximum over an empty index
@@ -28,8 +28,8 @@ __all__ = [
     "BACKEND",
     "HAVE_NUMBA",
     "af_rate_batch",
+    "best_chains",
     "brute_omega",
-    "omega_by_size",
     "omega_rows",
     "omega_sorted_scan",
     "sandwich_scan",
@@ -106,8 +106,7 @@ def brute_omega(r_s, r_d):
         values = max_d + max_s[::-1]
         idx = int(values.argmin())
         best.append((float(values[idx]), base | idx))
-    # the first-minimal mask: tuples of equal values (0.0 and -0.0 too)
-    # compare by mask
+    # the first-minimal mask: tuples of equal values compare by mask
     return min(best)
 
 
@@ -128,26 +127,30 @@ def omega_sorted_scan(s_sorted, d_sorted):
     return float(cand[m_best]), m_best
 
 
-def omega_by_size(s_sorted, d_sorted):
-    """Max of omega over the relay subsets of each size 0..n, by lattice pass.
+def best_chains(r_s, r_d):
+    """Max of omega over the relay subsets of each size 1..n, by relay chains.
 
-    omega(S) is the min over splits of S of max r_s on one part plus max r_d
-    on the other. With the relays sorted by r_s, the splits at each relay j
-    of S suffice: r_s[j] plus the max r_d over the relays of S above j, and
-    the max r_d over all of S. These are the float sums ``omega_rows`` forms,
-    so each entry is bit-identical to a row-wise evaluation. One vectorized
-    pass per relay lowers all 2**n subset values at once.
+    A chain i_1 .. i_h is worth the min of r_d[i_1], each r_s[i_t] +
+    r_d[i_{t+1}] and r_s[i_h]. The best chain of at most k relays is worth
+    the best k-subset's omega: every cut of a chain's relays crosses one of
+    its links, and a subset's suffix-maximum chain in r_s order uses only
+    omega's own candidates, the float sums ``omega_rows`` forms; so each
+    entry is bit-identical to a row-wise evaluation. ``f[j]`` holds the best
+    chain of h relays ending at j, less its last r_s term. Repeating a
+    chain's first relay keeps its value, so ``f`` never falls, and the
+    rounds, O(n**2) each, stop once it is unchanged, after at most n.
     """
-    n = s_sorted.shape[0]
-    max_d = subset_max(d_sorted)
-    omega = max_d.copy()
-    for j in range(n):
-        # the subsets holding relay j, indexed by their relays above j
-        held = omega.reshape(-1, 2, 1 << j)[:, 1, :]
-        above = max_d[:: 1 << (j + 1)]
-        np.minimum(held, (s_sorted[j] + above)[:, None], out=held)
-    best = np.zeros(n + 1)
-    np.maximum.at(best, np.bitwise_count(np.arange(1 << n)), omega)
+    n = r_s.shape[0]
+    step = r_s[:, None] + r_d  # the link from relay i to relay j
+    links = np.empty_like(step)
+    f = r_d
+    best = np.full(n, np.minimum(f, r_s).max())
+    for h in range(1, n):
+        longer = np.minimum(f[:, None], step, out=links).max(axis=0)
+        if np.array_equal(longer, f):
+            break
+        f = longer
+        best[h:] = np.minimum(f, r_s).max()
     return best
 
 
@@ -163,8 +166,7 @@ def omega_rows(members, r_s, r_d):
     # with the first term absent at m = k and the second at m = 0
     cand = np.concatenate((suff, s_sorted[:, -1:]), axis=1)
     cand[:, 1:k] += s_sorted[:, : k - 1]
-    # the largest minimizing m, as in omega_sorted_scan (ties of 0.0 and
-    # -0.0 resolve the same way)
+    # the largest minimizing m, as in omega_sorted_scan
     return cand[rows, k - cand[:, ::-1].argmin(axis=1)]
 
 

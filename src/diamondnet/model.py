@@ -196,7 +196,7 @@ class RateTable(_ArrayValue):
     """Per-relay point-to-point rates (r_s, r_d), the canonical description.
 
     Arrays are copied on construction and frozen read-only; instances are
-    safe to share across threads.
+    safe to share across threads. A ``-0.0`` rate is stored as ``0.0``.
     """
 
     __slots__ = ("r_s", "r_d")
@@ -210,8 +210,9 @@ class RateTable(_ArrayValue):
             )
         if r_s.size == 0:
             raise ValidationError("a rate table needs at least one relay")
-        _check_range("r_s", r_s)
-        _check_range("r_d", r_d)
+        for name, arr in (("r_s", r_s), ("r_d", r_d)):
+            _check_range(name, arr)
+            np.add(arr, 0.0, out=arr)  # -0.0 + 0.0 is 0.0: in place, on the copy
         self._freeze(r_s, r_d)
 
     @property

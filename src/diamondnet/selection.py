@@ -9,8 +9,8 @@ increasing bin certificate that forces termination within k-1 rounds.
 
 ``omega_k_bruteforce`` / ``omega_k_ratio`` are the desk-scale oracles for
 the best k-subnetwork at one k; ``omega_k_table`` gives the best value for
-every k at once from one pass over the 2**n subsets, equal to them under
-``==`` (a zero entry may differ from theirs in sign).
+every k at once from a chain recurrence over relay pairs, bit-identical to
+theirs.
 ``tight_config`` generates the worst-case family where the k/(k+1) fraction
 is achieved exactly, and ``guarantee`` / ``hybrid_tradeoff`` evaluate the
 resulting capacity lower bounds.
@@ -272,23 +272,19 @@ def omega_k_bruteforce(rt: RateTable, k: int) -> tuple[float, tuple[int, ...]]:
 def omega_k_table(rt: RateTable) -> tuple[float, ...]:
     """Max of omega over all k-relay subsets, for every k in 1..n.
 
-    Entry k-1 equals ``omega_k_bruteforce(rt, k)[0]`` under ``==``, but all
-    n entries come from one pass over the subset lattice instead of n
-    enumerations. The one difference is the sign of a zero: on a table of
-    ``0.0`` and ``-0.0`` rates either zero may come out, because the
-    lattice's min/max pick either one on a tie. Guarded at 2**n <= 10**6
-    subsets.
+    Entry k-1 is bit-identical to ``omega_k_bruteforce(rt, k)[0]``; all n
+    come from one chain recurrence (``kernels.best_chains``) in O(rounds *
+    n**2) time, rounds <= n. Guarded at n**2 <= 10**6 relay pairs (n <= 1000).
     """
     if not isinstance(rt, RateTable):
         raise ValidationError(f"rt must be a RateTable, got {type(rt).__name__}")
     n = rt.n
-    if (1 << n) > SUBSET_ENUMERATION_LIMIT:
+    if n * n > SUBSET_ENUMERATION_LIMIT:
         raise SizeLimitError(
-            f"2**{n} subsets exceeds the enumeration limit {SUBSET_ENUMERATION_LIMIT}"
+            f"{n}**2 relay pairs exceeds the enumeration limit "
+            f"{SUBSET_ENUMERATION_LIMIT}"
         )
-    order = rt.r_s.argsort(kind="stable")
-    best = kernels.omega_by_size(rt.r_s[order], rt.r_d[order])
-    return tuple(best[1:].tolist())
+    return tuple(kernels.best_chains(rt.r_s, rt.r_d).tolist())
 
 
 def omega_k_ratio(rt: RateTable, k: int) -> float:

@@ -8,9 +8,9 @@ staircase configuration is exact, and the amplify-and-forward rate never
 beats the best-relay-plus-beamforming cap.
 
 The best k-subnetwork value behind the ratio checks comes from one
-``omega_k_table`` pass over the 2**n subsets per network, which gives every
-k at once, equal under ``==`` to the per-k oracle ``omega_k_bruteforce``
-(only the sign of a zero may differ).
+``omega_k_table`` chain recurrence over the relay pairs per network, which
+gives every k at once, bit-identical to the per-k oracle
+``omega_k_bruteforce``.
 
 Trial i runs on ``trial_seed(master_seed, i)`` (a splitmix64 mix, documented
 below), so any single trial can be reproduced in isolation. Inequality

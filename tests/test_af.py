@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondnet import (
     AfCoefficients,
@@ -160,6 +162,19 @@ class TestAfOptimize:
             rep = af_optimize(net)
             assert rep.rate >= float(start) - 1e-12
             assert rep.rate <= rep.upper_bound + 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.floats(1e-2, 1e3),
+        st.lists(
+            st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 8.0)), min_size=1, max_size=8
+        ),
+    )
+    def test_property_between_full_power_and_cap(self, snr, gains):
+        net = Network(snr, *zip(*gains))
+        rate = af_optimize(net).rate
+        assert rate <= af_upper_bound(rate_table(net))[0] + 1e-9
+        assert rate >= af_rate(net, np.ones(net.n)) - 1e-12
 
     def test_matches_exhaustive_grid(self):
         # a global optimum dominates every grid point up to roundoff, while

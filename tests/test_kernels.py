@@ -82,6 +82,36 @@ def test_fused_subset_max_is_bit_exact():
         assert same_bits(kernels.subset_max(r_s), old_subset_max(r_s))
 
 
+def old_omega_by_size(s_sorted, d_sorted):
+    """The 2**n lattice pass ``omega_k_table`` ran before the chain recurrence.
+
+    Takes the rates sorted by r_s and returns the best omega of each subset
+    size 0..n.
+    """
+    n = s_sorted.shape[0]
+    max_d = old_subset_max(d_sorted)
+    omega = max_d.copy()
+    for j in range(n):
+        # the subsets holding relay j, indexed by their relays above j
+        held = omega.reshape(-1, 2, 1 << j)[:, 1, :]
+        above = max_d[:: 1 << (j + 1)]
+        np.minimum(held, (s_sorted[j] + above)[:, None], out=held)
+    best = np.zeros(n + 1)
+    np.maximum.at(best, np.bitwise_count(np.arange(1 << n)), omega)
+    return best
+
+
+def test_best_chains_is_bit_exact_against_the_lattice_pass():
+    rng = np.random.default_rng(289)
+    for n in range(13, 20):
+        tied = rng.integers(0, 3, (2, n)).astype(float)
+        zeros = rng.choice([0.0, 0.5, 1023.0], (2, n))
+        for r_s, r_d in (rng.exponential(2.0, (2, n)), tied, zeros):
+            order = np.argsort(r_s, kind="stable")
+            want = old_omega_by_size(r_s[order], r_d[order])[1:]
+            assert same_bits(kernels.best_chains(r_s, r_d), want), n
+
+
 # widths 1 to 3 split the tables of rate_rows into up to 2**11 tiles
 TILE_WIDTHS = (1, 2, 3, kernels._TILE_BITS)
 
@@ -155,7 +185,7 @@ def test_tiled_bruteforce_matches_omega_fast(rates):
     with mock.patch.object(kernels, "_TILE_BITS", 2):  # up to 2**8 tiles
         brute = omega_bruteforce(rt)
     fast = omega_fast(rt)
-    assert brute.value == fast.value  # -0.0 and 0.0 may differ in sign
+    assert same_bits(brute.value, fast.value)
     assert brute.argmin_cut == fast.argmin_cut
     assert cut_value(rt, brute.argmin_cut) == fast.value
 

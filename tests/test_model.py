@@ -133,10 +133,10 @@ class TestRateTableMessages:
             RateTable([-1.0, math.nan], [1.0, 1.0])
         assert str(exc.value) == "r_s entries must be finite"
 
-    def test_negative_zero_is_accepted_and_kept(self):
+    def test_negative_zero_is_accepted_and_stored_as_positive_zero(self):
         rt = RateTable([-0.0, 1.0], [2.0, -0.0])
-        assert math.copysign(1.0, rt.r_s[0]) == -1.0
-        assert math.copysign(1.0, rt.r_d[1]) == -1.0
+        assert math.copysign(1.0, rt.r_s[0]) == 1.0
+        assert math.copysign(1.0, rt.r_d[1]) == 1.0
 
     def test_largest_finite_rate_is_accepted(self):
         big = np.finfo(np.float64).max
@@ -301,7 +301,7 @@ class TestValueSemantics:
     def test_reprs(self):
         kinds = ("RateTable", "Network", "AfCoefficients")
         assert [repr(VALUES[kind]()) for kind in kinds] == [
-            "RateTable(r_s=[1.0, -0.0], r_d=[2.5, 3.0])",
+            "RateTable(r_s=[1.0, 0.0], r_d=[2.5, 3.0])",
             "Network(snr=3.0, gain_s=[0.5, 2.0], gain_d=[1.0, 0.0])",
             "AfCoefficients(alpha=[0.5, 0.25])",
         ]

@@ -205,6 +205,11 @@ class TestRoundTrip:
         assert back == nf
         assert back.dumps() == text
 
+    def test_negative_zero_rate_loads_and_writes_back_as_zero(self):
+        nf = loads("rate = -0.0 1.0\n")
+        assert math.copysign(1.0, nf.rates.r_s[0]) == 1.0
+        assert nf.dumps() == "rate = 0.0 1.0\n"
+
     def test_to_rate_table_matches_conversion(self):
         nf = loads(GAINS_TEXT)
         rt = nf.to_rate_table()

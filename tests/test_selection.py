@@ -32,6 +32,14 @@ from diamondnet.selection import SUBSET_ENUMERATION_LIMIT
 from diamondnet.verify import trial_seed
 
 
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+# tied and zero rates beside continuous ones
+TIED_RATES = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 64.0))
+
+
 def enum_omega_of_subset(rt, members):
     """Independent oracle: min cut of the subnetwork by direct enumeration."""
     members = tuple(members)
@@ -214,6 +222,21 @@ class TestSelect:
                 assert sel.comparisons <= 2 * n * k - (k - 1) * k // 2 + 2 * n
                 # the reported subnetwork value must be the true min cut
                 assert sel.omega_gamma == enum_omega_of_subset(rt, sel.gamma)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(TIED_RATES, TIED_RATES), min_size=1, max_size=10),
+        st.data(),
+    )
+    def test_property_guarantee_and_budget(self, rates, data):
+        rt = RateTable(*zip(*rates))
+        n = rt.n
+        k = data.draw(st.integers(1, n), label="k")
+        omega = omega_fast(rt).value
+        sel = select(rt, k, omega)
+        assert sel.omega_gamma >= (k / (k + 1)) * omega - 1e-9
+        assert verify_selection(rt, sel, k, omega)
+        assert sel.comparisons <= 2 * n * k - (k - 1) * k // 2 + 2 * n
 
     def test_certificate_shape_sweep(self):
         hit_rounds = 0
@@ -431,7 +454,7 @@ def assert_table_matches_bruteforce(rt):
     table = omega_k_table(rt)
     assert len(table) == rt.n
     for k in range(1, rt.n + 1):
-        assert table[k - 1] == omega_k_bruteforce(rt, k)[0], k
+        assert same_bits(table[k - 1], omega_k_bruteforce(rt, k)[0]), k
 
 
 class TestOmegaKTable:
@@ -461,8 +484,7 @@ class TestOmegaKTable:
         assert_table_matches_bruteforce(RateTable([0.0, 2.0, 0.0], [1.0, 0.0, 0.0]))
 
     def test_signed_zero_tables(self):
-        # equal under ==, while a zero entry's sign may differ from the
-        # brute force's: on this table k = 1 gives -0.0 there and 0.0 here
+        # RateTable stores -0.0 as 0.0, so every zero entry is 0.0 on both sides
         r_s = [-0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert_table_matches_bruteforce(RateTable(r_s, [0.0] + [-0.0] * 7))
         rng = np.random.default_rng(277)
@@ -471,7 +493,7 @@ class TestOmegaKTable:
             assert_table_matches_bruteforce(RateTable(zeros[0], zeros[1]))
 
     def test_staircase(self):
-        for k in range(1, 9):
+        for k in (*range(1, 9), 50, 300):
             table = omega_k_table(tight_config(k, 1.0))
             assert table[k - 1] == float(k)
             assert table[k] == float(k + 1)
@@ -491,11 +513,22 @@ class TestOmegaKTable:
         r_s, r_d = zip(*rates)
         assert_table_matches_bruteforce(RateTable(r_s, r_d))
 
+    def test_large_table_keeps_the_subnetwork_bounds(self):
+        rng = np.random.default_rng(293)
+        rt = RateTable(rng.exponential(size=1000), rng.exponential(size=1000))
+        table = np.array(omega_k_table(rt))
+        omega = omega_fast(rt).value
+        assert same_bits(table[-1], omega)
+        assert (np.diff(table) >= 0.0).all()
+        k = np.arange(1, 1001)
+        assert (table >= k / (k + 1) * omega).all()
+
     def test_guards(self):
-        n = SUBSET_ENUMERATION_LIMIT.bit_length()  # the first n with 2**n > limit
-        assert len(omega_k_table(RateTable(np.ones(n - 1), np.ones(n - 1)))) == n - 1
-        with pytest.raises(SizeLimitError, match="enumeration limit"):
-            omega_k_table(RateTable(np.ones(n), np.ones(n)))
+        n = math.isqrt(SUBSET_ENUMERATION_LIMIT)  # the last n with n**2 <= limit
+        assert n == 1000
+        assert len(omega_k_table(RateTable(np.ones(n), np.ones(n)))) == n
+        with pytest.raises(SizeLimitError, match="1001\\*\\*2 relay pairs"):
+            omega_k_table(RateTable(np.ones(n + 1), np.ones(n + 1)))
         with pytest.raises(ValidationError, match="must be a RateTable"):
             omega_k_table(([1.0], [1.0]))
 
