@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 from .model import Network, RateTable, _ArrayValue, _check_range, _float_array
-from .model import _to_int, rate_table
+from .model import _require, _to_int, rate_table
 
 
 class AfCoefficients(_ArrayValue):
@@ -87,13 +87,14 @@ def _coerce_alpha(alpha, n: int) -> np.ndarray:
 
 def af_rate(net: Network, alpha) -> float:
     """Amplify-and-forward rate of ``net`` under the given coefficients."""
-    a = _coerce_alpha(alpha, net.n)
+    a = _coerce_alpha(alpha, _require("net", net, Network).n)
     w, v = _af_weights(net)
     return float(kernels.af_rate_batch(w, v, net.snr, a[None, :])[0])
 
 
 def af_rate_batch(net: Network, alphas) -> np.ndarray:
     """Amplify-and-forward rate for each row of ``alphas`` (shape (m, n))."""
+    _require("net", net, Network)
     alphas = _float_array("alphas", alphas, flat=False)
     if alphas.ndim != 2 or alphas.shape[1] != net.n:
         raise ValidationError(f"alphas must have shape (m, {net.n})")
@@ -108,6 +109,7 @@ def af_upper_bound(rt: RateTable) -> tuple[float, float]:
     c1 is the rate of routing over the best single relay; amplify-and-forward
     with all n relays can only add the 2*log2(n) beamforming gain on top.
     """
+    _require("rt", rt, RateTable)
     c1 = float(np.minimum(rt.r_s, rt.r_d).max())
     return c1 + 2.0 * math.log2(rt.n), c1
 
@@ -185,7 +187,7 @@ def af_optimize(net: Network) -> AfReport:
     returned, so the result never drops below that start and never exceeds
     ``af_upper_bound``.
     """
-    w, v = _af_weights(net)
+    w, v = _af_weights(_require("net", net, Network))
     gs, gd = net.gain_arrays()
     start = np.where((gs > 0.0) & (gd > 0.0), 1.0, 0.0)
     alphas = np.stack((start, _kkt_alpha(w, v)))
@@ -206,8 +208,8 @@ def af_grid_search(net: Network, points: int = 21) -> tuple[float, np.ndarray]:
     Exhaustive desk-scale oracle for ``af_optimize``; cost points**n, so
     keep n small. Returns (rate, alpha).
     """
+    n = _require("net", net, Network).n
     points = _to_int("points", points, minimum=2)
-    n = net.n
     w, v = _af_weights(net)
     levels = np.linspace(0.0, 1.0, points)
     inner = min(n, 4)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import SizeLimitError, ValidationError
-from .model import RateTable, _linear_snrs, _to_int
+from .model import RateTable, _linear_snrs, _require, _to_int
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -94,8 +94,8 @@ def cut_value(rt: RateTable, cut: Cut) -> float:
     broadcast cut (value max r_s) and the full cut the pure multiple-access
     cut (value max r_d).
     """
-    n = rt.n
-    members = cut.members
+    n = _require("rt", rt, RateTable).n
+    members = _require("cut", cut, Cut).members
     if members and max(members) > n:
         raise ValidationError(f"cut member out of range for n={n}")
     if not members:
@@ -133,7 +133,7 @@ def omega_bruteforce(rt: RateTable) -> OmegaResult:
     The cuts are scanned in tiles, in O(n * 2**14) working memory rather
     than whole 2**n tables; guarded at n <= 24.
     """
-    n = rt.n
+    n = _require("rt", rt, RateTable).n
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
             f"brute force over 2**{n} cuts refused (limit n <= {BRUTE_FORCE_LIMIT})"
@@ -155,7 +155,7 @@ def omega_fast(rt: RateTable) -> OmegaResult:
     side, so only suffix cuts need evaluation. Bit-identical to
     ``omega_bruteforce`` including the argmin cut.
     """
-    order = rt.r_s.argsort(kind="stable")
+    order = _require("rt", rt, RateTable).r_s.argsort(kind="stable")
     value, m_best = kernels.omega_sorted_scan(rt.r_s[order], rt.r_d[order])
     return OmegaResult(
         value=float(value),
@@ -173,7 +173,7 @@ def sandwich(rt: RateTable) -> SandwichReport:
     brute force over cuts, scanned in tiles in O(n * 2**14) working memory
     rather than whole 2**n tables, and guarded at n <= 24.
     """
-    n = rt.n
+    n = _require("rt", rt, RateTable).n
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
             f"brute force over 2**{n} cuts refused (limit n <= {BRUTE_FORCE_LIMIT})"

@@ -24,7 +24,8 @@ Scalar arguments follow one rule everywhere in the package, enforced by
 ``_to_int`` and ``_to_float``: an integer (n, k, a seed, a relay index) is a
 Python or numpy integer, never a ``bool`` or a float; a rate or an SNR is a
 finite real number. A violation raises ``ValidationError`` naming the
-argument.
+argument. A table, network or selection argument of another type does the
+same, through ``_require``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,16 @@ def _to_int(name, value, minimum=None) -> int:
     kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
     kind = kind.get(minimum, f"an integer >= {minimum}")
     raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def _require(name, value, kind):
+    """``value`` itself if it is a ``kind``; the one type check of the table,
+    network and selection arguments."""
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{name} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
 def _float_array(name, values, flat=True) -> np.ndarray:
@@ -222,7 +233,7 @@ class RateTable(_ArrayValue):
 
 def rate_table(net: Network) -> RateTable:
     """Point-to-point rates of every relay in ``net``."""
-    gs, gd = net.gain_arrays()
+    gs, gd = _require("net", net, Network).gain_arrays()
     r_s = np.log1p(net.snr * gs * gs) / _LN2
     r_d = np.log1p(net.snr * gd * gd) / _LN2
     return RateTable(r_s, r_d)
@@ -246,7 +257,7 @@ def network_from(rt: RateTable, snr: float) -> Network:
     through ``rate_table`` within 1e-12 relative error.
     """
     snr = _to_float("snr", snr, "positive")
-    ts2, td2 = _linear_snrs(rt)
+    ts2, td2 = _linear_snrs(_require("rt", rt, RateTable))
     # division is monotone, so only the largest quotient can overflow
     if float(max(ts2.max(), td2.max())) / snr == math.inf:
         raise ValidationError(

@@ -19,17 +19,27 @@ rates form (combinatorial description)::
 error, not an override. Relays are 1-based in all input/output and keep
 file order. Numbers are serialized with ``repr`` so a written file parses
 back to identical floats.
+
+The text is parsed in blocks of whole lines, about 32 KiB each. A block
+that holds nothing but canonical ``relay = a b`` or ``rate = a b`` lines
+of one key, as ``dumps`` writes them (single spaces, each line ending in
+a newline, no comment), is checked and converted by a few C-level string
+and ``float`` calls over the whole block. Any other block, and any block
+with a bad number, goes through the line-by-line parser, which reads every
+layout above. Both run ``float`` on the same number strings, so the values and
+every error message, line number included, are the same either way.
 """
 
 from __future__ import annotations
 
+import os
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import Network, RateTable, _to_float, network_from, rate_table
+from .model import Network, RateTable, _require, _to_float, network_from, rate_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,10 +62,8 @@ class NetworkFile:
             )
         for name, kind in (("network", Network), ("rates", RateTable)):
             payload = getattr(self, name)
-            if payload is not None and not isinstance(payload, kind):
-                raise ValidationError(
-                    f"{name} must be a {kind.__name__}, got {type(payload).__name__}"
-                )
+            if payload is not None:
+                _require(name, payload, kind)
         if self.snr is not None:
             if self.network is not None:
                 raise ValidationError(
@@ -120,21 +128,31 @@ class NetworkFile:
 # lines formatted into one string at a time by ``dumps``
 _BLOCK = 1 << 16
 
-# characters of text read and split into lines at a time, so that only one
-# block's text and line strings are alive at once. Blocks stay below glibc's
-# default 128 KiB mmap threshold: freeing 1 MiB blocks raised its dynamic
-# threshold, so that later multi-megabyte arrays were placed on the heap and
-# kept, which cost the scale benchmark 21 MB of peak RSS.
-_CHUNK = 1 << 16
+# characters of text read and split into lines or tokens at a time, so that
+# only one block's text and strings are alive at once. A block and every
+# list, tuple and string made from it stay below glibc's default 128 KiB
+# mmap threshold: freeing 1 MiB blocks raised its dynamic threshold, so that
+# later multi-megabyte arrays were placed on the heap and kept, which cost
+# the scale benchmark 21 MB of peak RSS. At 32 KiB even a block of the
+# shortest pair lines, 'rate = 0 0', splits into a token list of 96 KB.
+_CHUNK = 1 << 15
+
+# the keys of the per-relay number pairs, one buffer each
+_PAIR_KEYS = ("relay", "rate")
 
 
 def loads(text: str) -> NetworkFile:
     """Parse the text form of a network file."""
-    return _parse(_text_blocks(text))
+    return _parse(_text_blocks(_require("text", text, str)))
 
 
 def load(path) -> NetworkFile:
     """Read and parse a network file, one block of lines at a time."""
+    if not isinstance(path, (str, os.PathLike)):
+        # an int would be taken for a file descriptor, bytes for a raw path
+        raise ValidationError(
+            f"path must be a str or os.PathLike, got {type(path).__name__}"
+        )
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # each block ends at a line break (or the end of the file), so no
@@ -156,16 +174,49 @@ def _text_blocks(text):
         start = end
 
 
+def _canonical_pairs(block):
+    """``(key, numbers, lines)`` if ``block`` is nothing but ``lines``
+    canonical ``key = a b`` lines of one key, each ending in a newline, and
+    every number parses; None otherwise. ``numbers`` holds the pairs
+    interleaved, as ``_parse`` buffers them.
+    """
+    if "#" in block:
+        return None
+    tokens = block.split()
+    if not tokens or len(tokens) % 4 or tokens[0] not in _PAIR_KEYS:
+        return None
+    key, lines = tokens[0], len(tokens) // 4
+    del tokens[0::4]  # the keys
+    del tokens[0::3]  # the '='s, leaving a b a b ...
+    # the block must be exactly its lines rebuilt in the canonical layout:
+    # this rejects another key or separator, other whitespace, a line broken
+    # elsewhere and a missing final '\n', which a token count lets through
+    if (f"{key} = %s %s\n" * lines) % tuple(tokens) != block:
+        return None
+    try:
+        # a fresh array, so a bad number leaves the caller's buffer as it was
+        return key, array("d", map(float, tokens)), lines
+    except ValueError:
+        return None
+
+
 def _parse(blocks) -> NetworkFile:
     """Parse a network file given as consecutive blocks of whole lines.
 
     Each ``relay`` / ``rate`` pair goes straight into a float64 buffer, so
-    no per-relay object outlives its line.
+    no per-relay object outlives its block. A block of canonical pair lines
+    is taken whole by ``_canonical_pairs``; any other block, line by line.
     """
     header = {}  # the 'label' and 'snr' values
-    buffers = {"relay": array("d"), "rate": array("d")}  # pairs interleaved
+    buffers = {key: array("d") for key in _PAIR_KEYS}  # pairs interleaved
     lineno = 0
     for block in blocks:
+        bulk = _canonical_pairs(block)
+        if bulk is not None:
+            key, numbers, lines = bulk
+            buffers[key].extend(numbers)
+            lineno += lines
+            continue
         for raw in block.splitlines():
             lineno += 1
             parts = raw.split()

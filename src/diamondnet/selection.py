@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .cuts import BRUTE_FORCE_LIMIT, gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
-from .model import RateTable, _to_float, _to_int
+from .model import RateTable, _require, _to_float, _to_int
 
 SUBSET_ENUMERATION_LIMIT = 10**6
 
@@ -116,9 +116,9 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
 
     Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
     """
+    n = _require("rt", rt, RateTable).n
     k = _to_int("k", k, minimum=1)
     omega = _to_float("omega", omega, "nonnegative")
-    n = rt.n
     r_s = rt.r_s
     r_d = rt.r_d
     comparisons = 0
@@ -225,8 +225,9 @@ def verify_selection(
     validated with ``rt``, so no new ``RateTable`` is built. The relay
     indices must be distinct integers in 1..n.
     """
+    _require("rt", rt, RateTable)
+    gamma = _require("sel", sel, SelectionResult).gamma
     k = _to_int("k", k, minimum=1)
-    gamma = sel.gamma
     if not gamma:
         raise ValidationError("selection has an empty relay set")
     if len(gamma) > BRUTE_FORCE_LIMIT:
@@ -249,8 +250,8 @@ def omega_k_bruteforce(rt: RateTable, k: int) -> tuple[float, tuple[int, ...]]:
     Ties resolve to the lexicographically smallest subset. Guarded at
     C(n, k) <= 10**6 enumerated subsets.
     """
+    n = _require("rt", rt, RateTable).n
     k = _to_int("k", k, minimum=1)
-    n = rt.n
     if k > n:
         raise ValidationError(f"k={k} exceeds the number of relays n={n}")
     count = math.comb(n, k)
@@ -276,9 +277,7 @@ def omega_k_table(rt: RateTable) -> tuple[float, ...]:
     come from one chain recurrence (``kernels.best_chains``) in O(rounds *
     n**2) time, rounds <= n. Guarded at n**2 <= 10**6 relay pairs (n <= 1000).
     """
-    if not isinstance(rt, RateTable):
-        raise ValidationError(f"rt must be a RateTable, got {type(rt).__name__}")
-    n = rt.n
+    n = _require("rt", rt, RateTable).n
     if n * n > SUBSET_ENUMERATION_LIMIT:
         raise SizeLimitError(
             f"{n}**2 relay pairs exceeds the enumeration limit "

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+import diamondnet as dn
 from diamondnet import (
     AfCoefficients,
     Cut,
@@ -435,12 +436,58 @@ BAD_ARGUMENTS = [
     ),
 ]
 
+RT = RateTable([1.0, 2.0], [2.0, 1.0])
+NET = Network(2.0, [1.0, 0.5], [0.5, 1.0])
+
+# a table, network or selection argument of another type
+WRONG_TYPES = [
+    (lambda: dn.omega_fast([[1, 2]]), "rt must be a RateTable, got list"),
+    (lambda: dn.omega_fast(NET), "rt must be a RateTable, got Network"),
+    (lambda: dn.omega_bruteforce(None), "rt must be a RateTable, got NoneType"),
+    (lambda: dn.sandwich((1.0, 2.0)), "rt must be a RateTable, got tuple"),
+    (lambda: dn.cut_value("x", Cut([1])), "rt must be a RateTable, got str"),
+    (lambda: dn.cut_value(RT, [1]), "cut must be a Cut, got list"),
+    (lambda: dn.select(NET, 1, 1.0), "rt must be a RateTable, got Network"),
+    (lambda: dn.omega_k_bruteforce({}, 1), "rt must be a RateTable, got dict"),
+    (lambda: dn.omega_k_table(NET), "rt must be a RateTable, got Network"),
+    (lambda: dn.omega_k_ratio(None, 1), "rt must be a RateTable, got NoneType"),
+    (
+        lambda: dn.verify_selection(RT, "x", 1, 1.0),
+        "sel must be a SelectionResult, got str",
+    ),
+    (
+        lambda: dn.verify_selection(NET, dn.select(RT, 1, 1.0), 1, 1.0),
+        "rt must be a RateTable, got Network",
+    ),
+    (lambda: dn.network_from(NET, 2.0), "rt must be a RateTable, got Network"),
+    (lambda: dn.rate_table(RT), "net must be a Network, got RateTable"),
+    (lambda: dn.af_optimize(RT), "net must be a Network, got RateTable"),
+    (lambda: dn.af_rate(RT, [1.0, 1.0]), "net must be a Network, got RateTable"),
+    (
+        lambda: dn.af_rate_batch(RT, [[1.0, 1.0]]),
+        "net must be a Network, got RateTable",
+    ),
+    (lambda: dn.af_grid_search(RT), "net must be a Network, got RateTable"),
+    (lambda: dn.af_upper_bound(NET), "rt must be a RateTable, got Network"),
+    (lambda: dn.loads(b"rate = 1 2\n"), "text must be a str, got bytes"),
+    (lambda: dn.loads(None), "text must be a str, got NoneType"),
+    (lambda: dn.loads(123), "text must be a str, got int"),
+    (lambda: dn.load(0), "path must be a str or os.PathLike, got int"),
+    (lambda: dn.load(b"net.txt"), "path must be a str or os.PathLike, got bytes"),
+]
+
 
 class TestArgumentRules:
     """Integers are Python or numpy ints, never bool; rates and SNRs are finite."""
 
     @pytest.mark.parametrize("call,message", BAD_ARGUMENTS)
     def test_bad_argument_raises_validation_error(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("call,message", WRONG_TYPES)
+    def test_argument_of_the_wrong_type_raises_validation_error(self, call, message):
         with pytest.raises(ValidationError) as exc:
             call()
         assert str(exc.value) == message

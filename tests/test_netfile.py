@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamondnet import netfile
 from diamondnet import (
     Network,
     NetworkFile,
@@ -314,3 +315,178 @@ class TestLoad:
             tracemalloc.stop()
         assert nf.n == 2 * 10**5
         assert peak < 1.5 * path.stat().st_size
+
+
+def reference_parse(text):
+    """A line-by-line parser written from the ``netfile`` module docstring:
+    the same results, and the same messages, as ``loads`` should give."""
+    header, pairs = {}, {"relay": [], "rate": []}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValidationError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = key.strip().lower(), value.strip()
+        if key in ("label", "snr"):
+            if key == "snr":
+                try:
+                    value = float(value)
+                except ValueError as exc:
+                    raise ValidationError(f"line {lineno}: {exc}") from None
+            if key in header:
+                raise ValidationError(f"line {lineno}: duplicate {key!r}")
+            header[key] = value
+        elif key in pairs:
+            numbers = value.split()
+            if len(numbers) != 2:
+                raise ValidationError(
+                    f"line {lineno}: expected two numbers after '{key} =', got {value!r}"
+                )
+            try:
+                pairs[key].append([float(x) for x in numbers])
+            except ValueError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
+        else:
+            raise ValidationError(f"line {lineno}: unknown key {key!r}")
+    label, snr = header.get("label"), header.get("snr")
+    if pairs["relay"] and pairs["rate"]:
+        raise ValidationError("file mixes 'relay' and 'rate' lines; pick one shape")
+    if pairs["relay"]:
+        if snr is None:
+            raise ValidationError("gains form requires an 'snr = ...' line")
+        gs, gd = zip(*pairs["relay"])
+        return NetworkFile(network=Network(snr, gs, gd), label=label)
+    if pairs["rate"]:
+        r_s, r_d = zip(*pairs["rate"])
+        return NetworkFile(rates=RateTable(r_s, r_d), snr=snr, label=label)
+    raise ValidationError("file holds neither 'relay' nor 'rate' lines")
+
+
+def outcome(parse, text):
+    """The float64 bit patterns and label ``parse`` reads from ``text``, or
+    its ``ValidationError`` message."""
+    try:
+        nf = parse(text)
+    except ValidationError as exc:
+        return "error", str(exc)
+    if nf.network is not None:
+        snr, (a, b) = nf.network.snr, nf.network.gain_arrays()
+    else:
+        snr, a, b = nf.snr, nf.rates.r_s, nf.rates.r_d
+    return nf.label, snr, a.tobytes(), b.tobytes()
+
+
+NUMBERS = st.sampled_from(
+    ["0", "1", "2.5", "0.125", "1e-3", "7.62939453125e-06", "-0.0", "3", "1_0"]
+)
+# line breaks other than '\n' that str.splitlines honours; only '\n' ends a
+# parse block
+BREAKS = st.sampled_from(["\r\n", "\r", "\x0c", "\x1c", "\u2028", "\x85", ""])
+
+
+@st.composite
+def network_texts(draw):
+    """Texts of canonical pair lines of one key, with a few lines or line
+    breaks swapped for other layouts the line parser reads or rejects."""
+    key = draw(st.sampled_from(["relay", "rate"]))
+    canonical = st.builds(lambda a, b: f"{key} = {a} {b}", NUMBERS, NUMBERS)
+    odd = st.sampled_from([
+        "", "# note", f"{key} = 1 2  # note", f"{key}\t=\t1\t2", f" {key} = 1 2",
+        f"{key} =  1 2", f"{key} = 1 2 ", f"{key.upper()} = 1 2", f"{key}=1 2",
+        f"{key} = 1", f"{key} = 1 2 3", f"{key} = 1\n2 {key} = 3 4",
+        f"{key} = 1 2 3 4 5", "relay = 1 2", "rate = 1 2", "snr = 2.0",
+        "label = x", "zzz = 1", "junk", f"{key} = 1 q", f"{key} = 1e 2",
+        f"{key} = 0x1 2", f"{key} = nan 1", f"{key} = inf 1", f"{key} = -1 2",
+        f"{key} = 1e200 1", f"{key} = 1 2#x",
+    ])
+    header = draw(st.sampled_from([[], ["snr = 2.0"], ["label = t", "snr = 0.5"]]))
+    lines = header + draw(st.lists(canonical, max_size=40))
+    breaks = ["\n"] * len(lines)
+    tweaks = st.tuples(st.integers(0, 45), st.booleans(), odd, BREAKS)
+    for i, new_line, line, end in draw(st.lists(tweaks, max_size=4)):
+        i = min(i, len(lines))
+        if new_line or i == len(lines):
+            lines.insert(i, line)
+            breaks.insert(i, "\n")
+        else:
+            breaks[i] = end
+    if lines and draw(st.booleans()):
+        breaks[-1] = ""  # no final line break
+    return "".join(line + end for line, end in zip(lines, breaks))
+
+
+class TestBulkParse:
+    """Blocks of canonical pair lines are parsed in bulk, any other line by line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=network_texts())
+    def test_loads_matches_a_line_by_line_reference(self, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netfile, "_CHUNK", 64)  # many blocks per text
+            assert outcome(loads, text) == outcome(reference_parse, text)
+
+    def test_canonical_block_is_taken_whole(self):
+        key, numbers, lines = netfile._canonical_pairs(
+            "rate = 1.5 2\nrate = -0.0 1e-3\nrate = inf 7\n"
+        )
+        assert (key, lines) == ("rate", 3)
+        assert numbers.tobytes() == np.array([1.5, 2, -0.0, 1e-3, math.inf, 7]).tobytes()
+        key, numbers, lines = netfile._canonical_pairs("relay = 1 2\n")
+        assert (key, numbers.tolist(), lines) == ("relay", [1.0, 2.0], 1)
+
+    @pytest.mark.parametrize("block", [
+        "",
+        "rate = 1\n2 rate = 3 4\n",
+        "rate = 1 2\nrate = 3 4",
+        "rate\t= 1 2\n",
+        "rate = 1 2\r\n",
+        "rate = 1 2\rrate = 3 4\n",
+        "rate = 1 2\x0crate = 3 4\n",
+        "rate = 1 2\x1crate = 3 4\n",
+        "rate = 1 2\u2028rate = 3 4\n",
+        "RATE = 1 2\n",
+        "rate = 1 2\nrelay = 3 4\n",
+        "rate = 1 2 # note\n",
+        "rate = 1 2#note\n",
+        "rate  = 1 2\n",
+        " rate = 1 2\n",
+        "rate = 1 2 \n",
+        "rate = 1 2\n\n",
+        "rate = 1 q\n",
+        "snr = 1 2\n",
+        "rate = = 1\n",
+    ])
+    def test_odd_layouts_are_left_to_the_line_parser(self, block):
+        assert netfile._canonical_pairs(block) is None
+
+    def test_comment_glued_to_a_number_reads_as_a_comment(self, monkeypatch):
+        # a canonical-looking block whose last number fails float()
+        monkeypatch.setattr(netfile, "_CHUNK", 16)
+        text = "rate = 1 2\nrate = 3 4#x\nrate = 5 6\n" * 3
+        assert loads(text).rates.r_d.tolist() == [2.0, 4.0, 6.0] * 3
+        assert outcome(loads, text) == outcome(reference_parse, text)
+
+    def test_bad_number_several_blocks_in_keeps_its_line(self, tmp_path, big_lines):
+        lines = list(big_lines)
+        lines[50000] = "relay = 1 q"
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == "line 50001: could not convert string to float: 'q'"
+
+    def test_pair_keys_in_different_blocks_still_mix(self, tmp_path, big_lines):
+        lines = big_lines + [line.replace("relay", "rate") for line in big_lines[2:]]
+        path = tmp_path / "mixed.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == "file mixes 'relay' and 'rate' lines; pick one shape"
+
+    def test_bulk_and_line_parsers_give_the_same_bits(self, big_lines):
+        text = "\n".join(big_lines) + "\n"
+        # a comment in every block sends the whole file through the line loop
+        commented = text.replace("\n", "\n# c\n")
+        assert outcome(loads, text) == outcome(loads, commented)
