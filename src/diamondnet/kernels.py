@@ -120,8 +120,7 @@ def omega_sorted_scan(s_sorted, d_sorted):
     suff = np.maximum.accumulate(d_sorted[::-1])[::-1]
     cand = np.empty(n + 1)
     cand[0] = suff[0]
-    if n > 1:
-        cand[1:n] = suff[1:] + s_sorted[: n - 1]
+    cand[1:n] = suff[1:] + s_sorted[: n - 1]
     cand[n] = s_sorted[n - 1]
     m_best = n - int(cand[::-1].argmin())
     return float(cand[m_best]), m_best

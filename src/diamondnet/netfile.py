@@ -20,14 +20,15 @@ error, not an override. Relays are 1-based in all input/output and keep
 file order. Numbers are serialized with ``repr`` so a written file parses
 back to identical floats.
 
-The text is parsed in blocks of whole lines, about 32 KiB each. A block
-that holds nothing but canonical ``relay = a b`` or ``rate = a b`` lines
-of one key, as ``dumps`` writes them (single spaces, each line ending in
-a newline, no comment), is checked and converted by a few C-level string
-and ``float`` calls over the whole block. Any other block, and any block
-with a bad number, goes through the line-by-line parser, which reads every
-layout above. Both run ``float`` on the same number strings, so the values and
-every error message, line number included, are the same either way.
+The text is parsed in blocks of whole lines, about 32 KiB each, by one of
+two paths. The bulk path, ``_canonical_pairs``, takes a block of nothing
+but canonical ``relay = a b`` or ``rate = a b`` lines of one key, as
+``dumps`` writes them (single spaces, each line ending in a newline, no
+comment), with a few C-level string and ``float`` calls over the whole
+block. The line parser in ``_parse`` reads every layout above and takes
+any other block (the first, with its header lines, say) and any block with
+a bad number. Both run ``float`` on the same number strings, so the values
+and every error message, line number included, are the same either way.
 """
 
 from __future__ import annotations
@@ -219,45 +220,35 @@ def _parse(blocks) -> NetworkFile:
             continue
         for raw in block.splitlines():
             lineno += 1
-            parts = raw.split()
-            if (
-                len(parts) == 4
-                and parts[1] == "="
-                and parts[0] in buffers
-                and "#" not in raw
-            ):
-                # the canonical 'relay = a b' / 'rate = a b' line
-                key, numbers = parts[0], parts[2:]
-            else:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, eq, value = line.partition("=")
-                if not eq:
-                    raise ValidationError(
-                        f"line {lineno}: expected 'key = value', got {raw!r}"
-                    )
-                key = key.strip().lower()
-                value = value.strip()
-                if key == "snr":
-                    try:
-                        value = float(value)
-                    except ValueError as exc:
-                        raise ValidationError(f"line {lineno}: {exc}") from None
-                if key in ("label", "snr"):
-                    if key in header:
-                        # keeping either line would silently give another network
-                        raise ValidationError(f"line {lineno}: duplicate {key!r}")
-                    header[key] = value
-                    continue
-                if key not in buffers:
-                    raise ValidationError(f"line {lineno}: unknown key {key!r}")
-                numbers = value.split()
-                if len(numbers) != 2:
-                    raise ValidationError(
-                        f"line {lineno}: expected two numbers after '{key} =', "
-                        f"got {value!r}"
-                    )
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValidationError(
+                    f"line {lineno}: expected 'key = value', got {raw!r}"
+                )
+            key = key.strip().lower()
+            value = value.strip()
+            if key == "snr":
+                try:
+                    value = float(value)
+                except ValueError as exc:
+                    raise ValidationError(f"line {lineno}: {exc}") from None
+            if key in ("label", "snr"):
+                if key in header:
+                    # keeping either line would silently give another network
+                    raise ValidationError(f"line {lineno}: duplicate {key!r}")
+                header[key] = value
+                continue
+            if key not in buffers:
+                raise ValidationError(f"line {lineno}: unknown key {key!r}")
+            numbers = value.split()
+            if len(numbers) != 2:
+                raise ValidationError(
+                    f"line {lineno}: expected two numbers after '{key} =', "
+                    f"got {value!r}"
+                )
             try:
                 buffers[key].extend(map(float, numbers))
             except ValueError as exc:

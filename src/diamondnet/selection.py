@@ -110,9 +110,16 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
 
     Edge cases: when k >= n the iteration is skipped and all relays with a
     nonzero min-rate are returned (all relays when none qualify); when
-    omega <= 0 the guarantee is vacuous and relay 1 is returned alone. An
-    ``omega`` inconsistent with ``rt`` (too large, say) raises
-    ``ValidationError``.
+    omega <= 0 the guarantee is vacuous and relay 1 is returned alone.
+
+    Termination: the thresholds never decrease, in float arithmetic too.
+    The anchor's bin a is at most k-1, as its r_d >= tau_1. A round relay
+    that does not end the selection has tau_{a_prev+1} <= r_s < tau_a, so
+    the round bins rise strictly below a, and round a ends the selection
+    at the latest. So for any finite omega >= 0 only an ``omega``
+    inconsistent with ``rt`` (too large, say) fails, with one of two
+    ``ValidationError``s: no anchor relay clears the top threshold, or no
+    relay qualifies at a round.
 
     Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
     """
@@ -133,7 +140,10 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
     if omega <= 0.0:
         return _selection(rt, (1,), None, comparisons)
 
-    tau = [j * omega / (k + 1) for j in range(k + 1)]
+    # tau_j = j*omega/(k+1) at an exact power-of-two scale, so that j*omega
+    # cannot overflow and each tau_j keeps its bits wherever j*omega is finite
+    scale = 2.0**-64 if omega > 1.0 else 1.0
+    tau = [j * (omega * scale) / (k + 1) / scale for j in range(k + 1)]
 
     # Each scan below takes the first relay in index order that passes both
     # tests. It is charged as the scalar loop would be: one comparison per
@@ -158,22 +168,17 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
         )
 
     # bin the anchor's destination rate: tau_{k-a} <= r_d[p] < tau_{k-a+1}
-    a = -1
-    for cand_a in range(1, k):
+    for a in range(1, k):
         comparisons += 1
-        if r_d[p] >= tau[k - cand_a]:
-            a = cand_a
+        if r_d[p] >= tau[k - a]:
             break
-    if a < 0:
-        raise ValidationError("anchor bin not found; omega is inconsistent")
 
     free = np.ones(n, dtype=bool)
     free[p] = False
     collected: list[int] = []
     bins = [0]
     a_prev = 0
-    terminal = False
-    for _round in range(k - 1):
+    while True:
         # first free relay with r_s >= tau_{a_prev+1} and r_d >= tau_{k-a_prev}
         cand_s = free & (r_s >= tau[a_prev + 1])
         hit = cand_s & (r_d >= tau[k - a_prev])
@@ -190,24 +195,14 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
         collected.append(y + 1)
         comparisons += 1
         if r_s[y] >= tau[a]:
-            terminal = True
             break
         # bin the new relay's source rate: tau_{a_r} <= r_s[y] < tau_{a_r+1}
-        a_r = -1
-        for cand in range(a_prev + 1, a):
+        for a_r in range(a_prev + 1, a):
             comparisons += 1
-            if r_s[y] < tau[cand + 1]:
-                a_r = cand
+            if r_s[y] < tau[a_r + 1]:
                 break
-        if a_r < 0:
-            raise ValidationError("round bin not found; omega is inconsistent")
         bins.append(a_r)
         a_prev = a_r
-    if not terminal:
-        raise ValidationError(
-            "selection failed to terminate within k-1 rounds; omega is "
-            "inconsistent with the rate table"
-        )
 
     gamma = tuple(sorted(collected + [p + 1]))
     return _selection(

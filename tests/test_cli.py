@@ -136,6 +136,16 @@ class TestSelectCommand:
         assert code == 0
         assert "gamma = {1, 2, 3}" in out
 
+    def test_staircase_at_huge_rates(self, capsys, tmp_path):
+        # 2 * omega overflows here; the thresholds must not
+        path = tmp_path / "huge.txt"
+        assert main(["tight", "2", "5e307", "-o", str(path)]) == 0
+        code, out, _ = run_cli(capsys, "select", str(path), "2", "--format", "machine")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["gamma"] == [2]
+        assert payload["omega_gamma"] == 1e308
+
 
 class TestBoundsCommand:
     def test_two_stage_symmetric_instance(self, capsys, tmp_path):

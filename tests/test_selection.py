@@ -117,6 +117,15 @@ def scalar_select(rt, k, omega):
     raise ValidationError("no termination")
 
 
+# the only errors ``select`` raises for a valid table, k and omega
+SELECT_ERRORS = (
+    "no anchor relay clears the top threshold; omega is inconsistent "
+    "with the rate table",
+    "no qualifying relay at a selection round; omega is inconsistent "
+    "with the rate table",
+)
+
+
 def random_rt(i, master, nmin=2, nmax=10):
     s = trial_seed(master, i)
     rng = np.random.default_rng(s)
@@ -124,6 +133,41 @@ def random_rt(i, master, nmin=2, nmax=10):
     dist = "rayleigh" if i % 2 == 0 else "loguniform"
     snr = float(np.exp(rng.uniform(math.log(0.25), math.log(64.0))))
     return rate_table(random_network(n, snr, s, dist))
+
+
+def check_any_omega(rt, k, omega):
+    """Check ``select`` at a caller omega, consistent with ``rt`` or not.
+
+    It must raise one of ``SELECT_ERRORS`` or return a result with a
+    well-formed certificate, as the relay-by-relay scans do. Returns the
+    error message, or the certificate's shape: "none", "alone" or "bins<l>".
+    """
+    n = rt.n
+    try:
+        sel = select(rt, k, omega)
+    except ValidationError as exc:
+        assert str(exc) in SELECT_ERRORS
+        # the scalar scans fail at the same step
+        oracle = "no anchor" if str(exc) == SELECT_ERRORS[0] else "no qualifying relay"
+        with pytest.raises(ValidationError, match=f"^{oracle}$"):
+            scalar_select(rt, k, omega)
+        return str(exc)
+    assert 1 <= len(sel.gamma) <= k
+    assert sel.comparisons <= 2 * n * k - (k - 1) * k // 2 + 2 * n
+    cert = sel.certificate
+    if k >= n or omega == 0.0:
+        assert cert is None
+        return "none"
+    gamma, scalar_cert, comparisons = scalar_select(rt, k, omega)
+    assert (sel.gamma, sel.comparisons) == (gamma, comparisons)
+    assert (cert.anchor_bin, cert.bins) == scalar_cert
+    if cert.anchor_bin is None:
+        assert cert.bins == () and len(sel.gamma) == 1
+        return "alone"
+    assert cert.bins[0] == 0
+    assert all(a < b for a, b in zip(cert.bins, cert.bins[1:]))
+    assert cert.bins[-1] < cert.anchor_bin <= k - 1
+    return f"bins{len(cert.bins)}"
 
 
 class TestTightConfig:
@@ -207,6 +251,45 @@ class TestSelect:
             for k in range(1, rt.n):
                 with pytest.raises(ValidationError):
                     select(rt, k, 4.0 * omega + 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(TIED_RATES, TIED_RATES), min_size=1, max_size=10),
+        st.data(),
+    )
+    def test_property_any_caller_omega(self, rates, data):
+        rt = RateTable(*zip(*rates))
+        k = data.draw(st.integers(1, rt.n), label="k")
+        top = 2.0 * omega_fast(rt).value
+        check_any_omega(rt, k, data.draw(st.floats(0.0, top), label="omega"))
+
+    def test_any_caller_omega_sweep(self):
+        # every outcome, multi-round certificates included, must occur
+        rng = np.random.default_rng(239)
+        outcomes = set()
+        for i in range(300):
+            rt = random_rt(i, master=239, nmin=3, nmax=12)
+            top = 2.0 * omega_fast(rt).value
+            for k in range(1, rt.n):
+                outcomes.add(check_any_omega(rt, k, top * rng.random()))
+        assert outcomes >= {*SELECT_ERRORS, "alone", "bins1", "bins2"}
+
+    def test_staircase_at_huge_rates(self):
+        # j * omega overflows for the top thresholds of the larger staircases
+        for k in range(2, 7):
+            expected = select(tight_config(k, 1.0), k, k + 1.0).gamma
+            top = 1.7e308 / (k + 1)
+            for b in (1e300, 5e307, top):
+                if b > top:
+                    continue
+                rt = tight_config(k, b)
+                omega = omega_fast(rt).value
+                sel = select(rt, k, omega)
+                assert sel.gamma == expected
+                assert sel.omega_gamma == pytest.approx(k * b, rel=1e-12)
+                assert sel.omega_gamma == pytest.approx(
+                    (k / (k + 1)) * omega, rel=1e-12
+                )
 
     def test_guarantee_and_budget_sweep(self):
         for i in range(300):
