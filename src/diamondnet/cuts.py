@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import SizeLimitError, ValidationError
+from .errors import ValidationError
 from .model import RateTable, _linear_snrs, _require, _to_int
-
-BRUTE_FORCE_LIMIT = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,16 +124,6 @@ def _fast_schedule_charge(n: int) -> int:
     return _merge_sort_charge(n) + 2 * n
 
 
-def _brute_force_n(rt) -> int:
-    """The relay count of table ``rt``, refused past ``BRUTE_FORCE_LIMIT``."""
-    n = _require("rt", rt, RateTable).n
-    if n > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(
-            f"brute force over 2**{n} cuts refused (limit n <= {BRUTE_FORCE_LIMIT})"
-        )
-    return n
-
-
 def omega_bruteforce(rt: RateTable) -> OmegaResult:
     """Definitional omega: minimum cut value over all 2**n cuts.
 
@@ -143,7 +131,7 @@ def omega_bruteforce(rt: RateTable) -> OmegaResult:
     The cuts are scanned in tiles, in O(n * 2**14) working memory rather
     than whole 2**n tables; guarded at n <= 24.
     """
-    n = _brute_force_n(rt)
+    n = _require("rt", rt, RateTable).n
     value, mask = kernels.brute_omega(rt.r_s, rt.r_d)
     # charge: two subset-max tables (2**n - 1 each) + the min scan (2**n - 1)
     return OmegaResult(
@@ -179,7 +167,7 @@ def sandwich(rt: RateTable) -> SandwichReport:
     brute force over cuts, scanned in tiles in O(n * 2**14) working memory
     rather than whole 2**n tables, and guarded at n <= 24.
     """
-    n = _brute_force_n(rt)
+    n = _require("rt", rt, RateTable).n
     ts2, td2 = _linear_snrs(rt)
     td = np.sqrt(td2)
     lower, upper = kernels.sandwich_scan(ts2, td2, td)

@@ -11,7 +11,8 @@ evaluated directly.
 
 The two oracles walk the 2**n cuts in tiles of 2**_TILE_BITS (``_cut_tiles``),
 so their working memory is O(n * 2**_TILE_BITS) floats at any n, not whole
-2**n tables.
+2**n tables; ``_cut_tiles`` refuses n > ``BRUTE_FORCE_LIMIT`` with a
+``SizeLimitError``, the one size guard of both oracles.
 
 Conventions: relays are 0-indexed here; a cut is a bitmask with bit i set
 when relay i sits on the destination side; the maximum over an empty index
@@ -19,6 +20,8 @@ set is 0.
 """
 
 import numpy as np
+
+from .errors import SizeLimitError
 
 # Read by the benchmark's environment record; numpy is the only backend.
 BACKEND = "numpy"
@@ -61,6 +64,9 @@ def subset_max(x, fold=np.maximum):
 # more numpy calls per cut, larger ones more memory and cache misses.
 _TILE_BITS = 14
 
+# the most relays whose 2**n cuts the brute-force oracles walk
+BRUTE_FORCE_LIMIT = 24
+
 
 def _cut_tiles(rows, n_dest, fold):
     """Folds of ``rows`` over both sides of every cut, one tile at a time.
@@ -75,9 +81,14 @@ def _cut_tiles(rows, n_dest, fold):
     to one side or the other, so every value is folded in the order of one
     whole-lattice ``subset_max`` table. The tiles do not come in mask order;
     each is the consumer's to overwrite, and the next one is written over
-    it. Working memory is O(n * 2**b) floats.
+    it. Working memory is O(n * 2**b) floats. Refuses n past
+    ``BRUTE_FORCE_LIMIT``.
     """
     n = rows.shape[1]
+    if n > BRUTE_FORCE_LIMIT:
+        raise SizeLimitError(
+            f"brute force over 2**{n} cuts refused (limit n <= {BRUTE_FORCE_LIMIT})"
+        )
     b = min(n, _TILE_BITS)
     low = subset_max(rows[:, :b], fold)
     if b == n:

@@ -2,10 +2,12 @@
 
 ``select`` discovers, in O(kN) comparisons, a subset of at most k relays
 whose own min-cut approximation is at least k/(k+1) of the full network's
-omega. The construction walks threshold bins tau_j = j*omega/(k+1): it
-anchors on a relay with a top-bin source rate, then repeatedly finds relays
-whose destination rates cover the remaining gap, recording the strictly
-increasing bin certificate that forces termination within k-1 rounds.
+omega. The construction walks threshold bins tau_j = j*omega/(k+1), less
+a rounding margin (``_thresholds``): it anchors on a relay with a top-bin
+source rate, then repeatedly finds relays whose destination rates cover the
+remaining gap, recording the strictly increasing bin certificate that
+forces termination within k-1 rounds. ``verify_selection`` checks the
+bound that certificate proves, from the same thresholds.
 
 ``omega_k_bruteforce`` / ``omega_k_ratio`` are the desk-scale oracles for
 the best k-subnetwork at one k; ``omega_k_table`` gives the best value for
@@ -19,13 +21,14 @@ resulting capacity lower bounds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import kernels
-from .cuts import BRUTE_FORCE_LIMIT, gap_constant, omega_fast
+from .cuts import gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
 from .model import RateTable, _require, _to_float, _to_int
 
@@ -100,26 +103,57 @@ def _selection(rt: RateTable, gamma, certificate, comparisons) -> SelectionResul
     )
 
 
+def _thresholds(omega, k):
+    """[tau_0, ..., tau_k], tau_j = j * omega * (1 - 2**-50) / (k+1).
+
+    Formed at an exact power-of-two scale: 2**-64 above 1, so that j * omega
+    cannot overflow, and 2**64 at or below 1, so that a subnormal omega
+    keeps its margin. The margin covers the rounding of ``omega_fast``'s sum
+    (at most 2**-53 relative above the exact min cut) and the three
+    roundings of tau, so tau_x + tau_y <= the exact min cut for x + y = k+1;
+    a subnormal tau_j rounds to a multiple of 2**-1074, as the rates do.
+    The thresholds never decrease in j.
+    """
+    scale = 2.0**-64 if omega > 1.0 else 2.0**64
+    w = omega * scale * (1.0 - 2.0**-50)
+    k1 = k + 1
+    return [j * w / k1 / scale for j in range(k1)]
+
+
+def _first_hit(free, r_s, r_d, t_s, t_d, failure):
+    """The first free relay with r_s >= t_s and r_d >= t_d, and its charge.
+
+    The charge is the relay-by-relay scan's: one comparison per free relay
+    up to the hit, plus one for each that passed its r_s test. Without a
+    hit, ``failure`` is raised.
+    """
+    cand = free & (r_s >= t_s)
+    hit = cand & (r_d >= t_d)
+    y = int(hit.argmax())
+    if not hit[y]:
+        raise ValidationError(f"{failure}; omega is inconsistent with the rate table")
+    return y, int(np.count_nonzero(free[: y + 1]) + np.count_nonzero(cand[: y + 1]))
+
+
 def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
     """Find at most k relays whose subnetwork omega is >= (k/(k+1)) * omega.
 
     ``omega`` is the caller-supplied min-cut approximation of ``rt``
-    (compute it once with ``omega_fast``). Threshold comparisons are
-    non-strict (>= tau_j) with no epsilon. Candidate scans run in ascending
-    relay index and take the first qualifying relay.
+    (compute it once with ``omega_fast``). The thresholds tau_j are
+    j * omega / (k+1) less a 2**-50 relative margin (``_thresholds``), and
+    the bin of a rate is the largest j with tau_j <= rate. Scans take the
+    first qualifying relay in index order.
 
     Edge cases: when k >= n the iteration is skipped and all relays with a
     nonzero min-rate are returned (all relays when none qualify); when
     omega <= 0 the guarantee is vacuous and relay 1 is returned alone.
 
-    Termination: the thresholds never decrease, in float arithmetic too.
-    The anchor's bin a is at most k-1, as its r_d >= tau_1. A round relay
-    that does not end the selection has tau_{a_prev+1} <= r_s < tau_a, so
-    the round bins rise strictly below a, and round a ends the selection
-    at the latest. So for any finite omega >= 0 only an ``omega``
-    inconsistent with ``rt`` (too large, say) fails, with one of two
-    ``ValidationError``s: no anchor relay clears the top threshold, or no
-    relay qualifies at a round.
+    Termination: the anchor's bin a is at most k-1, as its r_d >= tau_1,
+    and the round bins rise strictly below a. Each scan finds a relay when
+    tau_x + tau_y <= the exact min cut of ``rt`` for all x + y = k + 1, as
+    the margin ensures at ``omega_fast``'s omega or any smaller one. A
+    larger ``omega`` may fail with one of two ``ValidationError``s: no
+    anchor relay clears the top threshold, or no relay qualifies at a round.
 
     Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
     """
@@ -128,7 +162,6 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
     omega = _to_float("omega", omega, "nonnegative")
     r_s = rt.r_s
     r_d = rt.r_d
-    comparisons = 0
 
     if k >= n:
         # whole network fits; zero-min-rate relays carry nothing and are dropped
@@ -138,97 +171,62 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
         return _selection(rt, gamma, None, 2 * n)
 
     if omega <= 0.0:
-        return _selection(rt, (1,), None, comparisons)
+        return _selection(rt, (1,), None, 0)
 
-    # tau_j = j*omega/(k+1) at an exact power-of-two scale, so that j*omega
-    # cannot overflow and each tau_j keeps its bits wherever j*omega is finite
-    scale = 2.0**-64 if omega > 1.0 else 1.0
-    tau = [j * (omega * scale) / (k + 1) / scale for j in range(k + 1)]
+    tau = _thresholds(omega, k)
+    free = np.empty(n, dtype=bool)
+    free.fill(True)  # a third of the time np.ones takes at desk-scale n
+    failure = "no anchor relay clears the top threshold"
+    p, comparisons = _first_hit(free, r_s, r_d, tau[k], tau[1], failure)
+    # the anchor's r_d is in bin k - a, and a = 0 returns it alone; charged
+    # as the scalar tests r_d >= tau_k, tau_{k-1}, ..., tau_{k-a}
+    a = k - (bisect_right(tau, float(r_d[p])) - 1)
+    comparisons += 1 + a
+    if a == 0:
+        return _selection(rt, (p + 1,), Certificate(None, ()), comparisons)
 
-    # Each scan below takes the first relay in index order that passes both
-    # tests. It is charged as the scalar loop would be: one comparison per
-    # relay visited up to that relay, plus one more for each that passed
-    # the first test.
-
-    # anchor: first relay with r_s >= tau_k and r_d >= tau_1
-    hit_s = r_s >= tau[k]
-    hit = hit_s & (r_d >= tau[1])
-    p = int(hit.argmax())
-    if not hit[p]:
-        raise ValidationError(
-            "no anchor relay clears the top threshold; omega is inconsistent "
-            "with the rate table"
-        )
-    comparisons += (p + 1) + int(np.count_nonzero(hit_s[: p + 1]))
-
-    comparisons += 1
-    if r_d[p] >= tau[k]:
-        return _selection(
-            rt, (p + 1,), Certificate(anchor_bin=None, bins=()), comparisons
-        )
-
-    # bin the anchor's destination rate: tau_{k-a} <= r_d[p] < tau_{k-a+1}
-    for a in range(1, k):
-        comparisons += 1
-        if r_d[p] >= tau[k - a]:
-            break
-
-    free = np.ones(n, dtype=bool)
     free[p] = False
-    collected: list[int] = []
+    gamma = [p + 1]
     bins = [0]
-    a_prev = 0
+    failure = "no qualifying relay at a selection round"
     while True:
-        # first free relay with r_s >= tau_{a_prev+1} and r_d >= tau_{k-a_prev}
-        cand_s = free & (r_s >= tau[a_prev + 1])
-        hit = cand_s & (r_d >= tau[k - a_prev])
-        y = int(hit.argmax())
-        if not hit[y]:
-            raise ValidationError(
-                "no qualifying relay at a selection round; omega is inconsistent "
-                "with the rate table"
-            )
-        comparisons += int(np.count_nonzero(free[: y + 1])) + int(
-            np.count_nonzero(cand_s[: y + 1])
-        )
+        t_s, t_d = tau[bins[-1] + 1], tau[k - bins[-1]]
+        y, charge = _first_hit(free, r_s, r_d, t_s, t_d, failure)
         free[y] = False
-        collected.append(y + 1)
-        comparisons += 1
-        if r_s[y] >= tau[a]:
+        gamma.append(y + 1)
+        # the relay's r_s is in bin b, and b >= a ends the selection; charged
+        # as the scalar tests r_s >= tau_a, then r_s < tau_{j+1}, j = a_prev+1..b
+        b = bisect_right(tau, float(r_s[y])) - 1
+        comparisons += charge + 1
+        if b >= a:
             break
-        # bin the new relay's source rate: tau_{a_r} <= r_s[y] < tau_{a_r+1}
-        for a_r in range(a_prev + 1, a):
-            comparisons += 1
-            if r_s[y] < tau[a_r + 1]:
-                break
-        bins.append(a_r)
-        a_prev = a_r
+        comparisons += b - bins[-1]
+        bins.append(b)
 
-    gamma = tuple(sorted(collected + [p + 1]))
     return _selection(
-        rt, gamma, Certificate(anchor_bin=a, bins=tuple(bins)), comparisons
+        rt, tuple(sorted(gamma)), Certificate(a, tuple(bins)), comparisons
     )
 
 
 def verify_selection(
     rt: RateTable, sel: SelectionResult, k: int, omega: float
 ) -> bool:
-    """Brute-force check that the selected subset carries (k/(k+1)) * omega.
+    """Exact brute-force check of the bound ``select`` proves for its pick.
 
-    The subset's rows of ``rt`` go straight to the brute-force kernel, which
-    takes the min over all 2**|gamma| cuts of the subnetwork: the rows were
-    validated with ``rt``, so no new ``RateTable`` is built. The relay
-    indices must be distinct integers in 1..n.
+    Every cut of a ``select`` pick crosses relays worth tau_x + tau_{k-x}
+    for some x in 0..k, tau from ``_thresholds(omega, k)``. So the check,
+    with no tolerance, is that the subset's omega is at least the least
+    float sum tau_x + tau_{k-x} (the same at x and k - x); its x = 0 term
+    is tau_k, just under (k/(k+1)) * omega. The subset's rows of ``rt``,
+    validated with it, go straight to the brute-force kernel, which takes
+    the min over all 2**|gamma| cuts. The relay indices must be distinct
+    integers in 1..n.
     """
     _require("rt", rt, RateTable)
     gamma = _require("sel", sel, SelectionResult).gamma
     k = _to_int("k", k, minimum=1)
     if not gamma:
         raise ValidationError("selection has an empty relay set")
-    if len(gamma) > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(
-            f"brute-force verification limited to {BRUTE_FORCE_LIMIT} relays"
-        )
     gamma = tuple(_to_int("selected relay index", i) for i in gamma)
     if any(i < 1 or i > rt.n for i in gamma):
         raise ValidationError("selected relay index out of range")
@@ -236,7 +234,8 @@ def verify_selection(
         raise ValidationError(f"selected relay indices must be distinct, got {gamma}")
     idx = np.array(gamma, dtype=np.int64) - 1
     value, _ = kernels.brute_omega(rt.r_s[idx], rt.r_d[idx])
-    return value >= (k / (k + 1)) * _to_float("omega", omega) - 1e-9
+    tau = _thresholds(_to_float("omega", omega, "nonnegative"), k)
+    return value >= min(tau[x] + tau[k - x] for x in range(k // 2 + 1))
 
 
 def omega_k_bruteforce(rt: RateTable, k: int) -> tuple[float, tuple[int, ...]]:

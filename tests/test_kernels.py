@@ -1,11 +1,21 @@
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondnet import RateTable, cut_value, kernels, omega_bruteforce, omega_fast, sandwich
+from diamondnet import (
+    RateTable,
+    SizeLimitError,
+    cut_value,
+    kernels,
+    omega_bruteforce,
+    omega_fast,
+    sandwich,
+)
 
 KERNELS = ("brute_omega", "omega_sorted_scan", "omega_rows", "sandwich_scan", "af_rate_batch")
 
@@ -167,6 +177,19 @@ def test_brute_force_working_memory_stays_within_a_few_tiles():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, oracle.__name__
+
+
+def test_lattice_walk_is_the_one_size_guard():
+    # every 2**n cut walk goes through _cut_tiles, which refuses n > 24
+    # before it allocates anything
+    assert kernels.BRUTE_FORCE_LIMIT == 24
+    message = "brute force over 2**25 cuts refused (limit n <= 24)"
+    ones = np.ones(25)
+    with pytest.raises(SizeLimitError, match=re.escape(message)):
+        kernels.brute_omega(ones, ones)
+    with pytest.raises(SizeLimitError, match=re.escape(message)):
+        kernels.sandwich_scan(ones, ones, ones)
+    assert kernels.brute_omega(np.ones(24), np.ones(24))[0] == 1.0
 
 
 # tied and zero rates, and rates at and near the 1023-bit cap

@@ -10,6 +10,7 @@ from diamondnet import (
     Cut,
     DegenerateNetworkError,
     RateTable,
+    SelectionResult,
     SizeLimitError,
     ValidationError,
     cut_value,
@@ -28,7 +29,7 @@ from diamondnet import (
     tight_config,
     verify_selection,
 )
-from diamondnet.selection import SUBSET_ENUMERATION_LIMIT
+from diamondnet.selection import SUBSET_ENUMERATION_LIMIT, _thresholds
 from diamondnet.verify import trial_seed
 
 
@@ -56,12 +57,15 @@ def enum_omega_of_subset(rt, members):
 def scalar_select(rt, k, omega):
     """The relay-by-relay scans ``select`` used to run, kept as its oracle.
 
+    It reads ``select``'s own thresholds, so it checks the scans, bins and
+    charges; the thresholds are checked by the tests that run ``select`` at
+    ``omega_fast``'s omega on decimal, scaled and staircase tables.
     Returns (gamma, certificate, comparisons); certificate is
     (anchor_bin, bins) or None. Assumes 1 <= k < n and omega > 0.
     """
     n, r_s, r_d = rt.n, rt.r_s, rt.r_d
     comparisons = 0
-    tau = [j * omega / (k + 1) for j in range(k + 1)]
+    tau = _thresholds(omega, k)
     p = -1
     for i in range(n):
         comparisons += 1
@@ -399,6 +403,46 @@ class TestSelect:
                     assert (sel.certificate.anchor_bin, sel.certificate.bins) == cert
                     assert sel.comparisons == comparisons
 
+    @pytest.mark.parametrize("base_rate", [0.1, 0.2, 0.3, 1 / 3, 0.7, 3.3, 1e-5, 1e300])
+    def test_staircase_at_omega_fast(self, base_rate):
+        # omega_fast's float sum can exceed the exact min cut: at tight 2 0.1
+        # it is 0.1 + 0.2 = 0.30000000000000004, and j * omega / (k+1) put
+        # tau_2 above relay 2's r_s = 0.2 (the anchor scan failed)
+        for k in range(1, 13):
+            rt = tight_config(k, base_rate)
+            omega = omega_fast(rt).value
+            for kk in range(1, k + 2):
+                assert verify_selection(rt, select(rt, kk, omega), kk, omega)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.1]),
+                    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.1]),
+                ),
+                min_size=2,
+                max_size=10,
+            ),
+            st.integers(-310, 300).flatmap(
+                lambda e: st.lists(
+                    st.tuples(st.integers(0, 9), st.integers(0, 9)).map(
+                        lambda p: (p[0] * 10.0**e, p[1] * 10.0**e)
+                    ),
+                    min_size=2,
+                    max_size=10,
+                )
+            ),
+        ),
+        st.data(),
+    )
+    def test_property_decimal_and_scaled_tables_at_omega_fast(self, rates, data):
+        rt = RateTable(*zip(*rates))
+        k = data.draw(st.integers(1, rt.n), label="k")
+        omega = omega_fast(rt).value
+        assert verify_selection(rt, select(rt, k, omega), k, omega)
+
     def test_staircase_scan_counts_at_large_n(self):
         # the staircase makes each round scan far down the table
         n = 2000
@@ -417,6 +461,21 @@ class TestVerifySelection:
         rt = tight_config(2, 1.0)
         sel = select(rt, 2, 3.0)
         assert verify_selection(rt, sel, 2, 3.0)
+
+    def test_huge_staircase_is_accepted(self):
+        # an absolute 1e-9 slack is nothing at rates of 1e306
+        rt = tight_config(5, 1e306)
+        omega = omega_fast(rt).value
+        assert verify_selection(rt, select(rt, 5, omega), 5, omega)
+
+    def test_tiny_rates_are_not_waved_through(self):
+        # relay 1 alone carries 1e-12, short of half of omega = 1e-10
+        rt = RateTable([1e-12, 1e-10], [1e-12, 1e-10])
+        sel = SelectionResult(
+            gamma=(1,), omega_gamma=1e-12, certificate=None, comparisons=0
+        )
+        assert not verify_selection(rt, sel, 1, omega_fast(rt).value)
+        assert verify_selection(rt, select(rt, 1, 1e-10), 1, 1e-10)
 
     def test_rejects_empty_gamma(self):
         rt = tight_config(2, 1.0)
@@ -450,7 +509,8 @@ class TestVerifySelection:
                 sub = omega_bruteforce(RateTable(rt.r_s[idx], rt.r_d[idx])).value
                 assert sub == enum_omega_of_subset(rt, sel.gamma)
                 for target in (omega, 1.2 * omega, 2.0 * omega):
-                    want = sub >= (k / (k + 1)) * target - 1e-9
+                    tau = _thresholds(target, k)
+                    want = sub >= min(tau[x] + tau[k - x] for x in range(k + 1))
                     assert verify_selection(rt, sel, k, target) is want
 
     @pytest.mark.parametrize(
@@ -489,7 +549,7 @@ class TestVerifySelection:
         sel = select(rt, 25, 1.0)
         with pytest.raises(SizeLimitError) as exc:
             verify_selection(rt, sel, 25, 1.0)
-        assert str(exc.value) == "brute-force verification limited to 24 relays"
+        assert str(exc.value) == "brute force over 2**25 cuts refused (limit n <= 24)"
 
 
 class TestOmegaK:
