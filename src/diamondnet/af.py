@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 from .model import Network, RateTable, _ArrayValue, _check_range, _float_array
-from .model import _require, _to_int, rate_table
+from .model import _rates, _require, _to_int
 
 
 class AfCoefficients(_ArrayValue):
@@ -110,8 +110,13 @@ def af_upper_bound(rt: RateTable) -> tuple[float, float]:
     with all n relays can only add the 2*log2(n) beamforming gain on top.
     """
     _require("rt", rt, RateTable)
-    c1 = float(np.minimum(rt.r_s, rt.r_d).max())
-    return c1 + 2.0 * math.log2(rt.n), c1
+    return _cap(rt.r_s, rt.r_d)
+
+
+def _cap(r_s, r_d) -> tuple[float, float]:
+    """``af_upper_bound`` of the rates (r_s, r_d), unchecked."""
+    c1 = float(np.minimum(r_s, r_d).max())
+    return c1 + 2.0 * math.log2(r_s.size), c1
 
 
 def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
@@ -129,11 +134,17 @@ def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
     b = _float_array("b", b)
     if not (u_d.size == u_s.size == b.size) or u_d.size == 0:
         raise ValidationError("u_d, u_s and b must share a positive length")
-    if not (np.isfinite(u_d).all() and np.isfinite(u_s).all() and np.isfinite(b).all()):
-        raise ValidationError("inputs must be finite")
-    if (u_d <= 0.0).any() or (u_s <= 0.0).any():
-        raise ValidationError("u_d and u_s must be positive")
-    _check_range("b", b, 1.0)
+    # one bulk test passes good inputs (NaN fails it); the checks that name
+    # the fault, in their order, run only when it fails
+    if not (
+        u_d.min() > 0.0 and u_s.min() > 0.0 and max(u_d.max(), u_s.max()) < math.inf
+        and b.min() >= 0.0 and b.max() <= 1.0
+    ):
+        if not all(np.isfinite(x).all() for x in (u_d, u_s, b)):
+            raise ValidationError("inputs must be finite")
+        if (u_d <= 0.0).any() or (u_s <= 0.0).any():
+            raise ValidationError("u_d and u_s must be positive")
+        _check_range("b", b, 1.0)
     ratio = u_d * b / (1.0 + u_s)
     lhs = max(1.0, float(ratio.max())) * float(np.minimum(u_d, u_s).max())
     rhs = float((ratio * u_s).max())
@@ -151,24 +162,27 @@ def _kkt_alpha(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     and suffix sums. Relays with w_i / v_i not positive stay at 0.
     """
     alpha = np.zeros(w.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = w / v  # inf when v underflows, nan or 0 for a dead relay
-    live = np.nonzero(ratio > 0.0)[0]
-    if live.size == 0:
-        return alpha
-    order = live[np.argsort(-ratio[live], kind="stable")]
-    r = ratio[order]
-    w_pre = np.concatenate(([0.0], np.cumsum(w[order])))
-    v_pre = np.concatenate(([0.0], np.cumsum(v[order])))
-    # sum of w_i * lam * r_i over unclipped relays is lam * (suffix sum of w*r)
-    q_suf = np.concatenate((np.cumsum((w[order] * r)[::-1])[::-1], [0.0]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = w / v  # inf when v underflows, nan or 0 for a dead relay
+        live = np.flatnonzero(ratio > 0.0)
+        if live.size == 0:
+            return alpha
+        order = live[(-ratio[live]).argsort(kind="stable")]
+        r = ratio[order]
+        w_ord = w[order]
+        # prefix sums of w and v, and the suffix sums q of w*r, each with a
+        # zero at its empty end; sum of w_i * lam * r_i over unclipped
+        # relays is lam * q
+        w_pre, v_pre, q_suf = np.zeros((3, live.size + 1))
+        np.add.accumulate(w_ord, out=w_pre[1:])
+        np.add.accumulate(v[order], out=v_pre[1:])
+        np.add.accumulate((w_ord * r)[::-1], out=q_suf[-2::-1])
         lam = (1.0 + v_pre[1:]) / w_pre[1:]
-        clipped = np.searchsorted(-r, -1.0 / lam, side="right")
+        clipped = (-r).searchsorted(-1.0 / lam, side="right")
         q = q_suf[clipped]
         num = w_pre[clipped] + lam * q
         score = num * num / (1.0 + v_pre[clipped] + lam * lam * q)
-        best = lam[int(np.argmax(np.where(np.isnan(score), -np.inf, score)))]
+        best = lam[int(np.fmax(score, -np.inf).argmax())]  # a NaN scores -inf
         alpha[live] = np.minimum(1.0, best * ratio[live])
     return alpha
 
@@ -189,11 +203,11 @@ def af_optimize(net: Network) -> AfReport:
     """
     w, v = _af_weights(_require("net", net, Network))
     gs, gd = net.gain_arrays()
-    start = np.where((gs > 0.0) & (gd > 0.0), 1.0, 0.0)
-    alphas = np.stack((start, _kkt_alpha(w, v)))
+    start = ((gs > 0.0) & (gd > 0.0)).astype(np.float64)
+    alphas = np.array((start, _kkt_alpha(w, v)))
     rates = kernels.af_rate_batch(w, v, net.snr, alphas)
     pick = 1 if rates[1] > rates[0] else 0
-    bound, c1 = af_upper_bound(rate_table(net))
+    bound, c1 = _cap(*_rates(net))
     return AfReport(
         rate=float(rates[pick]),
         alpha=AfCoefficients(alphas[pick]),

@@ -5,8 +5,9 @@ enumerations behind the brute-force oracles (``brute_omega``,
 ``sandwich_scan``), built on the per-subset folds of ``subset_max``; the
 sorted suffix scan behind ``omega_fast`` (``omega_sorted_scan``); the chain
 recurrence behind the best-k table (``best_chains``); the row-wise min-cut
-of many subnetworks (``omega_rows``); and the row-wise amplify-and-forward
-rate (``af_rate_batch``). Each is checked in the tests against a definition
+of many subnetworks (``omega_rows``), which backs only the oracle
+``omega_k_bruteforce``; and the row-wise amplify-and-forward rate
+(``af_rate_batch``). Each is checked in the tests against a definition
 evaluated directly.
 
 The two oracles walk the 2**n cuts in tiles of 2**_TILE_BITS (``_cut_tiles``),
@@ -18,6 +19,8 @@ Conventions: relays are 0-indexed here; a cut is a bitmask with bit i set
 when relay i sits on the destination side; the maximum over an empty index
 set is 0.
 """
+
+import math
 
 import numpy as np
 
@@ -157,7 +160,7 @@ def best_chains(r_s, r_d):
     best = np.full(n, np.minimum(f, r_s).max())
     for h in range(1, n):
         longer = np.minimum(f[:, None], step, out=links).max(axis=0)
-        if np.array_equal(longer, f):
+        if (longer == f).all():
             break
         f = longer
         best[h:] = np.minimum(f, r_s).max()
@@ -206,8 +209,33 @@ def af_rate_batch(w, v, snr, alphas):
     """Amplify-and-forward rate for each row of amplification coefficients.
 
     ``w`` and ``v`` are the per-relay signal and noise weights precomputed
-    from the gains; rate = log2(1 + snr * (w.a)**2 / (1 + v.a**2)).
+    from the gains; they and the rows ``a`` are nonnegative.
+    rate = log2(1 + snr * (w.a)**2 / (1 + v.a**2)).
+
+    Overflow rule: a row whose num = w.a gives an infinite snr * num * num,
+    or whose den = 1 + v.a**2 is infinite, is evaluated again on w scaled by
+    2**-256 and v by 2**-512, exact powers of two that cancel in the SNR,
+    and in logs: rate = log2(1 + 2**y), y = log2(snr) + 2*log2(num) -
+    log2(den) on the scaled sums. Every other row is the expression above,
+    bit for bit. The tests for an overflow run on Python floats, which never
+    warn: den is finite when n * max(v) < 2**1022, and rounding is
+    monotone, so snr * num * num overflows in some row exactly when it does
+    at the largest num.
     """
     num = alphas @ w
-    den = 1.0 + (alphas * alphas) @ v
-    return np.log2(1.0 + snr * num * num / den)
+    if w.size * float(v.max()) < 2.0**1022:
+        den = 1.0 + (alphas * alphas) @ v
+        top = float(num.max(initial=0.0))
+        if snr * top * top < math.inf:
+            return np.log2(1.0 + snr * num * num / den)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        den = 1.0 + (alphas * alphas) @ v
+        x = snr * num * num
+        rate = np.log2(1.0 + x / den)
+        big = (x == math.inf) | (den == math.inf)
+        a = alphas[big]
+        num = a @ (w * 2.0**-256)
+        den = 2.0**-512 + (a * a) @ (v * 2.0**-512)
+        y = math.log2(snr) + 2.0 * np.log2(num) - np.log2(den)
+        rate[big] = np.logaddexp2(0.0, y)
+    return rate

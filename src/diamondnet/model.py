@@ -16,9 +16,10 @@ every quantity computed here depends on magnitudes only.
 Both forms hold their per-relay numbers as two read-only float64 arrays,
 validated in bulk, so a network of 10**6 relays holds no per-relay Python
 object: ``Network(snr, gain_s, gain_d)`` and ``RateTable(r_s, r_d)`` copy
-and check the arrays they are given. Both, and ``af.AfCoefficients``, share
-one base that makes them immutable, compared by value, and copied or
-pickled through their constructor.
+and check the arrays they are given: one bulk test per array, and
+per-relay checks, to name the fault, only when it fails. Both, and
+``af.AfCoefficients``, share one base that makes them immutable, compared
+by value, and copied or pickled through their constructor.
 
 Scalar arguments follow one rule everywhere in the package, enforced by
 ``_to_int`` and ``_to_float``: an integer (n, k, a seed, a relay index) is a
@@ -176,18 +177,24 @@ class Network(_ArrayValue):
                 f"gain lists must have equal length, got {gs.size} and {gd.size}"
             )
         # checks in order: gains, snr, at least one relay, overflow of the
-        # derived rates; each message names the first relay at fault
-        valid = (gs >= 0.0) & (gs < math.inf) & (gd >= 0.0) & (gd < math.inf)
-        if not valid.all():
-            i = int(valid.argmin())
-            _to_float("gain_s", gs[i], "nonnegative")
-            _to_float("gain_d", gd[i], "nonnegative")
+        # derived rates; each message names the first relay at fault. A NaN
+        # makes its array's minimum NaN, which fails the bulk test.
+        if gs.size:
+            top = max(gs.max(), gd.max())
+            if not (gs.min() >= 0.0 and gd.min() >= 0.0 and top < math.inf):
+                valid = (gs >= 0.0) & (gs < math.inf) & (gd >= 0.0) & (gd < math.inf)
+                i = int(valid.argmin())
+                _to_float("gain_s", gs[i], "nonnegative")
+                _to_float("gain_d", gd[i], "nonnegative")
         snr = _to_float("snr", snr, "positive")
         if gs.size == 0:
             raise ValidationError("a network needs at least one relay")
-        with np.errstate(over="ignore"):
-            fits = np.isfinite(snr * gs * gs) & np.isfinite(snr * gd * gd)
-        if not fits.all():
+        # rounding is monotone, so only the largest gain can overflow; Python
+        # floats never warn
+        top = float(top)
+        if snr * top * top == math.inf:
+            with np.errstate(over="ignore"):
+                fits = np.isfinite(snr * gs * gs) & np.isfinite(snr * gd * gd)
             i = int(fits.argmin())
             g = float(gs[i])
             name = "gain_d" if math.isfinite(snr * g * g) else "gain_s"
@@ -231,12 +238,15 @@ class RateTable(_ArrayValue):
         return int(self.r_s.size)
 
 
+def _rates(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """(r_s, r_d) of ``net``, the arrays ``rate_table`` validates and stores."""
+    gs, gd = net.gain_arrays()
+    return np.log1p(net.snr * gs * gs) / _LN2, np.log1p(net.snr * gd * gd) / _LN2
+
+
 def rate_table(net: Network) -> RateTable:
     """Point-to-point rates of every relay in ``net``."""
-    gs, gd = _require("net", net, Network).gain_arrays()
-    r_s = np.log1p(net.snr * gs * gs) / _LN2
-    r_d = np.log1p(net.snr * gd * gd) / _LN2
-    return RateTable(r_s, r_d)
+    return RateTable(*_rates(_require("net", net, Network)))
 
 
 def _linear_snrs(rt: RateTable) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,9 @@ from .model import RateTable, _require, _to_float, _to_int
 
 SUBSET_ENUMERATION_LIMIT = 10**6
 
+# the most float64 entries one numpy array can hold: its bytes fit an intp
+_MAX_ARRAY_LEN = np.iinfo(np.intp).max // 8
+
 # the achievability gap s(k) of each relaying strategy
 _STRATEGY_GAPS = {
     "nnc": lambda k: 1.3 * k,
@@ -93,11 +96,19 @@ class TradeoffReport:
 
 
 def _selection(rt: RateTable, gamma, certificate, comparisons) -> SelectionResult:
-    """The result for relay set ``gamma``, with the omega of its subnetwork."""
+    """The result for relay set ``gamma``, with the omega of its subnetwork.
+
+    ``omega_gamma`` comes from the sorted scan behind ``omega_fast``, on the
+    subset's rows in a stable r_s order, so it is bit-identical to
+    ``omega_fast`` of the subnetwork's own rate table.
+    """
     idx = np.array(gamma, dtype=np.int64) - 1
+    r_s = rt.r_s[idx]
+    order = r_s.argsort(kind="stable")
+    value, _ = kernels.omega_sorted_scan(r_s[order], rt.r_d[idx[order]])
     return SelectionResult(
         gamma=gamma,
-        omega_gamma=float(kernels.omega_rows(idx[None, :], rt.r_s, rt.r_d)[0]),
+        omega_gamma=value,
         certificate=certificate,
         comparisons=comparisons,
     )
@@ -303,7 +314,7 @@ def tight_config(k: int, base_rate: float = 1.0) -> RateTable:
     exactly k * base_rate.
     """
     k = _to_int("k", k, minimum=1)
-    if k + 1 > np.iinfo(np.intp).max // 8:  # bytes of one float64 array
+    if k + 1 > _MAX_ARRAY_LEN:
         raise ValidationError("k is too large: k + 1 relays exceed numpy's array size")
     base_rate = _to_float("base_rate", base_rate, "positive")
     if (k + 1) * base_rate == math.inf:  # the largest rate of the staircase

@@ -120,6 +120,40 @@ class TestAfRate:
                 assert phased <= coherent + 1e-9 * max(1.0, coherent)
 
 
+class TestOverflowingSnr:
+    """snr * (w.a)**2 can overflow float64 while every link SNR is finite."""
+
+    def test_rate_at_gains_near_the_float_limit(self):
+        # the exact rate is 1024.32377822674991573...
+        net = Network(1.0, [1e154] * 3, [1e154] * 3)
+        rep = af_optimize(net)
+        assert rep.alpha.alpha.tolist() == [1.0, 1.0, 1.0]
+        for rate in (af_rate(net, np.ones(3)), rep.rate):
+            assert abs(rate - 1024.3237782267499) <= 2 * math.ulp(1024.0)
+        assert rep.rate <= rep.upper_bound
+
+    @pytest.mark.parametrize(
+        "n,gain_s,want",
+        [(3, 3.0, math.log2(28.0)), (4, 1.0, math.log2(5.0)), (4, 1e-5, math.log2(1 + 4e-10))],
+    )
+    @pytest.mark.parametrize("gain_d", [1e150, 1.3e154])
+    def test_moderate_snr_across_the_overflow(self, n, gain_s, gain_d, want):
+        # with all relays at full power the SNR tends to n * gain_s**2 * snr
+        # as gain_d grows; at 1.3e154, snr * num**2 overflows in the first
+        # case, den in the last, both in the middle one. log2(1 + SNR) keeps
+        # its 1, which matters at a moderate SNR.
+        net = Network(1.0, [gain_s] * n, [gain_d] * n)
+        assert af_rate(net, np.ones(n)) == pytest.approx(want, rel=1e-9)
+        assert af_optimize(net).rate == pytest.approx(want, rel=1e-9)
+
+    def test_rows_that_fit_keep_their_bits(self):
+        net = Network(1.0, [1e154] * 3, [1e154] * 3)
+        rows = [[1.0, 1.0, 1.0], [1e-3, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        rates = af_rate_batch(net, rows)
+        assert math.isfinite(rates[0])
+        assert [af_rate(net, row) for row in rows[1:]] == rates[1:].tolist()
+
+
 class TestAfUpperBound:
     def test_single_relay_no_gain(self):
         bound, c1 = af_upper_bound(RateTable([2.5], [4.0]))
@@ -229,6 +263,20 @@ class TestAfOptimize:
             rep = af_optimize(net)
             rates = af_rate_batch(net, rng.uniform(0.0, 1.0, (10**4, net.n)))
             assert rep.rate >= float(rates.max()) - 1e-12
+
+    def test_cap_is_af_upper_bound_of_the_rate_table(self):
+        # af_optimize derives the rates and the cap itself, bit for bit
+        rng = np.random.default_rng(16)
+        for i in range(400):
+            n = int(rng.integers(1, 13))
+            snr = float(10.0 ** rng.uniform(-3.0, 6.0))
+            gains = rng.rayleigh(1.0, (2, n)) if i % 2 else np.exp(rng.uniform(-5, 5, (2, n)))
+            gains[:, rng.random(n) < 0.2] = 0.0  # dead relays
+            gains[rng.random((2, n)) < 0.1] = 0.0  # dead links
+            net = Network(snr, *gains)
+            rep = af_optimize(net)
+            bound, c1 = af_upper_bound(rate_table(net))
+            assert (rep.upper_bound.hex(), rep.c1.hex()) == (bound.hex(), c1.hex())
 
     def test_large_network_is_fast_and_capped(self):
         net = random_network(10**5, 4.0, 359, "rayleigh")

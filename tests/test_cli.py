@@ -189,6 +189,21 @@ class TestAfCommand:
         assert code == 0
         assert "within_bound = true" in out
 
+    def test_optimize_at_gains_near_the_float_limit(self, capsys, tmp_path):
+        # snr * (w.a)**2 overflows although every link SNR is finite; the
+        # rate is finite, under the cap, and the JSON strict
+        path = tmp_path / "big.txt"
+        path.write_text("snr = 1.0\n" + "relay = 1e154 1e154\n" * 3)
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        code, out, _ = run_cli(capsys, "af", str(path), "--optimize", "--format", "machine")
+        payload = json.loads(out, parse_constant=reject)
+        assert code == 0
+        assert payload["within_bound"] is True
+        assert abs(payload["af_rate"] - 1024.3237782267499) <= 2 * math.ulp(1024.0)
+
     def test_rates_file_without_snr_fails(self, capsys, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("rate = 1 1\n")

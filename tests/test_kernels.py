@@ -214,7 +214,8 @@ def test_tiled_bruteforce_matches_omega_fast(rates):
 
 
 def test_single_row_omega_matches_sorted_scan_bit_for_bit():
-    # select's omega_gamma moved from omega_sorted_scan to omega_rows; on
+    # omega_rows, behind the oracle omega_k_bruteforce, and the sorted scan
+    # behind omega_fast and select's omega_gamma agree on a single row; on
     # ties between 0.0 and -0.0 both keep the largest minimizing candidate
     rng = np.random.default_rng(286)
     zeros = [rng.choice([0.0, -0.0], (2, n)) for n in range(1, 13) for _ in range(30)]

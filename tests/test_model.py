@@ -320,6 +320,11 @@ class TestValidationMessages:
             ([1.0, -math.inf], [1.0, 1.0], "gain_s must be finite, got -inf"),
             ([1.0, math.nan], [-1.0, 1.0], "gain_d must be nonnegative, got -1.0"),
             ([1.0, 1.0], [1.0, math.nan], "gain_d must be finite, got nan"),
+            # several faults: the first relay at fault names the message, and
+            # a bad gain comes before an overflowing one
+            ([1.0, 1.0, math.nan], [1.0, -1.0, 1.0], "gain_d must be nonnegative, got -1.0"),
+            ([1e200, -1.0], [1.0, 1.0], "gain_s must be nonnegative, got -1.0"),
+            ([1.0, 1.0], [1e200, math.inf], "gain_d must be finite, got inf"),
             ([1.0, 1.0, 1e200], [1.0, 1e200, 1.0], "relay 2: snr * gain_d**2 overflows"),
             ([1.0, 1e200], [1.0, 1e200], "relay 2: snr * gain_s**2 overflows"),
         ],
@@ -372,6 +377,10 @@ class TestValidationMessages:
         Network(1.0, [1e150], [1.0])
         with pytest.raises(ValidationError, match="relay 1: snr \\* gain_s\\*\\*2 overflows"):
             Network(1e10, [1e150], [1.0])
+        # 1e300 * 1e5 * 1e5 overflows: the test must say so without a
+        # warning (the suite turns RuntimeWarning into an error)
+        with pytest.raises(ValidationError, match="relay 1: snr \\* gain_s\\*\\*2 overflows"):
+            Network(1e300, [1e5], [1.0])
 
 
 # Each bad scalar argument, with the message that names it; none may emit a

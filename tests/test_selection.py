@@ -174,6 +174,14 @@ def check_any_omega(rt, k, omega):
     return f"bins{len(cert.bins)}"
 
 
+def assert_omega_gamma_is_omega_fast(rt, k, omega):
+    """``select``'s omega_gamma is ``omega_fast`` of its pick, bit for bit."""
+    sel = select(rt, k, omega)
+    idx = np.array(sel.gamma) - 1
+    want = omega_fast(RateTable(rt.r_s[idx], rt.r_d[idx])).value
+    assert same_bits(sel.omega_gamma, want)
+
+
 class TestTightConfig:
     def test_k2_staircase(self):
         rt = tight_config(2, 1.0)
@@ -442,6 +450,41 @@ class TestSelect:
         k = data.draw(st.integers(1, rt.n), label="k")
         omega = omega_fast(rt).value
         assert verify_selection(rt, select(rt, k, omega), k, omega)
+
+    def test_omega_gamma_is_omega_fast_of_the_pick(self):
+        rng = np.random.default_rng(16)
+        for i in range(400):
+            n = int(rng.integers(1, 11))
+            if i % 4 == 0:  # tied
+                rates = rng.integers(0, 3, (2, n)).astype(np.float64)
+            elif i % 4 == 1:  # decimal
+                rates = rng.integers(0, 12, (2, n)) / 10.0
+            else:  # continuous, half of them with zero-rate relays
+                rates = rng.uniform(0.0, 5.0, (2, n))
+                if i % 4 == 2:
+                    rates[:, rng.random(n) < 0.4] = 0.0
+            rt = RateTable(*rates)
+            omega = omega_fast(rt).value
+            for k in range(1, n + 1):
+                for scale in (1.0, 0.6):
+                    assert_omega_gamma_is_omega_fast(rt, k, scale * omega)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(TIED_RATES, st.sampled_from([0.1, 0.2, 0.3, 0.7])),
+                st.one_of(TIED_RATES, st.sampled_from([0.1, 0.2, 0.3, 0.7])),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.data(),
+    )
+    def test_property_omega_gamma_is_omega_fast_of_the_pick(self, rates, data):
+        rt = RateTable(*zip(*rates))
+        k = data.draw(st.integers(1, rt.n), label="k")
+        assert_omega_gamma_is_omega_fast(rt, k, omega_fast(rt).value)
 
     def test_staircase_scan_counts_at_large_n(self):
         # the staircase makes each round scan far down the table
