@@ -67,12 +67,24 @@ def _af_weights(net: Network) -> tuple[np.ndarray, np.ndarray]:
     With beta_i**2 = snr * alpha_i**2 / (1 + gain_s_i**2 * snr):
     w_i = gain_d_i * gain_s_i * sqrt(snr / (1 + gain_s_i**2 * snr)),
     v_i = gain_d_i**2 * snr / (1 + gain_s_i**2 * snr).
+
+    Overflow rule: when gain_s**2 * snr, gain_d * gain_s and gain_d**2 fit
+    at the largest gains (tested once on Python floats, which never warn;
+    rounding is monotone), w and v are the expressions above as written.
+    Otherwise (snr < 1 with a gain near 2**512, or gain_s**2 * snr rounding
+    past the float64 maximum), w = gain_d * (gain_s * sqrt(snr) / sqrt(1 +
+    snr * gain_s**2)) and v = snr * gain_d**2 / (1 + snr * gain_s**2), whose
+    intermediates stay near a gain or an snr * gain**2, which ``Network``
+    keeps finite.
     """
     gs, gd = net.gain_arrays()
-    scale = net.snr / (1.0 + gs * gs * net.snr)
-    w = gd * gs * np.sqrt(scale)
-    v = gd * gd * scale
-    return w, v
+    snr = net.snr
+    top_s, top_d = float(gs.max()), float(gd.max())
+    if max(top_s * top_s * snr, top_d * top_s, top_d * top_d) < math.inf:
+        scale = snr / (1.0 + gs * gs * snr)
+        return gd * gs * np.sqrt(scale), gd * gd * scale
+    den = 1.0 + snr * gs * gs
+    return gd * (gs * math.sqrt(snr) / np.sqrt(den)), snr * gd * gd / den
 
 
 def _coerce_alpha(alpha, n: int) -> np.ndarray:

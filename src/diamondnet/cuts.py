@@ -88,21 +88,21 @@ class SandwichReport:
 def cut_value(rt: RateTable, cut: Cut) -> float:
     """Value of ``cut``: max r_d over members plus max r_s over the rest.
 
-    The maximum over an empty side is 0, so the empty cut is the pure
-    broadcast cut (value max r_s) and the full cut the pure multiple-access
-    cut (value max r_d).
+    One expression for every cut, ``r_d.max(where=member, initial=0.0) +
+    r_s.max(where=~member, initial=0.0)``, summed as Python floats, which
+    never warn. The maximum over an empty side is 0, so the empty cut is the
+    pure broadcast cut (value max r_s) and the full cut the pure
+    multiple-access cut (value max r_d), bit for bit: a rate table holds no
+    -0.0, and x + 0.0 is x for every x >= 0.0.
     """
     n = _require("rt", rt, RateTable).n
     members = _require("cut", cut, Cut).members
     if members and max(members) > n:
         raise ValidationError(f"cut member out of range for n={n}")
-    if not members:
-        return float(rt.r_s.max())
-    if len(members) == n:
-        return float(rt.r_d.max())
-    sel = np.zeros(n, dtype=bool)
-    sel[[i - 1 for i in members]] = True
-    return float(rt.r_d[sel].max() + rt.r_s[~sel].max())
+    member = np.zeros(n, dtype=bool)
+    member[np.fromiter(members, np.intp, len(members)) - 1] = True
+    d_max = rt.r_d.max(where=member, initial=0.0)
+    return float(d_max) + float(rt.r_s.max(where=~member, initial=0.0))
 
 
 def gap_constant(n: int) -> float:
@@ -111,17 +111,11 @@ def gap_constant(n: int) -> float:
     return max(3.0 * l2n - math.log2(27.0 / 4.0), 2.0 * l2n)
 
 
-def _merge_sort_charge(n: int) -> int:
-    """Worst-case two-way-merge comparisons to sort n keys: n*ceil(lg n) - 2**ceil(lg n) + 1."""
-    if n <= 1:
-        return 0
-    t = (n - 1).bit_length()
-    return n * t - (1 << t) + 1
-
-
 def _fast_schedule_charge(n: int) -> int:
-    # sort + suffix-maximum build (n) + candidate scan (n)
-    return _merge_sort_charge(n) + 2 * n
+    # a worst-case two-way merge sort of n keys, n*ceil(lg n) - 2**ceil(lg n)
+    # + 1, then the suffix-maximum build (n) and the candidate scan (n)
+    t = (n - 1).bit_length()
+    return n * t - (1 << t) + 1 + 2 * n
 
 
 def omega_bruteforce(rt: RateTable) -> OmegaResult:

@@ -12,14 +12,26 @@ evaluated directly.
 
 The two oracles walk the 2**n cuts in tiles of 2**_TILE_BITS (``_cut_tiles``),
 so their working memory is O(n * 2**_TILE_BITS) floats at any n, not whole
-2**n tables; ``_cut_tiles`` refuses n > ``BRUTE_FORCE_LIMIT`` with a
-``SizeLimitError``, the one size guard of both oracles.
+2**n tables. The walk has one code path for every n: at n <= _TILE_BITS it
+yields its first table as the one tile. ``_cut_tiles`` refuses n >
+``BRUTE_FORCE_LIMIT`` with a ``SizeLimitError``, the one size guard of both
+oracles.
+
+Overflow rule of the min-cut kernels (``brute_omega``, ``omega_sorted_scan``,
+``best_chains``, ``omega_rows``): a cut or chain sum r_s + r_d past the
+float64 range is inf, without a warning, and no value changes. The first two
+hold the two terms of their largest sum at a known index, and
+``_overflow_guard`` adds them on Python floats, which never warn, so that
+their sums run under ``np.errstate(over="ignore")`` only when it is inf. The
+other two would need two reductions for that bound, which cost more than the
+``errstate`` block, so their sums always run under it.
 
 Conventions: relays are 0-indexed here; a cut is a bitmask with bit i set
 when relay i sits on the destination side; the maximum over an empty index
 set is 0.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -71,6 +83,18 @@ _TILE_BITS = 14
 BRUTE_FORCE_LIMIT = 24
 
 
+_NO_GUARD = contextlib.nullcontext()
+
+
+def _overflow_guard(top_s, top_d):
+    """Context for sums r_s + r_d whose maxima are ``top_s`` and ``top_d``:
+    silences overflow when their sum is inf (rounding is monotone), and is
+    otherwise a no-op, which costs less."""
+    if float(top_s) + float(top_d) < math.inf:
+        return _NO_GUARD
+    return np.errstate(over="ignore")
+
+
 def _cut_tiles(rows, n_dest, fold):
     """Folds of ``rows`` over both sides of every cut, one tile at a time.
 
@@ -94,30 +118,38 @@ def _cut_tiles(rows, n_dest, fold):
         )
     b = min(n, _TILE_BITS)
     low = subset_max(rows[:, :b], fold)
-    if b == n:
-        return ((0, low),)
     # one tile per high relay, written by each branch at that depth in turn
     tile_at = np.empty((n - b,) + low.shape)
+    return _walk(rows, n_dest, fold, tile_at, b, 0, low)
+
+
+def _walk(rows, n_dest, fold, tile_at, i, base, tile):
+    """The depth-first walk of ``_cut_tiles`` from relay i, ``tile`` holding
+    the folds with relays below i placed: yields it once every relay is.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, left to the garbage collector on every call.
+    """
+    n = rows.shape[1]
+    if i == n:
+        yield base, tile
+        return
+    child = tile_at[i - n]  # tile_at holds depths n - len(tile_at) .. n - 1
     dest, src = slice(0, n_dest), slice(n_dest, None)
-
-    def walk(i, base, tile):
-        if i == n:
-            yield base, tile
-            return
-        child = tile_at[i - b]
-        for side, other, bit in ((dest, src, 1 << i), (src, dest, 0)):
-            fold(tile[side], rows[side, i, None], out=child[side])
-            child[other] = tile[other]
-            yield from walk(i + 1, base | bit, child)
-
-    return walk(b, 0, low)
+    for side, other, bit in ((dest, src, 1 << i), (src, dest, 0)):
+        fold(tile[side], rows[side, i, None], out=child[side])
+        child[other] = tile[other]
+        yield from _walk(rows, n_dest, fold, tile_at, i + 1, base | bit, child)
 
 
 def brute_omega(r_s, r_d):
     """Min cut value and first-minimal argmin bitmask over all 2**n cuts."""
     best = []
     for base, (max_d, max_s) in _cut_tiles(np.array((r_d, r_s)), 1, np.maximum):
-        values = max_d + max_s[::-1]
+        # a fold grows with its mask, so the full low mask holds each
+        # side's largest value in the tile
+        with _overflow_guard(max_s[-1], max_d[-1]):
+            values = max_d + max_s[::-1]
         idx = int(values.argmin())
         best.append((float(values[idx]), base | idx))
     # the first-minimal mask: tuples of equal values compare by mask
@@ -134,7 +166,8 @@ def omega_sorted_scan(s_sorted, d_sorted):
     suff = np.maximum.accumulate(d_sorted[::-1])[::-1]
     cand = np.empty(n + 1)
     cand[0] = suff[0]
-    cand[1:n] = suff[1:] + s_sorted[: n - 1]
+    with _overflow_guard(s_sorted[n - 1], suff[0]):
+        cand[1:n] = suff[1:] + s_sorted[: n - 1]
     cand[n] = s_sorted[n - 1]
     m_best = n - int(cand[::-1].argmin())
     return float(cand[m_best]), m_best
@@ -154,7 +187,8 @@ def best_chains(r_s, r_d):
     rounds, O(n**2) each, stop once it is unchanged, after at most n.
     """
     n = r_s.shape[0]
-    step = r_s[:, None] + r_d  # the link from relay i to relay j
+    with np.errstate(over="ignore"):
+        step = r_s[:, None] + r_d  # the link from relay i to relay j
     links = np.empty_like(step)
     f = r_d
     best = np.full(n, np.minimum(f, r_s).max())
@@ -178,7 +212,8 @@ def omega_rows(members, r_s, r_d):
     # candidate m: max r_d over sorted relays m.. plus r_s of relay m-1,
     # with the first term absent at m = k and the second at m = 0
     cand = np.concatenate((suff, s_sorted[:, -1:]), axis=1)
-    cand[:, 1:k] += s_sorted[:, : k - 1]
+    with np.errstate(over="ignore"):
+        cand[:, 1:k] += s_sorted[:, : k - 1]
     # the largest minimizing m, as in omega_sorted_scan
     return cand[rows, k - cand[:, ::-1].argmin(axis=1)]
 

@@ -1,5 +1,6 @@
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from diamondnet import (
     rate_table,
     tight_config,
 )
+from diamondnet.af import _af_weights
 from diamondnet.verify import trial_seed
 
 
@@ -152,6 +154,54 @@ class TestOverflowingSnr:
         rates = af_rate_batch(net, rows)
         assert math.isfinite(rates[0])
         assert [af_rate(net, row) for row in rows[1:]] == rates[1:].tolist()
+
+
+class TestOverflowingGainProducts:
+    """A gain product can overflow while every snr * gain**2 fits."""
+
+    def test_rate_and_cap_at_a_small_snr(self):
+        # 60-digit values: rate 1016.92503453481172..., cap 1018.50999703553287...
+        net = Network(1e-10, [1e158] * 2, [1e158] * 2)
+        rep = af_optimize(net)
+        assert rep.alpha.alpha.tolist() == [1.0, 1.0]
+        for rate in (af_rate(net, [1.0, 1.0]), rep.rate):
+            assert abs(rate - 1016.9250345348117) <= math.ulp(1016.0)
+        assert abs(rep.upper_bound - 1018.5099970355329) <= math.ulp(1018.0)
+        assert rep.rate <= rep.upper_bound
+        assert math.isfinite(af_rate(net, [1.0, 0.25]))
+
+    @pytest.mark.parametrize(
+        "snr,gs,gd",
+        [
+            # gain**2 overflows; a tiny gain_s whose snr * gain_s**2
+            # underflows to 0 keeps its nonzero w = gain_d * gain_s * sqrt(snr)
+            (1e-10, [1e158, 1e-160, 0.0, 3.0, 1e150], [1e158, 1e158, 2.0, 0.0, 1e-3]),
+            # gain_s**2 * snr rounds past the float64 maximum, snr * gain_s**2 not
+            (832597.5510533768, [1.4694006085960322e151, 1.0], [1.0, 2.0]),
+        ],
+    )
+    def test_weights_match_the_definition(self, snr, gs, gd):
+        w, v = _af_weights(Network(snr, gs, gd))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            s = Decimal(snr)
+            scale = [s / (1 + Decimal(g) ** 2 * s) for g in gs]
+            want_w = [
+                float(Decimal(d) * Decimal(g) * c.sqrt()) for g, d, c in zip(gs, gd, scale)
+            ]
+            want_v = [float(Decimal(d) ** 2 * c) for d, c in zip(gd, scale)]
+        assert w.tolist() == pytest.approx(want_w, rel=4e-16, abs=0.0)
+        assert v.tolist() == pytest.approx(want_v, rel=4e-16, abs=0.0)
+
+    def test_weights_that_fit_keep_their_expressions(self):
+        nets = [random_net(i, 91, snr_hi=4.0) for i in range(200)]
+        nets += [Network(1e-10, [1e154, 1.0], [2.0, 1e154]), Network(1e300, [1e-150], [0.0])]
+        for net in nets:
+            gs, gd = net.gain_arrays()
+            scale = net.snr / (1.0 + gs * gs * net.snr)
+            w, v = _af_weights(net)
+            assert w.tobytes() == (gd * gs * np.sqrt(scale)).tobytes()
+            assert v.tobytes() == (gd * gd * scale).tobytes()
 
 
 class TestAfUpperBound:

@@ -15,6 +15,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reject_constant(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
 @pytest.fixture
 def stair_file(tmp_path):
     path = tmp_path / "stair.txt"
@@ -137,7 +141,9 @@ class TestSelectCommand:
         assert "gamma = {1, 2, 3}" in out
 
     def test_staircase_at_huge_rates(self, capsys, tmp_path):
-        # 2 * omega overflows here; the thresholds must not
+        # 2 * omega overflows here; the thresholds must not. Cut sums pass
+        # the float64 range: inf, with no warning (the suite turns
+        # RuntimeWarning into an error), for both oracles.
         path = tmp_path / "huge.txt"
         assert main(["tight", "2", "5e307", "-o", str(path)]) == 0
         code, out, _ = run_cli(capsys, "select", str(path), "2", "--format", "machine")
@@ -145,6 +151,16 @@ class TestSelectCommand:
         payload = json.loads(out)
         assert payload["gamma"] == [2]
         assert payload["omega_gamma"] == 1e308
+        code, out, _ = run_cli(capsys, "omega", str(path), "--brute", "--format", "machine")
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["oracle_agrees"] is True
+        assert payload["omega"] == payload["brute_omega"] == 1.5e308
+        code, out, _ = run_cli(
+            capsys, "select", str(path), "2", "--verify", "--format", "machine"
+        )
+        assert code == 0
+        assert json.loads(out, parse_constant=reject_constant)["verified"] is True
 
 
 class TestBoundsCommand:
@@ -194,15 +210,24 @@ class TestAfCommand:
         # rate is finite, under the cap, and the JSON strict
         path = tmp_path / "big.txt"
         path.write_text("snr = 1.0\n" + "relay = 1e154 1e154\n" * 3)
-
-        def reject(constant):
-            raise AssertionError(f"{constant} is not JSON")
-
         code, out, _ = run_cli(capsys, "af", str(path), "--optimize", "--format", "machine")
-        payload = json.loads(out, parse_constant=reject)
+        payload = json.loads(out, parse_constant=reject_constant)
         assert code == 0
         assert payload["within_bound"] is True
         assert abs(payload["af_rate"] - 1024.3237782267499) <= 2 * math.ulp(1024.0)
+
+    @pytest.mark.parametrize("mode", [(), ("--optimize",)])
+    def test_gain_products_past_the_float_limit(self, capsys, tmp_path, mode):
+        # gain**2 overflows below snr = 1 though snr * gain**2 fits; both
+        # modes exit 0 with strict JSON and no warning
+        path = tmp_path / "small_snr.txt"
+        path.write_text("snr = 1e-10\nrelay = 1e158 1e158\nrelay = 1e158 1e158\n")
+        code, out, _ = run_cli(capsys, "af", str(path), *mode, "--format", "machine")
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["within_bound"] is True
+        assert abs(payload["af_rate"] - 1016.9250345348117) <= math.ulp(1016.0)
+        assert abs(payload["upper_bound"] - 1018.5099970355329) <= math.ulp(1018.0)
 
     def test_rates_file_without_snr_fails(self, capsys, tmp_path):
         path = tmp_path / "r.txt"

@@ -69,6 +69,32 @@ class TestCutValue:
         assert cut.mask == 0b100101
         assert Cut.from_mask(cut.mask).members == cut.members
 
+    def test_len_counts_members(self):
+        assert len(Cut([1, 3])) == 2
+        assert len(Cut()) == 0
+
+    def test_every_cut_matches_the_scalar_definition_bit_for_bit(self):
+        # tied and zero rates, 1022-1023-bit rates, and rates whose sums
+        # pass the float64 range (inf in both); the empty and full cuts are
+        # among the 2**n masks
+        rng = np.random.default_rng(88)
+        pool = [0.0, -0.0, 1.0, 2.0, 1022.0, 1023.0, 1e308]
+        for _ in range(120):
+            n = int(rng.integers(1, 11))
+            size = (2, n)
+            draws = [rng.choice(pool, size), rng.uniform(0.0, 8.0, size)]
+            draws.append(rng.uniform(1022.0, 1023.0, size))
+            rates = np.choose(rng.integers(0, 3, size), draws)
+            rt = RateTable(*rates)
+            r_s, r_d = rt.r_s.tolist(), rt.r_d.tolist()
+            for mask in range(1 << n):
+                cut = Cut.from_mask(mask)
+                want = max((r_d[i - 1] for i in cut.members), default=0.0) + max(
+                    (r_s[i - 1] for i in range(1, n + 1) if i not in cut.members),
+                    default=0.0,
+                )
+                assert cut_value(rt, cut).hex() == want.hex(), (rates.tolist(), mask)
+
 
 class TestCutMembers:
     @pytest.mark.parametrize(

@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondnet import (
+    Cut,
     RateTable,
     SizeLimitError,
     cut_value,
     kernels,
     omega_bruteforce,
     omega_fast,
+    omega_k_bruteforce,
+    omega_k_table,
     sandwich,
+    tight_config,
 )
 
 KERNELS = ("brute_omega", "omega_sorted_scan", "omega_rows", "sandwich_scan", "af_rate_batch")
@@ -224,3 +228,25 @@ def test_single_row_omega_matches_sorted_scan_bit_for_bit():
         want, _ = kernels.omega_sorted_scan(r_s[order], r_d[order])
         members = np.arange(r_s.size)[None, :]
         assert same_bits(kernels.omega_rows(members, r_s, r_d)[0], want)
+
+
+def test_min_cut_kernels_past_the_float_range():
+    # cut and chain sums past the float64 range are inf, without a warning
+    # (the suite turns RuntimeWarning into an error); the values are the
+    # definitions': the min of cut_value over every cut, and the best
+    # k-subset by enumeration
+    rng = np.random.default_rng(317)
+    pool = [0.0, 1.0, 5e307, 1e308, 1.7976931348623157e308]
+    tables = [tight_config(2, 5e307), RateTable([1e308] * 2, [1e308] * 2)]
+    tables += [RateTable(*rng.choice(pool, (2, int(n)))) for n in rng.integers(1, 9, 60)]
+    for rt in tables:
+        fast, brute = omega_fast(rt), omega_bruteforce(rt)
+        with mock.patch.object(kernels, "_TILE_BITS", 2):  # several tiles
+            tiled = omega_bruteforce(rt)
+        cuts = [Cut.from_mask(mask) for mask in range(1 << rt.n)]
+        assert same_bits(brute.value, min(cut_value(rt, c) for c in cuts))
+        assert same_bits(fast.value, brute.value) and same_bits(tiled.value, brute.value)
+        assert fast.argmin_cut == brute.argmin_cut == tiled.argmin_cut
+        best = [omega_k_bruteforce(rt, k)[0] for k in range(1, rt.n + 1)]
+        assert same_bits(omega_k_table(rt), best)
+    assert omega_k_table(tables[0]) == (1e308, 1e308, 1.5e308)

@@ -443,6 +443,14 @@ BAD_ARGUMENTS = [
         lambda: network_from(RateTable([1.0], [1.0]), 1e-320),
         "snr 1e-320 is too small for these rates: (2**r - 1) / snr overflows",
     ),
+    (
+        lambda: random_network(3, 1.0, 0, "loguniform", lo=2.0, hi=1.0),
+        "need 0 < lo <= hi, got lo=2.0, hi=1.0",
+    ),
+    (
+        lambda: random_network(3, 1.0, 0, "uniform"),
+        "unknown distribution 'uniform'; pick from ('rayleigh', 'loguniform')",
+    ),
 ]
 
 RT = RateTable([1.0, 2.0], [2.0, 1.0])

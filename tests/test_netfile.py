@@ -147,6 +147,15 @@ class TestNetworkFilePayload:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             NetworkFile(**payload)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, {"network": Network(2.0, [1.0], [1.0]), "rates": RateTable([1.0], [2.0])}],
+    )
+    def test_neither_or_both_payloads_are_rejected(self, payload):
+        message = "a network file holds exactly one payload: gains or rates"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            NetworkFile(**payload)
+
 
 class TestRoundTrip:
     def test_gains_round_trip_is_lossless(self):
