@@ -24,41 +24,46 @@ the scalar inequality behind it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import ValidationError
-from .model import Network, RateTable, _ArrayValue, _check_range, _float_array
-from .model import _rates, _require, _to_int
+from .model import Network, RateTable, _Value, _check_range, _float_array
+from .model import _rates, _require, _set, _to_int
 
 
-class AfCoefficients(_ArrayValue):
+class AfCoefficients(_Value):
     """Normalized amplification magnitudes, one per relay, each in [0, 1]."""
 
     __slots__ = ("alpha",)
+    __hash__ = None
 
     def __init__(self, alpha):
         alpha = _float_array("alpha", alpha)
         if alpha.size == 0:
             raise ValidationError("alpha must have at least one entry")
         _check_range("alpha", alpha, 1.0)
-        self._freeze(alpha)
+        alpha.flags.writeable = False
+        _set(self, "alpha", alpha)
 
     @property
     def n(self) -> int:
         return int(self.alpha.size)
 
 
-@dataclass(frozen=True, slots=True)
-class AfReport:
+class AfReport(_Value):
     """Achieved rate, the coefficients, and the best-relay-plus-beamforming cap."""
 
-    rate: float
-    alpha: AfCoefficients
-    upper_bound: float
-    c1: float
+    __slots__ = ("rate", "alpha", "upper_bound", "c1")
+
+    def __init__(
+        self, rate: float, alpha: AfCoefficients, upper_bound: float, c1: float
+    ):
+        _set(self, "rate", rate)
+        _set(self, "alpha", alpha)
+        _set(self, "upper_bound", upper_bound)
+        _set(self, "c1", c1)
 
 
 def _af_weights(net: Network) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -140,6 +139,7 @@ def cmd_select(args) -> int:
     rt = load(args.file).to_rate_table()
     omega = omega_fast(rt).value
     sel = select(rt, args.k, omega)
+    cert = sel.certificate
     # omega is a safe stand-in for the cut-set bound here: the guarantee is
     # nondecreasing in it and omega never exceeds the true bound
     rep = guarantee(omega, min(args.k, rt.n), rt.n, args.gap_model)
@@ -152,7 +152,9 @@ def cmd_select(args) -> int:
         # no ratio is defined when omega is 0
         "ratio": sel.omega_gamma / omega if omega > 0.0 else None,
         "comparisons": sel.comparisons,
-        "certificate": None if sel.certificate is None else asdict(sel.certificate),
+        "certificate": (
+            None if cert is None else {"anchor_bin": cert.anchor_bin, "bins": cert.bins}
+        ),
         "gap_model": args.gap_model,
         "guaranteed_rate": rep.lower_bound,
     }
@@ -239,7 +241,10 @@ def cmd_verify(args) -> int:
     )
     payload = {
         "trials": report.trials,
-        "failures": [asdict(f) for f in report.failures],
+        "failures": [
+            {"seed": f.seed, "invariant": f.invariant, "details": f.details}
+            for f in report.failures
+        ],
         "max_violation": report.max_violation,
         "elapsed_s": report.elapsed,
     }

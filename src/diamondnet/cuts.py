@@ -11,23 +11,21 @@ O(n log n) production path; the two are bit-identical by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import ValidationError
-from .model import RateTable, _linear_snrs, _require, _to_int
+from .model import RateTable, _Value, _linear_snrs, _require, _set, _to_int
 
 
-@dataclass(frozen=True, slots=True)
-class Cut:
+class Cut(_Value):
     """A destination-side relay subset, 1-based indices; may be empty or full.
 
     Members are integers (numpy integers too, ``bool`` not).
     """
 
-    members: frozenset
+    __slots__ = ("members",)
 
     def __init__(self, members=()):
         members = tuple(members)
@@ -39,17 +37,27 @@ class Cut:
         members = frozenset(members)
         if members and min(members) < 1:
             raise ValidationError("cut members are 1-based relay indices")
-        object.__setattr__(self, "members", members)
+        _set(self, "members", members)
 
     @classmethod
     def from_mask(cls, mask: int) -> "Cut":
-        """Cut whose bitmask is ``mask`` (bit i-1 set when relay i is a member)."""
+        """Cut whose bitmask is ``mask`` (bit i-1 set when relay i is a member).
+
+        Through the mask's little-endian bytes, in time linear in its bits.
+        """
         mask = _to_int("cut bitmask", mask, minimum=0)
-        return cls(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+        raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
+        return cls((np.flatnonzero(bits) + 1).tolist())
 
     @property
     def mask(self) -> int:
-        return sum(1 << (i - 1) for i in self.members)
+        """The bitmask of ``from_mask``, built in time linear in its bits."""
+        members = self.members
+        bits = np.zeros(max(members, default=0), dtype=bool)
+        bits[np.fromiter(members, np.intp, len(members)) - 1] = True
+        packed = np.packbits(bits, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -58,31 +66,35 @@ class Cut:
         return len(self.members)
 
 
-@dataclass(frozen=True, slots=True)
-class OmegaResult:
+class OmegaResult(_Value):
     """omega value, the minimizing cut, and a comparison counter.
 
     The counter is the deterministic comparison charge of the algorithm's
     schedule (sorting, suffix maxima, scans), a function of n alone.
     """
 
-    value: float
-    argmin_cut: Cut
-    comparisons: int
+    __slots__ = ("value", "argmin_cut", "comparisons")
+
+    def __init__(self, value: float, argmin_cut: Cut, comparisons: int):
+        _set(self, "value", value)
+        _set(self, "argmin_cut", argmin_cut)
+        _set(self, "comparisons", comparisons)
 
 
-@dataclass(frozen=True, slots=True)
-class SandwichReport:
+class SandwichReport(_Value):
     """omega and the bracketing bounds on the cut-set bound.
 
     Satisfies omega <= lower <= upper <= omega + gap, with
     gap = gap_constant(n).
     """
 
-    omega: float
-    lower: float
-    upper: float
-    gap: float
+    __slots__ = ("omega", "lower", "upper", "gap")
+
+    def __init__(self, omega: float, lower: float, upper: float, gap: float):
+        _set(self, "omega", omega)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "gap", gap)
 
 
 def cut_value(rt: RateTable, cut: Cut) -> float:

@@ -24,7 +24,9 @@ hold the two terms of their largest sum at a known index, and
 ``_overflow_guard`` adds them on Python floats, which never warn, so that
 their sums run under ``np.errstate(over="ignore")`` only when it is inf. The
 other two would need two reductions for that bound, which cost more than the
-``errstate`` block, so their sums always run under it.
+``errstate`` block, so their sums always run under it. ``sandwich_scan``,
+whose sums are of linear SNRs, scales them by a power of two instead when
+they would pass the float64 range (its docstring has the rule).
 
 Conventions: relays are 0-indexed here; a cut is a bitmask with bit i set
 when relay i sits on the destination side; the maximum over an empty index
@@ -225,19 +227,37 @@ def sandwich_scan(ts2, td2, td):
                    + log2(1 + sum td2 over destination side),
              upper = same source term + log2(1 + (sum td over dest)**2).
     Returns (min lower, min upper).
+
+    Overflow rule: the fold adds a side's terms in index order, rounding is
+    monotone and the terms are nonnegative, so no side sum, nor (sum
+    td)**2, exceeds the sum of all n terms in index order, formed once per
+    row by ``np.add.accumulate``. When one of these three is inf (linear
+    SNRs near 2**1023), every cut is evaluated on ts2 and td2 scaled by
+    2**-32 and td by 2**-16, exact powers of two: each log term is then
+    log2(2**-32 + scaled sum), 32 short, and 64 is added back to both mins.
+    With n <= ``BRUTE_FORCE_LIMIT`` the scaled sums stay below 2**1001.
+    Every other bracket is the expression above, bit for bit.
     """
+    rows = np.array((td2, td, ts2))
+    with np.errstate(over="ignore"):
+        # the largest prefix sum is the whole row's (0 for no relay)
+        d2, d, s2 = np.add.accumulate(rows, axis=1).max(axis=1, initial=0.0).tolist()
+    one, shift = 1.0, 0.0
+    if max(d2, d * d, s2) == math.inf:
+        one, shift = 2.0**-32, 64.0
+        rows *= np.array([[one], [2.0**-16], [one]])
     lower = upper = np.inf
-    for _, sums in _cut_tiles(np.array((td2, td, ts2)), 2, np.add):
-        # in place: log2(1 + sum) per row, the dest-side td sum squared first
+    for _, sums in _cut_tiles(rows, 2, np.add):
+        # in place: log2(one + sum) per row, the dest-side td sum squared first
         np.multiply(sums[1], sums[1], out=sums[1])
-        np.add(sums, 1.0, out=sums)
+        np.add(sums, one, out=sums)
         np.log2(sums, out=sums)
         src = sums[2, ::-1]
         np.add(src, sums[0], out=sums[0])  # the lower form per cut
         np.add(src, sums[1], out=sums[1])  # the upper form
         lower = min(lower, sums[0].min())
         upper = min(upper, sums[1].min())
-    return float(lower), float(upper)
+    return float(lower) + shift, float(upper) + shift
 
 
 def af_rate_batch(w, v, snr, alphas):

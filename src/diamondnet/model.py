@@ -17,9 +17,17 @@ Both forms hold their per-relay numbers as two read-only float64 arrays,
 validated in bulk, so a network of 10**6 relays holds no per-relay Python
 object: ``Network(snr, gain_s, gain_d)`` and ``RateTable(r_s, r_d)`` copy
 and check the arrays they are given: one bulk test per array, and
-per-relay checks, to name the fault, only when it fails. Both, and
-``af.AfCoefficients``, share one base that makes them immutable, compared
-by value, and copied or pickled through their constructor.
+per-relay checks, to name the fault, only when it fails.
+
+Every value type of the package is an immutable value on one base,
+``_Value``: these two and ``af.AfCoefficients``, and every result record
+(``cuts.Cut``, ``cuts.OmegaResult``, ``selection.SelectionResult``,
+``verify.VerifyReport`` and the rest). A record's fields are its
+constructor's parameters, in order, and read as attributes
+(``omega_fast(rt).value``, ``sel.certificate.bins``); its ``repr`` names
+them all. Values compare equal field by field, an array by value; a record
+hashes by its fields, an array type not at all. A copy or a pickle is
+rebuilt through the constructor, so it is checked, and read-only, again.
 
 Scalar arguments follow one rule everywhere in the package, enforced by
 ``_to_int`` and ``_to_float``: an integer (n, k, a seed, a relay index) is a
@@ -105,23 +113,25 @@ def point_capacity(snr: float, gain: float) -> float:
     return float(np.log1p(x) / _LN2)
 
 
-class _ArrayValue:
-    """Base of the validated, read-only values built from float64 arrays.
+_set = object.__setattr__  # stores a field past ``_Value.__setattr__``
+
+
+class _Value:
+    """Base of every value type of the package: the three array types
+    (``Network``, ``RateTable``, ``af.AfCoefficients``) and every result
+    record (``cuts.Cut``, ``selection.SelectionResult``, ...).
 
     A subclass lists its constructor arguments, in order, as its
-    ``__slots__`` (a leading underscore marks a private one), checks them in
-    ``__init__`` and stores them with ``_freeze``. Instances are immutable,
-    compare by value, are not hashable, and copy and pickle through the
-    constructor, so a copy is checked and read-only again.
+    ``__slots__`` (a leading underscore marks a private one), and its
+    ``__init__`` checks them and stores each with ``_set``, in straight-line
+    code; an array type marks its arrays read-only first. Instances are
+    immutable, compare equal when their fields do (an array by value), and
+    copy and pickle through the constructor, so a copy is checked (and
+    read-only) again. A record hashes by its fields; an array type sets
+    ``__hash__ = None``. ``repr`` names every field, an array as a list.
     """
 
     __slots__ = ()
-
-    def _freeze(self, *values):
-        for name, value in zip(self.__slots__, values):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
 
     def _args(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -129,12 +139,16 @@ class _ArrayValue:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(map(np.array_equal, self._args(), other._args()))
+        return all(map(_same, self._args(), other._args()))
 
-    __hash__ = None
+    def __hash__(self):
+        return hash(self._args())
 
     def __reduce__(self):
         return (type(self), self._args())
@@ -146,6 +160,13 @@ class _ArrayValue:
             for name, value in zip(self.__slots__, self._args())
         )
         return f"{type(self).__name__}({fields})"
+
+
+def _same(a, b) -> bool:
+    """Field equality as in a tuple comparison, an array compared by value."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a is b or a == b
 
 
 def _check_range(name, arr, hi=math.inf):
@@ -160,7 +181,7 @@ def _check_range(name, arr, hi=math.inf):
         raise ValidationError(f"{name} entries must lie in [0, {hi:g}]")
 
 
-class Network(_ArrayValue):
+class Network(_Value):
     """A diamond network: linear SNR plus per-relay channel-gain magnitudes.
 
     ``Network(snr, gain_s, gain_d)`` copies the gains into two read-only
@@ -168,6 +189,7 @@ class Network(_ArrayValue):
     """
 
     __slots__ = ("snr", "_gain_s", "_gain_d")
+    __hash__ = None
 
     def __init__(self, snr, gain_s, gain_d):
         gs = _float_array("gain_s", gain_s)
@@ -199,7 +221,10 @@ class Network(_ArrayValue):
             g = float(gs[i])
             name = "gain_d" if math.isfinite(snr * g * g) else "gain_s"
             raise ValidationError(f"relay {i + 1}: snr * {name}**2 overflows")
-        self._freeze(snr, gs, gd)
+        gs.flags.writeable = gd.flags.writeable = False
+        _set(self, "snr", snr)
+        _set(self, "_gain_s", gs)
+        _set(self, "_gain_d", gd)
 
     @property
     def n(self) -> int:
@@ -210,7 +235,7 @@ class Network(_ArrayValue):
         return self._gain_s, self._gain_d
 
 
-class RateTable(_ArrayValue):
+class RateTable(_Value):
     """Per-relay point-to-point rates (r_s, r_d), the canonical description.
 
     Arrays are copied on construction and frozen read-only; instances are
@@ -218,6 +243,7 @@ class RateTable(_ArrayValue):
     """
 
     __slots__ = ("r_s", "r_d")
+    __hash__ = None
 
     def __init__(self, r_s, r_d):
         r_s = _float_array("r_s", r_s)
@@ -231,7 +257,9 @@ class RateTable(_ArrayValue):
         for name, arr in (("r_s", r_s), ("r_d", r_d)):
             _check_range(name, arr)
             np.add(arr, 0.0, out=arr)  # -0.0 + 0.0 is 0.0: in place, on the copy
-        self._freeze(r_s, r_d)
+        r_s.flags.writeable = r_d.flags.writeable = False
+        _set(self, "r_s", r_s)
+        _set(self, "r_d", r_d)
 
     @property
     def n(self) -> int:

@@ -35,44 +35,45 @@ from __future__ import annotations
 
 import os
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import Network, RateTable, _require, _to_float, network_from, rate_table
+from .model import Network, RateTable, _Value, _require, _set, _to_float
+from .model import network_from, rate_table
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkFile:
+class NetworkFile(_Value):
     """Parsed network file: exactly one of ``network`` / ``rates`` is set.
 
     ``snr`` belongs to the rates form only (None or a positive finite
-    number); the gains form carries it in ``network``.
+    number, stored as a float); the gains form carries it in ``network``.
     """
 
-    network: Network | None = None
-    rates: RateTable | None = None
-    snr: float | None = None
-    label: str | None = None
+    __slots__ = ("network", "rates", "snr", "label")
 
-    def __post_init__(self):
-        if (self.network is None) == (self.rates is None):
+    def __init__(
+        self,
+        network: Network | None = None,
+        rates: RateTable | None = None,
+        snr: float | None = None,
+        label: str | None = None,
+    ):
+        if (network is None) == (rates is None):
             raise ValidationError(
                 "a network file holds exactly one payload: gains or rates"
             )
-        for name, kind in (("network", Network), ("rates", RateTable)):
-            payload = getattr(self, name)
-            if payload is not None:
-                _require(name, payload, kind)
-        if self.snr is not None:
-            if self.network is not None:
+        if network is not None:
+            _require("network", network, Network)
+        if rates is not None:
+            _require("rates", rates, RateTable)
+        if snr is not None:
+            if network is not None:
                 raise ValidationError(
                     "snr is for the rates form; a gains-form file takes it "
                     "from the network"
                 )
-            object.__setattr__(self, "snr", _to_float("snr", self.snr, "positive"))
-        label = self.label
+            snr = _to_float("snr", snr, "positive")
         if label is not None and (
             not isinstance(label, str)
             or "#" in label
@@ -84,6 +85,10 @@ class NetworkFile:
                 f"label {label!r} must be a string without '#', line breaks "
                 "or surrounding whitespace"
             )
+        _set(self, "network", network)
+        _set(self, "rates", rates)
+        _set(self, "snr", snr)
+        _set(self, "label", label)
 
     @property
     def n(self) -> int:

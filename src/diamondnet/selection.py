@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from . import kernels
 from .cuts import gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
-from .model import RateTable, _require, _to_float, _to_int
+from .model import RateTable, _Value, _require, _set, _to_float, _to_int
 
 SUBSET_ENUMERATION_LIMIT = 10**6
 
@@ -47,8 +46,7 @@ _STRATEGY_GAPS = {
 GAP_MODELS = tuple(_STRATEGY_GAPS)
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(_Value):
     """Threshold-bin witness produced by the constructive selection.
 
     ``anchor_bin`` is the integer a locating the anchor relay's destination
@@ -57,42 +55,69 @@ class Certificate:
     sequence (a_0=0, a_1, ..., a_l) pinned by the non-terminal rounds.
     """
 
-    anchor_bin: int | None
-    bins: tuple[int, ...]
+    __slots__ = ("anchor_bin", "bins")
+
+    def __init__(self, anchor_bin: int | None, bins: tuple[int, ...]):
+        _set(self, "anchor_bin", anchor_bin)
+        _set(self, "bins", bins)
 
 
-@dataclass(frozen=True, slots=True)
-class SelectionResult:
+class SelectionResult(_Value):
     """Chosen relay subset, its achieved omega, certificate and comparison count."""
 
-    gamma: tuple[int, ...]
-    omega_gamma: float
-    certificate: Certificate | None
-    comparisons: int
+    __slots__ = ("gamma", "omega_gamma", "certificate", "comparisons")
+
+    def __init__(
+        self,
+        gamma: tuple[int, ...],
+        omega_gamma: float,
+        certificate: Certificate | None,
+        comparisons: int,
+    ):
+        _set(self, "gamma", gamma)
+        _set(self, "omega_gamma", omega_gamma)
+        _set(self, "certificate", certificate)
+        _set(self, "comparisons", comparisons)
 
 
-@dataclass(frozen=True, slots=True)
-class GuaranteeReport:
+class GuaranteeReport(_Value):
     """Capacity lower bound for the best k-relay subnetwork.
 
     ``components`` is (multiplicative term, strategy gap, beamforming gap);
     the bound is their signed sum clipped at zero.
     """
 
-    k: int
-    lower_bound: float
-    gap_model: str
-    components: tuple[float, float, float]
+    __slots__ = ("k", "lower_bound", "gap_model", "components")
+
+    def __init__(
+        self,
+        k: int,
+        lower_bound: float,
+        gap_model: str,
+        components: tuple[float, float, float],
+    ):
+        _set(self, "k", k)
+        _set(self, "lower_bound", lower_bound)
+        _set(self, "gap_model", gap_model)
+        _set(self, "components", components)
 
 
-@dataclass(frozen=True, slots=True)
-class TradeoffReport:
+class TradeoffReport(_Value):
     """Per-k guarantee table, the additive baseline, and the best k."""
 
-    entries: tuple[tuple[int, float], ...]
-    best_k: int
-    baseline: float
-    gap_model: str
+    __slots__ = ("entries", "best_k", "baseline", "gap_model")
+
+    def __init__(
+        self,
+        entries: tuple[tuple[int, float], ...],
+        best_k: int,
+        baseline: float,
+        gap_model: str,
+    ):
+        _set(self, "entries", entries)
+        _set(self, "best_k", best_k)
+        _set(self, "baseline", baseline)
+        _set(self, "gap_model", gap_model)
 
 
 def _selection(rt: RateTable, gamma, certificate, comparisons) -> SelectionResult:

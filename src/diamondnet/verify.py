@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .af import af_optimize, af_rate_batch, af_snr_bound_sides, af_upper_bound
 from .cuts import cut_value, omega_bruteforce, omega_fast, sandwich
 from .errors import ValidationError
 from .generate import random_network
-from .model import _to_float, _to_int, rate_table
+from .model import _Value, _set, _to_float, _to_int, rate_table
 from .selection import omega_k_table, select, tight_config, verify_selection
 
 _MASK64 = (1 << 64) - 1
@@ -57,19 +56,34 @@ def trial_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-@dataclass(frozen=True, slots=True)
-class Failure:
-    seed: int
-    invariant: str
-    details: str
+class Failure(_Value):
+    """One failed check: the trial seed, the invariant's name, and details."""
+
+    __slots__ = ("seed", "invariant", "details")
+
+    def __init__(self, seed: int, invariant: str, details: str):
+        _set(self, "seed", seed)
+        _set(self, "invariant", invariant)
+        _set(self, "details", details)
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
-    trials: int
-    failures: tuple[Failure, ...]
-    max_violation: float
-    elapsed: float
+class VerifyReport(_Value):
+    """Trial count, the failures in (seed, invariant) order, the worst
+    inequality deficit, and the wall time in seconds."""
+
+    __slots__ = ("trials", "failures", "max_violation", "elapsed")
+
+    def __init__(
+        self,
+        trials: int,
+        failures: tuple[Failure, ...],
+        max_violation: float,
+        elapsed: float,
+    ):
+        _set(self, "trials", trials)
+        _set(self, "failures", failures)
+        _set(self, "max_violation", max_violation)
+        _set(self, "elapsed", elapsed)
 
     @property
     def ok(self) -> bool:

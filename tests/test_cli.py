@@ -183,6 +183,17 @@ class TestBoundsCommand:
         assert payload["upper"] == 0.0
         assert payload["baseline"] == 0.0
 
+    def test_rates_whose_linear_snrs_overflow(self, capsys, tmp_path):
+        # 2 * (2**1023 - 1) is past the float64 maximum: the empty cut's
+        # bracket is log2(1 + 2 * (2**1023 - 1)), about 1024, not 2046
+        path = tmp_path / "r.txt"
+        path.write_text("rate = 1023 1023\nrate = 1023 1023\n")
+        code, out, _ = run_cli(capsys, "bounds", str(path), "--format", "machine")
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert code == 0
+        assert (payload["omega"], payload["gap"]) == (1023.0, 2.0)
+        assert payload["lower"] == payload["upper"] == 1024.0
+
 
 class TestAfCommand:
     def test_unit_relay(self, capsys, tmp_path):

@@ -68,6 +68,21 @@ class TestCutValue:
         cut = Cut([1, 3, 6])
         assert cut.mask == 0b100101
         assert Cut.from_mask(cut.mask).members == cut.members
+        assert Cut().mask == 0 and Cut.from_mask(0) == Cut()
+        for i in (1, 8, 9, 64, 65):
+            assert Cut([i]).mask == 1 << (i - 1)
+            assert Cut.from_mask(1 << (i - 1)) == Cut([i])
+
+    def test_cut_mask_round_trip_at_a_million_relays(self):
+        # the bit-by-bit conversions were quadratic: about 20 s for the
+        # ~870k-member argmin cut of a 10**6-relay staircase
+        member = np.random.default_rng(89).random(10**6) < 0.87
+        member[-1] = True
+        cut = Cut((np.flatnonzero(member) + 1).tolist())
+        # the mask by its binary digits, the highest relay first
+        want = int("".join("1" if m else "0" for m in member[::-1].tolist()), 2)
+        assert cut.mask == want
+        assert Cut.from_mask(want) == cut
 
     def test_len_counts_members(self):
         assert len(Cut([1, 3])) == 2

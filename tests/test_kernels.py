@@ -1,5 +1,8 @@
+import decimal
+import math
 import re
 import tracemalloc
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -250,3 +253,60 @@ def test_min_cut_kernels_past_the_float_range():
         best = [omega_k_bruteforce(rt, k)[0] for k in range(1, rt.n + 1)]
         assert same_bits(omega_k_table(rt), best)
     assert omega_k_table(tables[0]) == (1e308, 1e308, 1.5e308)
+
+
+def decimal_sandwich(ts2, td2, td):
+    """The bracketing mins by definition: every cut's sums exact in decimal,
+    its logs to 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ln2 = Decimal(2).ln()
+        ts2, td2, td = ([Decimal(x) for x in arr.tolist()] for arr in (ts2, td2, td))
+        n = len(ts2)
+        lower = upper = None
+        for mask in range(1 << n):
+            dest = [i for i in range(n) if mask >> i & 1]
+            src = [i for i in range(n) if not mask >> i & 1]
+            s = (1 + sum((ts2[i] for i in src), Decimal(0))).ln() / ln2
+            d2 = (1 + sum((td2[i] for i in dest), Decimal(0))).ln() / ln2
+            d = (1 + sum((td[i] for i in dest), Decimal(0)) ** 2).ln() / ln2
+            lower = s + d2 if lower is None else min(lower, s + d2)
+            upper = s + d if upper is None else min(upper, s + d)
+        return float(lower), float(upper)
+
+
+def linear_snrs(r_s, r_d):
+    ts2 = np.expm1(np.asarray(r_s) * np.log(2.0))
+    td2 = np.expm1(np.asarray(r_d) * np.log(2.0))
+    return ts2, td2, np.sqrt(td2)
+
+
+def test_sandwich_scan_past_the_float_range(monkeypatch):
+    # side sums of 2**r - 1 past the float64 maximum: the brackets are the
+    # definition's, without a warning (the suite turns RuntimeWarning into an
+    # error), at the default tile width and at 2-bit tiles
+    rng = np.random.default_rng(331)
+    tables = [([1023.0, 1023.0], [1023.0, 1023.0]), ([1023.0] * 3, [0.0, 1.0, 2.0])]
+    tables += [rng.uniform(1015.0, 1023.0, (2, int(n))) for n in rng.integers(1, 9, 40)]
+    overflowed = 0
+    for r_s, r_d in tables:
+        ts2, td2, td = linear_snrs(r_s, r_d)
+        total_td = sum(td.tolist())  # Python floats never warn
+        sums = sum(ts2.tolist()), sum(td2.tolist()), total_td * total_td
+        overflowed += max(sums) == math.inf
+        want = decimal_sandwich(ts2, td2, td)
+        for bits in (kernels._TILE_BITS, 2):
+            monkeypatch.setattr(kernels, "_TILE_BITS", bits)
+            got = kernels.sandwich_scan(ts2, td2, td)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert 10 <= overflowed <= len(tables) - 10  # both paths, against one definition
+    top = linear_snrs([1023.0] * 2, [1023.0] * 2)
+    assert kernels.sandwich_scan(*top) == (1024.0, 1024.0)
+
+
+def test_sandwich_brackets_omega_past_the_float_range():
+    rng = np.random.default_rng(332)
+    for n in rng.integers(1, 9, 40):
+        rt = RateTable(*rng.uniform(1015.0, 1023.0, (2, int(n))))
+        sw = sandwich(rt)
+        assert sw.omega <= sw.lower <= sw.upper <= sw.omega + sw.gap

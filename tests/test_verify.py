@@ -1,10 +1,13 @@
-import dataclasses
 from collections import Counter
 
 import pytest
 
 from diamondnet import (
+    AfReport,
     Cut,
+    OmegaResult,
+    SandwichReport,
+    SelectionResult,
     ValidationError,
     omega_k_bruteforce,
     run_verification,
@@ -181,25 +184,36 @@ def break_every_invariant(monkeypatch):
 
     def brute(rt):
         res = orig["omega_bruteforce"](rt)
-        return dataclasses.replace(
-            res, value=res.value + 0.5, argmin_cut=Cut(range(1, rt.n + 1))
+        return OmegaResult(
+            value=res.value + 0.5,
+            argmin_cut=Cut(range(1, rt.n + 1)),
+            comparisons=res.comparisons,
         )
 
     def select(rt, k, omega):
         sel = orig["select"](rt, k, omega)
-        return dataclasses.replace(
-            sel,
+        return SelectionResult(
             gamma=sel.gamma * (k + 1),
             omega_gamma=sel.omega_gamma / 4,
-            comparisons=10**6,
             certificate=Certificate(anchor_bin=k + 1, bins=(0, 2, 1)),
+            comparisons=10**6,
+        )
+
+    def sandwich(rt):
+        sw = orig["sandwich"](rt)
+        return SandwichReport(
+            omega=sw.omega, lower=-1.0, upper=-2.0 if rt.n % 2 else 1e3, gap=sw.gap
+        )
+
+    def af_optimize(net):
+        rep = orig["af_optimize"](net)
+        return AfReport(
+            rate=-1.0, alpha=rep.alpha, upper_bound=rep.upper_bound, c1=rep.c1
         )
 
     patches = {
         "omega_bruteforce": brute,
-        "sandwich": lambda rt: dataclasses.replace(
-            orig["sandwich"](rt), lower=-1.0, upper=-2.0 if rt.n % 2 else 1e3
-        ),
+        "sandwich": sandwich,
         "omega_k_table": lambda rt: tuple(
             v * (0.25 if k % 2 else 3.0)
             for k, v in enumerate(orig["omega_k_table"](rt), 1)
@@ -209,9 +223,7 @@ def break_every_invariant(monkeypatch):
         "verify_selection": lambda *args: False,
         "af_upper_bound": lambda rt: (orig["af_upper_bound"](rt)[0] - 5.0, 0.0),
         "af_snr_bound_sides": lambda *args: orig["af_snr_bound_sides"](*args)[::-1],
-        "af_optimize": lambda net: dataclasses.replace(
-            orig["af_optimize"](net), rate=-1.0
-        ),
+        "af_optimize": af_optimize,
     }
     for name, fn in patches.items():
         monkeypatch.setattr(verify, name, fn)
