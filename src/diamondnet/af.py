@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 from .model import Network, RateTable, _Value, _check_range, _float_array
-from .model import _rates, _require, _set, _to_int
+from .model import _float_rows, _rates, _require, _set, _to_int
 
 
 class AfCoefficients(_Value):
@@ -146,20 +146,19 @@ def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
 
     Returns (lhs, rhs); lhs >= rhs always.
     """
-    u_d = _float_array("u_d", u_d)
-    u_s = _float_array("u_s", u_s)
-    b = _float_array("b", b)
-    if not (u_d.size == u_s.size == b.size) or u_d.size == 0:
-        raise ValidationError("u_d, u_s and b must share a positive length")
-    # one bulk test passes good inputs (NaN fails it); the checks that name
-    # the fault, in their order, run only when it fails
-    if not (
-        u_d.min() > 0.0 and u_s.min() > 0.0 and max(u_d.max(), u_s.max()) < math.inf
-        and b.min() >= 0.0 and b.max() <= 1.0
-    ):
-        if not all(np.isfinite(x).all() for x in (u_d, u_s, b)):
+    length = "u_d, u_s and b must share a positive length"
+    rows = _float_rows(("u_d", "u_s", "b"), (u_d, u_s, b), length)
+    if rows.shape[1] == 0:
+        raise ValidationError(length)
+    u_d, u_s, b = rows
+    # one bulk test of the three rows passes good inputs (NaN fails it); the
+    # checks that name the fault, in their order, run only when it fails
+    lo, hi = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+    if not (lo[0] > 0.0 and lo[1] > 0.0 and max(hi[:2]) < math.inf
+            and lo[2] >= 0.0 and hi[2] <= 1.0):
+        if not np.isfinite(rows).all():
             raise ValidationError("inputs must be finite")
-        if (u_d <= 0.0).any() or (u_s <= 0.0).any():
+        if (rows[:2] <= 0.0).any():
             raise ValidationError("u_d and u_s must be positive")
         _check_range("b", b, 1.0)
     ratio = u_d * b / (1.0 + u_s)

@@ -113,8 +113,8 @@ def cut_value(rt: RateTable, cut: Cut) -> float:
         raise ValidationError(f"cut member out of range for n={n}")
     member = np.zeros(n, dtype=bool)
     member[np.fromiter(members, np.intp, len(members)) - 1] = True
-    d_max = rt.r_d.max(where=member, initial=0.0)
-    return float(d_max) + float(rt.r_s.max(where=~member, initial=0.0))
+    d_max = np.maximum.reduce(rt.r_d, where=member, initial=0.0)
+    return float(d_max) + float(np.maximum.reduce(rt.r_s, where=~member, initial=0.0))
 
 
 def gap_constant(n: int) -> float:
@@ -147,6 +147,14 @@ def omega_bruteforce(rt: RateTable) -> OmegaResult:
     )
 
 
+def _sorted_scan(r_s, r_d):
+    """(stable r_s order, omega, m) of the rates (r_s, r_d): the min over
+    the suffix cuts in that order, the m smallest-r_s relays on the source
+    side of the first minimal one."""
+    order = r_s.argsort(kind="stable")
+    return (order, *kernels.omega_sorted_scan(r_s[order], r_d[order]))
+
+
 def omega_fast(rt: RateTable) -> OmegaResult:
     """omega in O(n log n): sort by r_s and scan the n+1 suffix cuts.
 
@@ -155,11 +163,10 @@ def omega_fast(rt: RateTable) -> OmegaResult:
     side, so only suffix cuts need evaluation. Bit-identical to
     ``omega_bruteforce`` including the argmin cut.
     """
-    order = _require("rt", rt, RateTable).r_s.argsort(kind="stable")
-    value, m_best = kernels.omega_sorted_scan(rt.r_s[order], rt.r_d[order])
+    order, value, m_best = _sorted_scan(_require("rt", rt, RateTable).r_s, rt.r_d)
     return OmegaResult(
-        value=float(value),
-        argmin_cut=Cut((order[int(m_best):] + 1).tolist()),
+        value=value,
+        argmin_cut=Cut((order[m_best:] + 1).tolist()),
         comparisons=_fast_schedule_charge(rt.n),
     )
 
@@ -178,7 +185,7 @@ def sandwich(rt: RateTable) -> SandwichReport:
     td = np.sqrt(td2)
     lower, upper = kernels.sandwich_scan(ts2, td2, td)
     return SandwichReport(
-        omega=omega_fast(rt).value,
+        omega=_sorted_scan(rt.r_s, rt.r_d)[1],
         lower=float(lower),
         upper=float(upper),
         gap=gap_constant(n),

@@ -8,7 +8,10 @@ recurrence behind the best-k table (``best_chains``); the row-wise min-cut
 of many subnetworks (``omega_rows``), which backs only the oracle
 ``omega_k_bruteforce``; and the row-wise amplify-and-forward rate
 (``af_rate_batch``). Each is checked in the tests against a definition
-evaluated directly.
+evaluated directly. ``omega_sorted_scan`` forms its candidates in place in
+one buffer of n + 1 floats; ``best_chains`` keeps each round's chains as a
+row of an n x n table (8 MB at n = 1000, as are its link and scratch
+tables) and reads the best of every size off all rows at once.
 
 The two oracles walk the 2**n cuts in tiles of 2**_TILE_BITS (``_cut_tiles``),
 so their working memory is O(n * 2**_TILE_BITS) floats at any n, not whole
@@ -165,11 +168,11 @@ def omega_sorted_scan(s_sorted, d_sorted):
     value resolve to the largest m (equivalently the smallest cut bitmask).
     """
     n = s_sorted.shape[0]
-    suff = np.maximum.accumulate(d_sorted[::-1])[::-1]
     cand = np.empty(n + 1)
-    cand[0] = suff[0]
-    with _overflow_guard(s_sorted[n - 1], suff[0]):
-        cand[1:n] = suff[1:] + s_sorted[: n - 1]
+    # the suffix maxima of d_sorted, written backwards into cand[:n]
+    np.maximum.accumulate(d_sorted[::-1], out=cand[n - 1 :: -1])
+    with _overflow_guard(s_sorted[n - 1], cand[0]):
+        cand[1:n] += s_sorted[: n - 1]
     cand[n] = s_sorted[n - 1]
     m_best = n - int(cand[::-1].argmin())
     return float(cand[m_best]), m_best
@@ -183,23 +186,27 @@ def best_chains(r_s, r_d):
     the best k-subset's omega: every cut of a chain's relays crosses one of
     its links, and a subset's suffix-maximum chain in r_s order uses only
     omega's own candidates, the float sums ``omega_rows`` forms; so each
-    entry is bit-identical to a row-wise evaluation. ``f[j]`` holds the best
-    chain of h relays ending at j, less its last r_s term. Repeating a
-    chain's first relay keeps its value, so ``f`` never falls, and the
-    rounds, O(n**2) each, stop once it is unchanged, after at most n.
+    entry is bit-identical to a row-wise evaluation. ``f[h - 1, j]`` holds
+    the best chain of h relays ending at j, less its last r_s term.
+    Repeating a chain's first relay keeps its value, so ``f`` never falls
+    from row to row, and the rounds, O(n**2) each, stop once a row repeats
+    the one before, after at most n.
     """
     n = r_s.shape[0]
     with np.errstate(over="ignore"):
         step = r_s[:, None] + r_d  # the link from relay i to relay j
     links = np.empty_like(step)
-    f = r_d
-    best = np.full(n, np.minimum(f, r_s).max())
+    f = np.empty_like(step)
+    f[0] = r_d
+    rounds = n
     for h in range(1, n):
-        longer = np.minimum(f[:, None], step, out=links).max(axis=0)
-        if (longer == f).all():
+        np.minimum(f[h - 1, :, None], step, out=links).max(axis=0, out=f[h])
+        if (f[h] == f[h - 1]).all():
+            rounds = h
             break
-        f = longer
-        best[h:] = np.minimum(f, r_s).max()
+    best = np.empty(n)
+    np.minimum(f[:rounds], r_s, out=links[:rounds]).max(axis=1, out=best[:rounds])
+    best[rounds:] = best[rounds - 1]
     return best
 
 

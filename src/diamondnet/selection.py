@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from . import kernels
-from .cuts import gap_constant, omega_fast
+from .cuts import _sorted_scan, gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
 from .model import RateTable, _Value, _require, _set, _to_float, _to_int
 
@@ -128,12 +128,9 @@ def _selection(rt: RateTable, gamma, certificate, comparisons) -> SelectionResul
     ``omega_fast`` of the subnetwork's own rate table.
     """
     idx = np.array(gamma, dtype=np.int64) - 1
-    r_s = rt.r_s[idx]
-    order = r_s.argsort(kind="stable")
-    value, _ = kernels.omega_sorted_scan(r_s[order], rt.r_d[idx[order]])
     return SelectionResult(
         gamma=gamma,
-        omega_gamma=value,
+        omega_gamma=_sorted_scan(rt.r_s[idx], rt.r_d[idx])[1],
         certificate=certificate,
         comparisons=comparisons,
     )
@@ -156,19 +153,15 @@ def _thresholds(omega, k):
     return [j * w / k1 / scale for j in range(k1)]
 
 
-def _first_hit(free, r_s, r_d, t_s, t_d, failure):
-    """The first free relay with r_s >= t_s and r_d >= t_d, and its charge.
-
-    The charge is the relay-by-relay scan's: one comparison per free relay
-    up to the hit, plus one for each that passed its r_s test. Without a
-    hit, ``failure`` is raised.
-    """
-    cand = free & (r_s >= t_s)
-    hit = cand & (r_d >= t_d)
+def _first_hit(r_s, r_d, t_s, t_d, failure):
+    """The first relay with r_s >= t_s and r_d >= t_d, and how many relays
+    up to it pass the r_s test. Without a hit, ``failure`` is raised."""
+    passed = r_s >= t_s
+    hit = passed & (r_d >= t_d)
     y = int(hit.argmax())
     if not hit[y]:
         raise ValidationError(f"{failure}; omega is inconsistent with the rate table")
-    return y, int(np.count_nonzero(free[: y + 1]) + np.count_nonzero(cand[: y + 1]))
+    return y, int(np.count_nonzero(passed[: y + 1]))
 
 
 def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
@@ -191,6 +184,14 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
     larger ``omega`` may fail with one of two ``ValidationError``s: no
     anchor relay clears the top threshold, or no relay qualifies at a round.
 
+    A pick never qualifies again, so each scan runs over all relays: the
+    anchor's r_d is below tau_{k-a+1} <= tau_{k-x}, the r_d test of a later
+    round at bin x < a, and a round pick in bin b has r_s below tau_{b+1} <=
+    tau_{x+1}, the r_s test of a later round at x >= b. The charge is still
+    that of a scan over the unpicked relays (an r_s test each up to the hit,
+    an r_d test for each that passes): the whole scan's count, less the
+    picks before the hit and, if it is one of them, the anchor's r_s test.
+
     Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
     """
     n = _require("rt", rt, RateTable).n
@@ -210,30 +211,28 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
         return _selection(rt, (1,), None, 0)
 
     tau = _thresholds(omega, k)
-    free = np.empty(n, dtype=bool)
-    free.fill(True)  # a third of the time np.ones takes at desk-scale n
     failure = "no anchor relay clears the top threshold"
-    p, comparisons = _first_hit(free, r_s, r_d, tau[k], tau[1], failure)
+    p, passed = _first_hit(r_s, r_d, tau[k], tau[1], failure)
     # the anchor's r_d is in bin k - a, and a = 0 returns it alone; charged
     # as the scalar tests r_d >= tau_k, tau_{k-1}, ..., tau_{k-a}
     a = k - (bisect_right(tau, float(r_d[p])) - 1)
-    comparisons += 1 + a
+    comparisons = p + 1 + passed + 1 + a  # the scan to p, then the bin tests
     if a == 0:
         return _selection(rt, (p + 1,), Certificate(None, ()), comparisons)
 
-    free[p] = False
     gamma = [p + 1]
     bins = [0]
     failure = "no qualifying relay at a selection round"
     while True:
         t_s, t_d = tau[bins[-1] + 1], tau[k - bins[-1]]
-        y, charge = _first_hit(free, r_s, r_d, t_s, t_d, failure)
-        free[y] = False
+        y, passed = _first_hit(r_s, r_d, t_s, t_d, failure)
+        # the charge of a scan over the unpicked relays, as in the docstring
+        comparisons += y + 1 - sum(g <= y + 1 for g in gamma) + passed - (p < y)
         gamma.append(y + 1)
         # the relay's r_s is in bin b, and b >= a ends the selection; charged
         # as the scalar tests r_s >= tau_a, then r_s < tau_{j+1}, j = a_prev+1..b
         b = bisect_right(tau, float(r_s[y])) - 1
-        comparisons += charge + 1
+        comparisons += 1
         if b >= a:
             break
         comparisons += b - bins[-1]
@@ -263,8 +262,9 @@ def verify_selection(
     k = _to_int("k", k, minimum=1)
     if not gamma:
         raise ValidationError("selection has an empty relay set")
-    gamma = tuple(_to_int("selected relay index", i) for i in gamma)
-    if any(i < 1 or i > rt.n for i in gamma):
+    if type(gamma) is not tuple or not set(map(type, gamma)) <= {int}:
+        gamma = tuple(_to_int("selected relay index", i) for i in gamma)
+    if min(gamma) < 1 or max(gamma) > rt.n:
         raise ValidationError("selected relay index out of range")
     if len(set(gamma)) != len(gamma):
         raise ValidationError(f"selected relay indices must be distinct, got {gamma}")

@@ -134,10 +134,12 @@ def _check_trial(rec, seed, nmax, kmode, rng):
         fast.value,
         brute.value,
     )
+    # equal cuts have equal values, so only different ones are evaluated
     rec.exact(
         seed,
         "omega-argmin",
-        cut_value(rt, fast.argmin_cut) == cut_value(rt, brute.argmin_cut),
+        fast.argmin_cut == brute.argmin_cut
+        or cut_value(rt, fast.argmin_cut) == cut_value(rt, brute.argmin_cut),
         "argmin cuts have different values",
     )
 

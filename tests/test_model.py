@@ -145,6 +145,92 @@ class TestRateTableMessages:
         assert rt.r_s[0] == big
 
 
+NOT_NUMERIC = "entries must be real numbers: could not convert string to float: 'x'"
+
+# rows that stack differently as one array than one by one, with the
+# message (or the table) each gave when every row was copied on its own
+UNSTACKED_RATES = [
+    (([1.0, 2.0], [1.0]), "rate lists must have equal length, got 2 and 1"),
+    (([], [1.0]), "rate lists must have equal length, got 0 and 1"),
+    ((1.0, [1.0, 2.0]), "rate lists must have equal length, got 1 and 2"),
+    (([1.0, 2.0], 3.0), "rate lists must have equal length, got 2 and 1"),
+    (("x", [1.0]), f"r_s {NOT_NUMERIC}"),
+    (([1.0, 2.0], ["x"]), f"r_d {NOT_NUMERIC}"),
+    ((["x"], [1.0, 2.0]), f"r_s {NOT_NUMERIC}"),
+    ((None, [1.0]), "r_s entries must be finite"),
+    (([1.0], None), "r_d entries must be finite"),
+    ((None, None), "r_s entries must be finite"),
+    (([-1.0], [math.nan]), "r_s entries must be nonnegative"),
+    (([math.inf], [-2.0]), "r_s entries must be finite"),
+    (("x", None), f"r_s {NOT_NUMERIC}"),
+    (([], []), "a rate table needs at least one relay"),
+]
+
+
+class TestRowsThatDoNotStack:
+    """Both rows are copied and tested as one 2 x n array; rows that do not
+    stack, or fail the test, go one by one and keep their old message."""
+
+    @pytest.mark.parametrize("rows,message", UNSTACKED_RATES)
+    def test_rate_table_messages(self, rows, message):
+        with pytest.raises(ValidationError) as exc:
+            RateTable(*rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (([1.0, 2.0], [1.0]), "gain lists must have equal length, got 2 and 1"),
+            ((1.0, [1.0, 2.0]), "gain lists must have equal length, got 1 and 2"),
+            (("x", [1.0]), f"gain_s {NOT_NUMERIC}"),
+            (([1.0, 2.0], ["x"]), f"gain_d {NOT_NUMERIC}"),
+            ((None, [1.0]), "gain_s must be finite, got nan"),
+            (([1.0], None), "gain_d must be finite, got nan"),
+            (([-1.0], [math.nan]), "gain_s must be nonnegative, got -1.0"),
+            (([], []), "a network needs at least one relay"),
+        ],
+    )
+    def test_network_messages(self, rows, message):
+        with pytest.raises(ValidationError) as exc:
+            Network(2.0, *rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "rows,relays",
+        [
+            ((1.0, 2.0), ([1.0], [2.0])),
+            (([[1.0, 2.0]], [[3.0, 4.0]]), ([1.0, 2.0], [3.0, 4.0])),
+            (([[1.0], [2.0]], [3.0, 4.0]), ([1.0, 2.0], [3.0, 4.0])),
+            (([1.0, 2.0], [[1.0], [2.0]]), ([1.0, 2.0], [1.0, 2.0])),
+            (("1.5", "2.5"), ([1.5], [2.5])),
+        ],
+    )
+    def test_rows_that_do_not_stack_are_flattened(self, rows, relays):
+        rt = RateTable(*rows)
+        assert (rt.r_s.tolist(), rt.r_d.tolist()) == relays
+        net = Network(2.0, *rows)
+        assert [g.tolist() for g in net.gain_arrays()] == list(relays)
+        assert not rt.r_s.flags.writeable and not net.gain_arrays()[0].flags.writeable
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (([1.0, 2.0], [1.0], [0.5]), "u_d, u_s and b must share a positive length"),
+            (([], [], []), "u_d, u_s and b must share a positive length"),
+            (("x", [1.0], [0.5]), f"u_d {NOT_NUMERIC}"),
+            ((None, [1.0], [0.5]), "inputs must be finite"),
+            (([-1.0], [1.0], [2.0]), "u_d and u_s must be positive"),
+            (([1.0], [1.0], [2.0]), "b entries must lie in [0, 1]"),
+        ],
+    )
+    def test_snr_bound_messages(self, rows, message):
+        with pytest.raises(ValidationError) as exc:
+            dn.af_snr_bound_sides(*rows)
+        assert str(exc.value) == message
+        # a scalar, or a nested row, beside the others is flattened
+        assert dn.af_snr_bound_sides(1.0, [[1.0]], [0.5]) == (1.0, 0.25)
+
+
 class TestNetworkFrom:
     def test_zero_rate_gives_zero_gain(self):
         net = network_from(RateTable([0.0], [0.0]), snr=1.0)

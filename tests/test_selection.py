@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -63,6 +64,13 @@ def scalar_select(rt, k, omega):
     Returns (gamma, certificate, comparisons); certificate is
     (anchor_bin, bins) or None. Assumes 1 <= k < n and omega > 0.
     """
+    picks, cert, comparisons = scalar_picks(rt, k, omega)
+    return tuple(sorted(picks)), cert, comparisons
+
+
+def scalar_picks(rt, k, omega):
+    """``scalar_select`` with the picks in the order the scans made them,
+    the anchor first; the scans skip the relays already picked."""
     n, r_s, r_d = rt.n, rt.r_s, rt.r_d
     comparisons = 0
     tau = _thresholds(omega, k)
@@ -78,7 +86,7 @@ def scalar_select(rt, k, omega):
         raise ValidationError("no anchor")
     comparisons += 1
     if r_d[p] >= tau[k]:
-        return (p + 1,), (None, ()), comparisons
+        return [p + 1], (None, ()), comparisons
     a = -1
     for cand_a in range(1, k):
         comparisons += 1
@@ -107,7 +115,7 @@ def scalar_select(rt, k, omega):
         collected.append(y + 1)
         comparisons += 1
         if r_s[y] >= tau[a]:
-            return tuple(sorted(collected + [p + 1])), (a, tuple(bins)), comparisons
+            return [p + 1] + collected, (a, tuple(bins)), comparisons
         a_r = -1
         for cand in range(a_prev + 1, a):
             comparisons += 1
@@ -396,6 +404,41 @@ class TestSelect:
                 assert sel.omega_gamma == enum_omega_of_subset(rt, gamma)
                 multi_round += len(cert[1]) > 1
         assert multi_round > 0
+
+    def test_charge_when_round_hits_precede_the_anchor(self):
+        # staircases sorted by r_s put the round hits before the anchor;
+        # tied fillers sit on both sides of each hit, and the shuffled half
+        # also puts hits after the anchor and after earlier picks. The
+        # charge takes off the picks before a hit and, if it is among them,
+        # the anchor's passed r_s test: both terms are exercised.
+        rng = np.random.default_rng(1103)
+        seen = Counter()
+        for t in range(240):
+            k = int(rng.integers(2, 8))
+            rates = np.arange(1.0, k + 2)
+            rows = np.stack((rates, k + 2 - rates))
+            m = int(rng.integers(1, 2 * k))
+            fill = rows[:, rng.integers(0, k + 1, m)] - rng.integers(0, 2, (2, m))
+            rows = np.concatenate((rows, fill), axis=1)
+            if t % 2:
+                order = np.argsort(rows[0], kind="stable")
+            else:
+                order = rng.permutation(rows.shape[1])
+            rt = RateTable(*rows[:, order])
+            omega = omega_fast(rt).value
+            for kk in range(1, rt.n):
+                sel = select(rt, kk, omega)
+                picks, cert, comparisons = scalar_picks(rt, kk, omega)
+                assert sel.gamma == tuple(sorted(picks))
+                assert (sel.certificate.anchor_bin, sel.certificate.bins) == cert
+                assert sel.comparisons == comparisons
+                anchor, r_s = picks[0], rt.r_s
+                for j, hit in enumerate(picks[1:], 1):
+                    side = "before" if hit < anchor else "after"
+                    tied = r_s == r_s[hit - 1]
+                    seen[side, bool(tied[: hit - 1].any() and tied[hit:].any())] += 1
+                    seen["skips"] += any(g < hit for g in picks[:j])
+        assert seen["before", True] and seen["after", True] and seen["skips"]
 
     def test_matches_scalar_scans_on_continuous_tables(self):
         for i in range(200):
