@@ -49,9 +49,11 @@ from .selection import (
     omega_k_ratio,
     omega_k_table,
     select,
+    select_many,
     strategy_gap,
     tight_config,
     verify_selection,
+    verify_selections,
 )
 from .verify import Failure, VerifyReport, run_verification, trial_seed
 
@@ -101,8 +103,10 @@ __all__ = [
     "run_verification",
     "sandwich",
     "select",
+    "select_many",
     "strategy_gap",
     "tight_config",
     "trial_seed",
     "verify_selection",
+    "verify_selections",
 ]

@@ -138,7 +138,7 @@ def omega_bruteforce(rt: RateTable) -> OmegaResult:
     than whole 2**n tables; guarded at n <= 24.
     """
     n = _require("rt", rt, RateTable).n
-    value, mask = kernels.brute_omega(rt.r_s, rt.r_d)
+    (value,), (mask,) = kernels.brute_omega(rt.r_s[None], rt.r_d[None])
     # charge: two subset-max tables (2**n - 1 each) + the min scan (2**n - 1)
     return OmegaResult(
         value=float(value),

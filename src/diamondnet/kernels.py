@@ -5,13 +5,21 @@ enumerations behind the brute-force oracles (``brute_omega``,
 ``sandwich_scan``), built on the per-subset folds of ``subset_max``; the
 sorted suffix scan behind ``omega_fast`` (``omega_sorted_scan``); the chain
 recurrence behind the best-k table (``best_chains``); the row-wise min-cut
-of many subnetworks (``omega_rows``), which backs only the oracle
-``omega_k_bruteforce``; and the row-wise amplify-and-forward rate
-(``af_rate_batch``). Each is checked in the tests against a definition
+of many subnetworks (``omega_rows``), behind ``select_many``'s picks and
+the oracle ``omega_k_bruteforce``; and the row-wise amplify-and-forward
+rate (``af_rate_batch``). Each is checked in the tests against a definition
 evaluated directly. ``omega_sorted_scan`` forms its candidates in place in
 one buffer of n + 1 floats; ``best_chains`` keeps each round's chains as a
 row of an n x n table (8 MB at n = 1000, as are its link and scratch
 tables) and reads the best of every size off all rows at once.
+
+``brute_omega`` and ``omega_rows`` take a stack of relay sets, rows of
+shape (m, width), and a single set is a stack of one. Sets of different
+sizes share a stack by padding with zero-rate relays. That leaves every
+row's value bit for bit: rates are >= 0 and a rate table holds no -0.0, so
+max(x, 0.0) is x and x + 0.0 is x, and a padded cut has the value of the
+same cut without its zero relays. ``brute_omega``'s first-minimal mask is
+kept too, since the padding relays are the highest bits.
 
 The two oracles walk the 2**n cuts in tiles of 2**_TILE_BITS (``_cut_tiles``),
 so their working memory is O(n * 2**_TILE_BITS) floats at any n, not whole
@@ -25,7 +33,8 @@ Overflow rule of the min-cut kernels (``brute_omega``, ``omega_sorted_scan``,
 float64 range is inf, without a warning, and no value changes. The first two
 hold the two terms of their largest sum at a known index, and
 ``_overflow_guard`` adds them on Python floats, which never warn, so that
-their sums run under ``np.errstate(over="ignore")`` only when it is inf. The
+their sums run under ``np.errstate(over="ignore")`` only when it is inf
+(for ``brute_omega``, the largest r_s and r_d of the whole stack). The
 other two would need two reductions for that bound, which cost more than the
 ``errstate`` block, so their sums always run under it. ``sandwich_scan``,
 whose sums are of linear SNRs, scales them by a power of two instead when
@@ -103,26 +112,28 @@ def _overflow_guard(top_s, top_d):
 def _cut_tiles(rows, n_dest, fold):
     """Folds of ``rows`` over both sides of every cut, one tile at a time.
 
-    The first n_dest of ``rows`` are folded over the destination side of a
-    cut, the others over its source side. Yields ``(base, tile)`` per tile
-    of the 2**b cuts ``base | low``, with b = min(n, _TILE_BITS):
-    ``tile[r][low]`` for a destination row and ``tile[r][::-1][low]`` for a
-    source row (the source side is the complement mask) hold the folds of
-    cut ``base | low``. The low b relays form one ``subset_max`` table; a
-    depth-first walk then adds the relays above them, in increasing order,
-    to one side or the other, so every value is folded in the order of one
-    whole-lattice ``subset_max`` table. The tiles do not come in mask order;
-    each is the consumer's to overwrite, and the next one is written over
-    it. Working memory is O(n * 2**b) floats. Refuses n past
+    ``rows`` has shape (R, ..., n): the first n_dest of its R blocks are
+    folded over the destination side of a cut, the others over its source
+    side, and the axes between hold a stack of relay sets folded alike.
+    Yields ``(base, tile)`` per tile of the 2**b cuts ``base | low``, with
+    b = min(n, _TILE_BITS): ``tile[r][..., low]`` for a destination block
+    and ``tile[r][..., ::-1][..., low]`` for a source block (the source
+    side is the complement mask) hold the folds of cut ``base | low``. The
+    low b relays form one ``subset_max`` table; a depth-first walk then adds
+    the relays above them, in increasing order, to one side or the other,
+    so every value is folded in the order of one whole-lattice
+    ``subset_max`` table. The tiles do not come in mask order; each is the
+    consumer's to overwrite, and the next one is written over it. Working
+    memory is O(R * n * 2**b) floats per relay set. Refuses n past
     ``BRUTE_FORCE_LIMIT``.
     """
-    n = rows.shape[1]
+    n = rows.shape[-1]
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
             f"brute force over 2**{n} cuts refused (limit n <= {BRUTE_FORCE_LIMIT})"
         )
     b = min(n, _TILE_BITS)
-    low = subset_max(rows[:, :b], fold)
+    low = subset_max(rows[..., :b], fold)
     # one tile per high relay, written by each branch at that depth in turn
     tile_at = np.empty((n - b,) + low.shape)
     return _walk(rows, n_dest, fold, tile_at, b, 0, low)
@@ -135,30 +146,40 @@ def _walk(rows, n_dest, fold, tile_at, i, base, tile):
     A module-level function, not a closure: a recursive closure is a
     reference cycle, left to the garbage collector on every call.
     """
-    n = rows.shape[1]
+    n = rows.shape[-1]
     if i == n:
         yield base, tile
         return
     child = tile_at[i - n]  # tile_at holds depths n - len(tile_at) .. n - 1
     dest, src = slice(0, n_dest), slice(n_dest, None)
     for side, other, bit in ((dest, src, 1 << i), (src, dest, 0)):
-        fold(tile[side], rows[side, i, None], out=child[side])
+        fold(tile[side], rows[side, ..., i, None], out=child[side])
         child[other] = tile[other]
         yield from _walk(rows, n_dest, fold, tile_at, i + 1, base | bit, child)
 
 
 def brute_omega(r_s, r_d):
-    """Min cut value and first-minimal argmin bitmask over all 2**n cuts."""
-    best = []
-    for base, (max_d, max_s) in _cut_tiles(np.array((r_d, r_s)), 1, np.maximum):
-        # a fold grows with its mask, so the full low mask holds each
-        # side's largest value in the tile
-        with _overflow_guard(max_s[-1], max_d[-1]):
-            values = max_d + max_s[::-1]
-        idx = int(values.argmin())
-        best.append((float(values[idx]), base | idx))
-    # the first-minimal mask: tuples of equal values compare by mask
-    return min(best)
+    """Min cut value and first-minimal argmin bitmask of each relay set.
+
+    ``r_s`` and ``r_d`` have shape (m, width), one relay set per row; a
+    single set is a stack of one. Returns two length-m arrays, the values
+    (float64) and the masks (int64), from one lattice walk over the 2**width
+    cuts of every row at once. A row may be padded with zero-rate relays,
+    which leave its value and its mask (the module docstring has why).
+    """
+    rows = np.arange(r_s.shape[0])
+    values, masks = [], []  # each tile's first minimum, per row
+    # the largest sum of any cut is at most top r_s + top r_d of the stack
+    with _overflow_guard(r_s.max(initial=0.0), r_d.max(initial=0.0)):
+        for base, (max_d, max_s) in _cut_tiles(np.array((r_d, r_s)), 1, np.maximum):
+            cuts = max_d + max_s[:, ::-1]
+            idx = cuts.argmin(axis=1)
+            values.append(cuts[rows, idx])
+            masks.append(base | idx)
+    # the first-minimal mask: per row, the tile of the least value, then of
+    # the least mask
+    first = np.lexsort((masks, values), axis=0)[0]
+    return np.array(values)[first, rows], np.array(masks)[first, rows]
 
 
 def omega_sorted_scan(s_sorted, d_sorted):
@@ -210,21 +231,26 @@ def best_chains(r_s, r_d):
     return best
 
 
-def omega_rows(members, r_s, r_d):
-    """Min-cut value of the subnetwork in each row of ``members``."""
-    m_rows, k = members.shape
-    rows = np.arange(m_rows)
-    order = r_s[members].argsort(axis=1, kind="stable")
-    members = members[rows[:, None], order]  # each row sorted by r_s
-    s_sorted = r_s[members]
-    suff = np.maximum.accumulate(r_d[members][:, ::-1], axis=1)[:, ::-1]
+def omega_rows(r_s, r_d):
+    """Min-cut value of the relay set in each row of ``r_s`` and ``r_d``.
+
+    Both have shape (m, width); a row may be padded with zero-rate relays,
+    which leave its value bit for bit. On one row the value is
+    bit-identical to ``omega_sorted_scan`` on its rates in a stable r_s
+    order.
+    """
+    m_rows, k = r_s.shape
+    rows = np.arange(m_rows)[:, None]
+    order = r_s.argsort(axis=1, kind="stable")  # each row sorted by r_s
+    s_sorted = r_s[rows, order]
+    suff = np.maximum.accumulate(r_d[rows, order][:, ::-1], axis=1)[:, ::-1]
     # candidate m: max r_d over sorted relays m.. plus r_s of relay m-1,
     # with the first term absent at m = k and the second at m = 0
     cand = np.concatenate((suff, s_sorted[:, -1:]), axis=1)
     with np.errstate(over="ignore"):
         cand[:, 1:k] += s_sorted[:, : k - 1]
     # the largest minimizing m, as in omega_sorted_scan
-    return cand[rows, k - cand[:, ::-1].argmin(axis=1)]
+    return cand[rows[:, 0], k - cand[:, ::-1].argmin(axis=1)]
 
 
 def sandwich_scan(ts2, td2, td):

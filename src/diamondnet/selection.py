@@ -9,13 +9,21 @@ remaining gap, recording the strictly increasing bin certificate that
 forces termination within k-1 rounds. ``verify_selection`` checks the
 bound that certificate proves, from the same thresholds.
 
+``select_many`` and ``verify_selections`` do the same for many k on one
+table: each pick still comes from its own scans, but the picks' omegas come
+from one stacked ``kernels.omega_rows`` scan and their checks from one
+``kernels.brute_omega`` lattice walk, the relay sets padded with zero-rate
+relays, which leave every value bit for bit (the ``kernels`` docstring
+has the argument). ``select`` and ``verify_selection`` are their one-k
+cases, so every caller runs one code path.
+
 ``omega_k_bruteforce`` / ``omega_k_ratio`` are the desk-scale oracles for
 the best k-subnetwork at one k; ``omega_k_table`` gives the best value for
 every k at once from a chain recurrence over relay pairs, bit-identical to
 theirs.
 ``tight_config`` generates the worst-case family where the k/(k+1) fraction
 is achieved exactly, and ``guarantee`` / ``hybrid_tradeoff`` evaluate the
-resulting capacity lower bounds.
+resulting capacity lower bounds, the latter for every k at once in numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from . import kernels
-from .cuts import _sorted_scan, gap_constant, omega_fast
+from .cuts import gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
 from .model import RateTable, _Value, _require, _set, _to_float, _to_int
 
@@ -120,20 +128,16 @@ class TradeoffReport(_Value):
         _set(self, "gap_model", gap_model)
 
 
-def _selection(rt: RateTable, gamma, certificate, comparisons) -> SelectionResult:
-    """The result for relay set ``gamma``, with the omega of its subnetwork.
-
-    ``omega_gamma`` comes from the sorted scan behind ``omega_fast``, on the
-    subset's rows in a stable r_s order, so it is bit-identical to
-    ``omega_fast`` of the subnetwork's own rate table.
-    """
-    idx = np.array(gamma, dtype=np.int64) - 1
-    return SelectionResult(
-        gamma=gamma,
-        omega_gamma=_sorted_scan(rt.r_s[idx], rt.r_d[idx])[1],
-        certificate=certificate,
-        comparisons=comparisons,
-    )
+def _stack(rt: RateTable, gammas):
+    """The rates of each 1-based relay set of ``gammas`` as the rows of two
+    (m, width) arrays, padded with zero-rate relays."""
+    width = max(map(len, gammas))
+    idx = np.array([gamma + (0,) * (width - len(gamma)) for gamma in gammas]) - 1
+    r_s, r_d = rt.r_s[idx], rt.r_d[idx]
+    pad = idx < 0
+    r_s[pad] = 0.0
+    r_d[pad] = 0.0
+    return r_s, r_d
 
 
 def _thresholds(omega, k):
@@ -194,9 +198,34 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
 
     Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
     """
-    n = _require("rt", rt, RateTable).n
-    k = _to_int("k", k, minimum=1)
+    return select_many(rt, (k,), omega)[0]
+
+
+def select_many(rt: RateTable, ks, omega: float) -> tuple[SelectionResult, ...]:
+    """``select`` at each k of ``ks``, in order, on one table and omega.
+
+    Each pick comes from the scans ``select`` describes, one k at a time;
+    then every pick's ``omega_gamma`` comes from one ``kernels.omega_rows``
+    scan over the stacked picks, padded with zero-rate relays, which leave
+    each value bit for bit. So each result is bit-identical to
+    ``omega_fast`` of the pick's own rate table.
+    """
+    _require("rt", rt, RateTable)
+    ks = [_to_int("k", k, minimum=1) for k in ks]
     omega = _to_float("omega", omega, "nonnegative")
+    picks = [_pick(rt, k, omega) for k in ks]
+    if not picks:
+        return ()
+    values = kernels.omega_rows(*_stack(rt, [p[0] for p in picks])).tolist()
+    return tuple(
+        SelectionResult(gamma, value, certificate, comparisons)
+        for (gamma, certificate, comparisons), value in zip(picks, values)
+    )
+
+
+def _pick(rt: RateTable, k: int, omega: float):
+    """(gamma, certificate, comparisons) of ``select`` on checked arguments."""
+    n = rt.n
     r_s = rt.r_s
     r_d = rt.r_d
 
@@ -205,10 +234,10 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
         keep = np.flatnonzero(np.minimum(r_s, r_d) > 0.0) + 1
         gamma = tuple(keep.tolist()) if keep.size else tuple(range(1, n + 1))
         # charge: min of each pair, then its zero test
-        return _selection(rt, gamma, None, 2 * n)
+        return gamma, None, 2 * n
 
     if omega <= 0.0:
-        return _selection(rt, (1,), None, 0)
+        return (1,), None, 0
 
     tau = _thresholds(omega, k)
     failure = "no anchor relay clears the top threshold"
@@ -218,7 +247,7 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
     a = k - (bisect_right(tau, float(r_d[p])) - 1)
     comparisons = p + 1 + passed + 1 + a  # the scan to p, then the bin tests
     if a == 0:
-        return _selection(rt, (p + 1,), Certificate(None, ()), comparisons)
+        return (p + 1,), Certificate(None, ()), comparisons
 
     gamma = [p + 1]
     bins = [0]
@@ -238,9 +267,7 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
         comparisons += b - bins[-1]
         bins.append(b)
 
-    return _selection(
-        rt, tuple(sorted(gamma)), Certificate(a, tuple(bins)), comparisons
-    )
+    return tuple(sorted(gamma)), Certificate(a, tuple(bins)), comparisons
 
 
 def verify_selection(
@@ -257,21 +284,50 @@ def verify_selection(
     the min over all 2**|gamma| cuts. The relay indices must be distinct
     integers in 1..n.
     """
+    return verify_selections(rt, (sel,), (k,), omega)[0]
+
+
+def verify_selections(rt: RateTable, sels, ks, omega: float) -> tuple[bool, ...]:
+    """``verify_selection`` of each pick of ``sels`` at the k of ``ks`` in
+    the same position, on one table and omega.
+
+    Each pick is checked as ``verify_selection`` checks it, with the same
+    messages; then one ``kernels.brute_omega`` lattice walk gives the omega
+    of every pick, stacked and padded with zero-rate relays, which leave
+    each value bit for bit. The walk runs over the 2**width cuts of the
+    widest pick, so its working memory grows with the number of picks.
+    """
     _require("rt", rt, RateTable)
-    gamma = _require("sel", sel, SelectionResult).gamma
-    k = _to_int("k", k, minimum=1)
+    sels, ks = tuple(sels), tuple(ks)
+    if len(sels) != len(ks):
+        raise ValidationError(f"got {len(sels)} selections for {len(ks)} values of k")
+    gammas, checked_ks = [], []
+    for sel, k in zip(sels, ks):
+        gamma = _require("sel", sel, SelectionResult).gamma
+        checked_ks.append(_to_int("k", k, minimum=1))
+        gammas.append(_checked_gamma(gamma, rt.n))
+    omega = _to_float("omega", omega, "nonnegative")
+    if not gammas:
+        return ()
+    values, _ = kernels.brute_omega(*_stack(rt, gammas))
+    bounds = []
+    for k in checked_ks:
+        tau = _thresholds(omega, k)
+        bounds.append(min(tau[x] + tau[k - x] for x in range(k // 2 + 1)))
+    return tuple(v >= bound for v, bound in zip(values.tolist(), bounds))
+
+
+def _checked_gamma(gamma, n):
+    """``gamma`` as a tuple of distinct int relay indices in 1..n."""
     if not gamma:
         raise ValidationError("selection has an empty relay set")
     if type(gamma) is not tuple or not set(map(type, gamma)) <= {int}:
         gamma = tuple(_to_int("selected relay index", i) for i in gamma)
-    if min(gamma) < 1 or max(gamma) > rt.n:
+    if min(gamma) < 1 or max(gamma) > n:
         raise ValidationError("selected relay index out of range")
     if len(set(gamma)) != len(gamma):
         raise ValidationError(f"selected relay indices must be distinct, got {gamma}")
-    idx = np.array(gamma, dtype=np.int64) - 1
-    value, _ = kernels.brute_omega(rt.r_s[idx], rt.r_d[idx])
-    tau = _thresholds(_to_float("omega", omega, "nonnegative"), k)
-    return value >= min(tau[x] + tau[k - x] for x in range(k // 2 + 1))
+    return gamma
 
 
 def omega_k_bruteforce(rt: RateTable, k: int) -> tuple[float, tuple[int, ...]]:
@@ -295,7 +351,7 @@ def omega_k_bruteforce(rt: RateTable, k: int) -> tuple[float, tuple[int, ...]]:
         dtype=np.int64,
         count=count * k,
     ).reshape(count, k)
-    values = kernels.omega_rows(members, rt.r_s, rt.r_d)
+    values = kernels.omega_rows(rt.r_s[members], rt.r_d[members])
     best = int(np.argmax(values))
     return float(values[best]), tuple(int(i) + 1 for i in members[best])
 
@@ -412,11 +468,24 @@ def hybrid_tradeoff(
     c_bar_approx = _to_float("c_bar_approx", c_bar_approx, "nonnegative")
     gap = gap_constant(n)
     ks = (1,) if gap_model == "routing" else range(1, n + 1)
-    bounds = [_bound(c_bar_approx, k, gap, gap_model)[0] for k in ks]
-    best_k = bounds.index(max(bounds)) + 1  # the smallest maximizing k
+    # _bound on every k at once: the divisions, products and differences
+    # round as they do on Python floats
+    k = np.arange(1, len(ks) + 1)
+    frac = k / (k + 1)
+    if gap_model == "optimized":
+        # math.log2, as strategy_gap takes it: np.log2 rounds a few integers
+        # differently
+        log2s = np.fromiter(map(math.log2, range(1, n + 2)), np.float64, n + 1)
+        sgap = log2s[1:] + log2s[:-1] + 1.0
+    else:
+        sgap = _STRATEGY_GAPS[gap_model](k)
+    x = frac * c_bar_approx - sgap - frac * gap
+    # max(0.0, x), which keeps 0.0 over a -0.0 bound
+    bounds = np.where(x > 0.0, x, 0.0)
+    best_k = int(bounds.argmax()) + 1  # the smallest maximizing k
     baseline = max(0.0, c_bar_approx - 1.3 * n)
     return TradeoffReport(
-        entries=tuple(zip(ks, bounds)),
+        entries=tuple(zip(ks, bounds.tolist())),
         best_k=best_k,
         baseline=baseline,
         gap_model=gap_model,

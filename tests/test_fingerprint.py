@@ -16,21 +16,28 @@ import numpy as np
 
 from diamondnet import (
     Cut,
+    RateTable,
     af_optimize,
+    hybrid_tradeoff,
     omega_bruteforce,
     omega_fast,
+    omega_k_bruteforce,
     omega_k_table,
     random_network,
     rate_table,
+    run_verification,
     sandwich,
     select,
     trial_seed,
     verify_selection,
 )
-from diamondnet.selection import Certificate
+from diamondnet.selection import GAP_MODELS, Certificate
 
 # SHA-256 of ``fingerprint_lines()``, one line per network, joined by "\n"
 DIGEST = "b7290800147b9d202631ef7a80ac4c7de412ea3ba832ef664933347a078288ab"
+
+# SHA-256 of ``harness_lines()``, joined by "\n"
+HARNESS_DIGEST = "acde8c06591f7a47164534c06f8b33124c8af82c16870992ca9edd739d582ab4"
 
 
 def encode(x):
@@ -83,9 +90,53 @@ def fingerprint_lines():
     return [encode(network_outputs(i)) for i in range(300)]
 
 
+def edge_outputs(i):
+    """``select``'s k >= n and omega == 0 branches, the per-k oracle and the
+    tradeoff table on seeded network ``i``; every third one has zero-rate
+    relays, and every tenth is all zeros."""
+    s = trial_seed(2011, i)
+    rng = np.random.default_rng(s)
+    n = int(rng.integers(1, 11))
+    rates = rng.exponential(2.0, (2, n))
+    if i % 3 == 0:
+        rates[:, rng.random(n) < 0.4] = 0.0
+    if i % 10 == 0:
+        rates[:] = 0.0
+    rt = RateTable(*rates)
+    omega = omega_fast(rt).value
+    out = []
+    for k in range(1, n + 3):
+        for w in (omega, 0.0):
+            sel = select(rt, k, w)
+            out.append((sel.gamma, sel.omega_gamma, sel.certificate, sel.comparisons))
+    out.append([omega_k_bruteforce(rt, k) for k in range(1, n + 1)])
+    for model in GAP_MODELS:
+        for c_bar in (omega, 0.0, -0.0, 4.0 * omega + 30.0):
+            tr = hybrid_tradeoff(c_bar, 8 * n, model)
+            out.append((tr.entries, tr.best_k, tr.baseline))
+    return out
+
+
+def harness_lines():
+    """The ``verify`` reports in both k modes at nmax 12 and 16, then the
+    edge outputs of 120 seeded networks."""
+    lines = []
+    for nmax, trials in ((12, 200), (16, 40)):
+        for kmode in ("all", "random"):
+            rep = run_verification(trials, nmax=nmax, kmode=kmode, seed=nmax)
+            failures = [(f.seed, f.invariant, f.details) for f in rep.failures]
+            lines.append(encode((rep.trials, failures, rep.max_violation)))
+    return lines + [encode(edge_outputs(i)) for i in range(120)]
+
+
 def test_outputs_match_the_pinned_digest():
     text = "\n".join(fingerprint_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
+
+
+def test_harness_and_edge_outputs_match_the_pinned_digest():
+    text = "\n".join(harness_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == HARNESS_DIGEST
 
 
 def test_encoding_tells_the_last_bit():

@@ -2,6 +2,7 @@ import decimal
 import math
 import re
 import tracemalloc
+import warnings
 from decimal import Decimal
 from unittest import mock
 
@@ -136,7 +137,7 @@ TILE_WIDTHS = (1, 2, 3, kernels._TILE_BITS)
 def assert_brute_omega_is_bit_exact(r_s, r_d):
     values = old_subset_max(r_d) + old_subset_max(r_s)[::-1]
     idx = int(np.argmin(values))
-    value, mask = kernels.brute_omega(r_s, r_d)
+    (value,), (mask,) = kernels.brute_omega(r_s[None], r_d[None])
     assert mask == idx
     assert same_bits(value, values[idx])
 
@@ -193,10 +194,10 @@ def test_lattice_walk_is_the_one_size_guard():
     message = "brute force over 2**25 cuts refused (limit n <= 24)"
     ones = np.ones(25)
     with pytest.raises(SizeLimitError, match=re.escape(message)):
-        kernels.brute_omega(ones, ones)
+        kernels.brute_omega(ones[None], ones[None])
     with pytest.raises(SizeLimitError, match=re.escape(message)):
         kernels.sandwich_scan(ones, ones, ones)
-    assert kernels.brute_omega(np.ones(24), np.ones(24))[0] == 1.0
+    assert kernels.brute_omega(np.ones((1, 24)), np.ones((1, 24)))[0] == 1.0
 
 
 # tied and zero rates, and rates at and near the 1023-bit cap
@@ -229,8 +230,7 @@ def test_single_row_omega_matches_sorted_scan_bit_for_bit():
     for r_s, r_d in list(rate_rows(286)) + zeros:
         order = np.argsort(r_s, kind="stable")
         want, _ = kernels.omega_sorted_scan(r_s[order], r_d[order])
-        members = np.arange(r_s.size)[None, :]
-        assert same_bits(kernels.omega_rows(members, r_s, r_d)[0], want)
+        assert same_bits(kernels.omega_rows(r_s[None], r_d[None])[0], want)
 
 
 def test_min_cut_kernels_past_the_float_range():
@@ -310,3 +310,69 @@ def test_sandwich_brackets_omega_past_the_float_range():
         rt = RateTable(*rng.uniform(1015.0, 1023.0, (2, int(n))))
         sw = sandwich(rt)
         assert sw.omega <= sw.lower <= sw.upper <= sw.omega + sw.gap
+
+
+def stacked_rows(seed, widths):
+    """One stack per width: continuous rows, and tied small integers, whose
+    equal cut values put the first-minimal mask in a later tile."""
+    rng = np.random.default_rng(seed)
+    for w in widths:
+        m = int(rng.integers(1, 6))
+        yield rng.exponential(2.0, (2, m, w))
+        yield rng.integers(0, 3, (2, m, w)).astype(float)
+
+
+def test_stacked_brute_omega_matches_per_row_calls(monkeypatch):
+    # n = 15 and 16 walk 2 and 4 tiles at the default width, and 2-bit
+    # tiles walk up to 2**10 of them
+    cases = [(kernels._TILE_BITS, range(1, 17)), (2, range(1, 13))]
+    for bits, widths in cases:
+        monkeypatch.setattr(kernels, "_TILE_BITS", bits)
+        for r_s, r_d in stacked_rows(341, widths):
+            values, masks = kernels.brute_omega(r_s, r_d)
+            assert values.shape == masks.shape == (r_s.shape[0],)
+            for i in range(r_s.shape[0]):
+                (value,), (mask,) = kernels.brute_omega(r_s[i : i + 1], r_d[i : i + 1])
+                assert same_bits(values[i], value) and masks[i] == mask
+            if r_s.shape[1] <= 12:
+                for i in range(r_s.shape[0]):
+                    want = old_subset_max(r_d[i]) + old_subset_max(r_s[i])[::-1]
+                    assert masks[i] == int(np.argmin(want))
+                    assert same_bits(values[i], want.min())
+
+
+def test_zero_padding_leaves_both_min_cut_kernels_unchanged():
+    # rates are >= 0 and hold no -0.0, so a zero-rate relay changes no
+    # maximum, and so no cut value; as the highest bits it keeps the mask
+    for r_s, r_d in rate_rows(342):
+        r_s, r_d = np.abs(r_s)[None], np.abs(r_d)[None]  # no -0.0
+        (value,), (mask,) = kernels.brute_omega(r_s, r_d)
+        (row,) = kernels.omega_rows(r_s, r_d)
+        for pad in (1, 3):
+            zeros = np.zeros((1, pad))
+            s, d = np.hstack((r_s, zeros)), np.hstack((r_d, zeros))
+            (padded,), (padded_mask,) = kernels.brute_omega(s, d)
+            assert same_bits(padded, value) and padded_mask == mask
+            assert same_bits(kernels.omega_rows(s, d)[0], row)
+            assert same_bits(row, value)
+
+
+def test_stacked_rows_whose_sums_overflow_run_without_a_warning():
+    # one row of the stack sums past the float64 range, the others do not:
+    # the guard covers the whole stack, and each value is the definition's
+    top = 1.7976931348623157e308
+    r_s = np.array([[1e308, 1e308, 0.0], [1.0, 2.0, 0.0], [top, 5e307, 1.0]])
+    r_d = np.array([[1e308, 1e308, 0.0], [2.0, 1.0, 3.0], [5e307, top, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, masks = kernels.brute_omega(r_s, r_d)
+        rows = kernels.omega_rows(r_s, r_d)
+    overflowed = []
+    for i in range(3):
+        rt = RateTable(r_s[i], r_d[i])
+        cut_values = [cut_value(rt, Cut.from_mask(mask)) for mask in range(8)]
+        assert same_bits(values[i], min(cut_values))
+        assert same_bits(rows[i], min(cut_values))
+        assert cut_values.index(min(cut_values)) == masks[i]
+        overflowed.append(math.inf in cut_values)
+    assert overflowed == [True, False, True]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from itertools import combinations
@@ -26,9 +27,11 @@ from diamondnet import (
     random_network,
     rate_table,
     select,
+    select_many,
     strategy_gap,
     tight_config,
     verify_selection,
+    verify_selections,
 )
 from diamondnet.selection import SUBSET_ENUMERATION_LIMIT, _thresholds
 from diamondnet.verify import trial_seed
@@ -638,6 +641,109 @@ class TestVerifySelection:
         assert str(exc.value) == "brute force over 2**25 cuts refused (limit n <= 24)"
 
 
+# tied integers, decimals, subnormals, and staircases
+BATCH_TABLES = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 2.0])),
+        min_size=1,
+        max_size=12,
+    ).map(lambda rates: RateTable(*zip(*rates))),
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.1]),
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.1]),
+        ),
+        min_size=1,
+        max_size=12,
+    ).map(lambda rates: RateTable(*zip(*rates))),
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=12
+    ).map(lambda pairs: RateTable(*(np.array(pairs).T * 5e-324))),
+    st.tuples(
+        st.integers(1, 11), st.sampled_from([0.1, 1.0, 1 / 3, 5e-324, 1e300])
+    ).map(lambda arg: tight_config(*arg)),
+)
+
+
+def assert_same_selection(got, want):
+    assert (got.gamma, got.certificate, got.comparisons) == (
+        want.gamma,
+        want.certificate,
+        want.comparisons,
+    )
+    assert same_bits(got.omega_gamma, want.omega_gamma)
+
+
+class TestBatch:
+    """``select_many`` and ``verify_selections`` against the per-k calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(BATCH_TABLES, st.data())
+    def test_property_batch_equals_per_k_calls(self, rt, data):
+        ks = data.draw(st.lists(st.integers(1, rt.n + 1), max_size=14), label="ks")
+        omega = omega_fast(rt).value
+        for w in (omega, 0.5 * omega, 0.0):
+            sels = select_many(rt, ks, w)
+            assert len(sels) == len(ks)
+            verdicts = verify_selections(rt, sels, ks, w)
+            assert verdicts == tuple(
+                verify_selection(rt, sel, k, w) for sel, k in zip(sels, ks)
+            )
+            for sel, k, verdict in zip(sels, ks, verdicts):
+                assert_same_selection(sel, select(rt, k, w))
+                # against the sorted scan and the enumeration, not the batch
+                idx = np.array(sel.gamma) - 1
+                sub = omega_fast(RateTable(rt.r_s[idx], rt.r_d[idx])).value
+                assert same_bits(sel.omega_gamma, sub)
+                assert enum_omega_of_subset(rt, sel.gamma) == sub
+                tau = _thresholds(w, k)
+                assert verdict is (sub >= min(tau[x] + tau[k - x] for x in range(k + 1)))
+
+    def test_random_networks_every_k(self):
+        for i in range(150):
+            rt = random_rt(i, master=347, nmax=14)
+            omega = omega_fast(rt).value
+            ks = range(1, rt.n + 1)
+            sels = select_many(rt, ks, omega)
+            for sel, k in zip(sels, ks):
+                assert_same_selection(sel, select(rt, k, omega))
+            assert verify_selections(rt, sels, ks, omega) == (True,) * rt.n
+
+    def test_no_k_gives_empty_tuples(self):
+        rt = tight_config(2, 1.0)
+        assert select_many(rt, [], 3.0) == ()
+        assert verify_selections(rt, [], [], 3.0) == ()
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [(1.5,), ("1",), (1, True), (2, 2), (0,), (1, 4), ()],
+    )
+    def test_bad_pick_at_any_position_raises_its_message(self, gamma):
+        rt = tight_config(2, 1.0)
+        good = select_many(rt, (1, 2, 2), 3.0)
+        bad = SelectionResult(gamma=gamma, omega_gamma=0.0, certificate=None, comparisons=0)
+        with pytest.raises(ValidationError) as exc:
+            verify_selection(rt, bad, 2, 3.0)
+        for i in range(len(good) + 1):
+            sels = good[:i] + (bad,) + good[i:]
+            with pytest.raises(ValidationError) as batch_exc:
+                verify_selections(rt, sels, (2,) * len(sels), 3.0)
+            assert str(batch_exc.value) == str(exc.value)
+
+    def test_rejects_bad_batch_arguments(self):
+        rt = tight_config(2, 1.0)
+        sels = select_many(rt, (1, 2), 3.0)
+        with pytest.raises(ValidationError) as exc:
+            verify_selections(rt, sels, (1,), 3.0)
+        assert str(exc.value) == "got 2 selections for 1 values of k"
+        with pytest.raises(ValidationError, match="k must be a positive integer"):
+            select_many(rt, (1, 0), 3.0)
+        with pytest.raises(ValidationError, match="k must be a positive integer"):
+            verify_selections(rt, sels, (1, 0), 3.0)
+        with pytest.raises(ValidationError, match="sel must be a SelectionResult"):
+            verify_selections(rt, (sels[0], "x"), (1, 2), 3.0)
+
+
 class TestOmegaK:
     def test_staircase_every_subset_equal(self):
         for k in range(1, 6):
@@ -858,6 +964,29 @@ class TestHybridTradeoff:
                 assert value == guarantee(c_bar, k, n, gap_model).lower_bound
             best = max(v for _, v in tr.entries)
             assert tr.best_k == min(k for k, v in tr.entries if v == best)
+
+    def test_entries_bit_identical_where_numpy_log2_differs(self):
+        # np.log2 and math.log2 differ at 1621 and 3242 (57 of the integers
+        # up to 10**6); the optimized gap takes math.log2 of k and k + 1,
+        # and bounds near 1 show a last-bit change of it
+        for gap_model, c_bar in itertools.product(("nnc", "optimized"), (56.0, 58.0, 1e6)):
+            tr = hybrid_tradeoff(c_bar, 3300, gap_model)
+            for k in (1, 1620, 1621, 1622, 3241, 3242, 3243, 3300):
+                want = guarantee(c_bar, k, 3300, gap_model).lower_bound
+                assert tr.entries[k - 1] == (k, want)
+                assert tr.entries[k - 1][1].hex() == want.hex()
+
+    @pytest.mark.parametrize("gap_model", ["nnc", "optimized", "routing"])
+    def test_zero_bounds_are_positive_zeros(self, gap_model):
+        # at c = -0.0 and n = 1 the routing bound is -0.0, which max(0.0, x)
+        # reports as 0.0
+        for c_bar in (-0.0, 0.0):
+            for n in (1, 2, 7):
+                tr = hybrid_tradeoff(c_bar, n, gap_model)
+                for k, value in tr.entries:
+                    want = guarantee(c_bar, k, n, gap_model).lower_bound
+                    assert value.hex() == want.hex() == "0x0.0p+0"
+                assert tr.best_k == 1
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError, match="c_bar_approx"):

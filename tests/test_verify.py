@@ -175,7 +175,7 @@ def break_every_invariant(monkeypatch):
             "sandwich",
             "omega_k_table",
             "tight_config",
-            "select",
+            "select_many",
             "af_upper_bound",
             "af_snr_bound_sides",
             "af_optimize",
@@ -190,13 +190,15 @@ def break_every_invariant(monkeypatch):
             comparisons=res.comparisons,
         )
 
-    def select(rt, k, omega):
-        sel = orig["select"](rt, k, omega)
-        return SelectionResult(
-            gamma=sel.gamma * (k + 1),
-            omega_gamma=sel.omega_gamma / 4,
-            certificate=Certificate(anchor_bin=k + 1, bins=(0, 2, 1)),
-            comparisons=10**6,
+    def select_many(rt, ks, omega):
+        return tuple(
+            SelectionResult(
+                gamma=sel.gamma * (k + 1),
+                omega_gamma=sel.omega_gamma / 4,
+                certificate=Certificate(anchor_bin=k + 1, bins=(0, 2, 1)),
+                comparisons=10**6,
+            )
+            for k, sel in zip(ks, orig["select_many"](rt, ks, omega))
         )
 
     def sandwich(rt):
@@ -219,8 +221,8 @@ def break_every_invariant(monkeypatch):
             for k, v in enumerate(orig["omega_k_table"](rt), 1)
         ),
         "tight_config": lambda k, base: orig["tight_config"](k + 1, base),
-        "select": select,
-        "verify_selection": lambda *args: False,
+        "select_many": select_many,
+        "verify_selections": lambda rt, sels, ks, omega: (False,) * len(sels),
         "af_upper_bound": lambda rt: (orig["af_upper_bound"](rt)[0] - 5.0, 0.0),
         "af_snr_bound_sides": lambda *args: orig["af_snr_bound_sides"](*args)[::-1],
         "af_optimize": af_optimize,
