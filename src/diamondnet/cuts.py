@@ -152,7 +152,8 @@ def _sorted_scan(r_s, r_d):
     the suffix cuts in that order, the m smallest-r_s relays on the source
     side of the first minimal one."""
     order = r_s.argsort(kind="stable")
-    return (order, *kernels.omega_sorted_scan(r_s[order], r_d[order]))
+    value, m = kernels.omega_sorted_scan(r_s[order], r_d[order])
+    return order, float(value), int(m)
 
 
 def omega_fast(rt: RateTable) -> OmegaResult:

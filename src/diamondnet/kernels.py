@@ -3,15 +3,16 @@
 These kernels carry the arithmetic of the package: the 2**n subset-lattice
 enumerations behind the brute-force oracles (``brute_omega``,
 ``sandwich_scan``), built on the per-subset folds of ``subset_max``; the
-sorted suffix scan behind ``omega_fast`` (``omega_sorted_scan``); the chain
-recurrence behind the best-k table (``best_chains``); the row-wise min-cut
-of many subnetworks (``omega_rows``), behind ``select_many``'s picks and
-the oracle ``omega_k_bruteforce``; and the row-wise amplify-and-forward
-rate (``af_rate_batch``). Each is checked in the tests against a definition
-evaluated directly. ``omega_sorted_scan`` forms its candidates in place in
-one buffer of n + 1 floats; ``best_chains`` keeps each round's chains as a
-row of an n x n table (8 MB at n = 1000, as are its link and scratch
-tables) and reads the best of every size off all rows at once.
+sorted suffix scan (``omega_sorted_scan``), the one code that forms the
+n + 1 suffix-cut candidates, in place in one buffer of n + 1 floats per
+row: ``omega_fast`` and ``sandwich`` run it on one row, and ``omega_rows``
+(behind ``select_many`` and the oracle ``omega_k_bruteforce``) sorts each
+row of a stack and runs it once; the chain recurrence behind the best-k
+table (``best_chains``); and the row-wise amplify-and-forward rate
+(``af_rate_batch``). Each is checked in the tests against a definition
+evaluated directly. ``best_chains`` keeps each round's chains as a row of
+an n x n table (8 MB at n = 1000, as are its link and scratch tables) and
+reads the best of every size off all rows at once.
 
 ``brute_omega`` and ``omega_rows`` take a stack of relay sets, rows of
 shape (m, width), and a single set is a stack of one. Sets of different
@@ -29,14 +30,13 @@ yields its first table as the one tile. ``_cut_tiles`` refuses n >
 oracles.
 
 Overflow rule of the min-cut kernels (``brute_omega``, ``omega_sorted_scan``,
-``best_chains``, ``omega_rows``): a cut or chain sum r_s + r_d past the
-float64 range is inf, without a warning, and no value changes. The first two
-hold the two terms of their largest sum at a known index, and
-``_overflow_guard`` adds them on Python floats, which never warn, so that
-their sums run under ``np.errstate(over="ignore")`` only when it is inf
-(for ``brute_omega``, the largest r_s and r_d of the whole stack). The
-other two would need two reductions for that bound, which cost more than the
-``errstate`` block, so their sums always run under it. ``sandwich_scan``,
+``best_chains``): a cut or chain sum r_s + r_d past the float64 range is
+inf, without a warning, and no value changes. The first two bound their sums
+by the largest r_s and r_d of the whole stack, and ``_overflow_guard`` adds
+the two on Python floats, which never warn, so that the sums run under
+``np.errstate(over="ignore")`` only when that bound is inf. ``best_chains``
+would need two reductions for the bound, which cost more than the
+``errstate`` block, so its sums always run under it. ``sandwich_scan``,
 whose sums are of linear SNRs, scales them by a power of two instead when
 they would pass the float64 range (its docstring has the rule).
 
@@ -183,20 +183,26 @@ def brute_omega(r_s, r_d):
 
 
 def omega_sorted_scan(s_sorted, d_sorted):
-    """Min over the n+1 candidate suffix cuts of a table sorted by r_s.
+    """Min over the n+1 candidate suffix cuts of each row sorted by r_s.
 
-    Candidate m puts the m smallest-r_s relays on the source side; ties in
-    value resolve to the largest m (equivalently the smallest cut bitmask).
+    ``s_sorted`` and ``d_sorted`` have shape (..., n), each row in a stable
+    r_s order. Candidate m puts the m smallest-r_s relays on the source
+    side; ties in value resolve to the largest m (equivalently the smallest
+    cut bitmask). Returns each row's value at that m, and the m: numpy
+    scalars for one row of shape (n,).
     """
-    n = s_sorted.shape[0]
-    cand = np.empty(n + 1)
-    # the suffix maxima of d_sorted, written backwards into cand[:n]
-    np.maximum.accumulate(d_sorted[::-1], out=cand[n - 1 :: -1])
-    with _overflow_guard(s_sorted[n - 1], cand[0]):
-        cand[1:n] += s_sorted[: n - 1]
-    cand[n] = s_sorted[n - 1]
-    m_best = n - int(cand[::-1].argmin())
-    return float(cand[m_best]), m_best
+    n = s_sorted.shape[-1]
+    cand = np.empty(s_sorted.shape[:-1] + (n + 1,))
+    # the suffix maxima of d_sorted, written backwards into cand[..., :n]
+    np.maximum.accumulate(d_sorted[..., ::-1], axis=-1, out=cand[..., n - 1 :: -1])
+    # the largest sum is at most the top r_s (the last column) + the top r_d
+    top_s, top_d = s_sorted[..., n - 1], cand[..., 0]
+    with _overflow_guard(top_s.max(initial=0.0), top_d.max(initial=0.0)):
+        cand[..., 1:n] += s_sorted[..., : n - 1]
+    cand[..., n] = top_s
+    m_best = n - cand[..., ::-1].argmin(axis=-1)
+    # each row's candidate at its m
+    return cand[(*np.indices(m_best.shape, sparse=True), m_best)], m_best
 
 
 def best_chains(r_s, r_d):
@@ -206,8 +212,8 @@ def best_chains(r_s, r_d):
     r_d[i_{t+1}] and r_s[i_h]. The best chain of at most k relays is worth
     the best k-subset's omega: every cut of a chain's relays crosses one of
     its links, and a subset's suffix-maximum chain in r_s order uses only
-    omega's own candidates, the float sums ``omega_rows`` forms; so each
-    entry is bit-identical to a row-wise evaluation. ``f[h - 1, j]`` holds
+    omega's own candidates, the float sums ``omega_sorted_scan`` forms; so
+    each entry is bit-identical to a row-wise evaluation. ``f[h - 1, j]`` holds
     the best chain of h relays ending at j, less its last r_s term.
     Repeating a chain's first relay keeps its value, so ``f`` never falls
     from row to row, and the rounds, O(n**2) each, stop once a row repeats
@@ -235,22 +241,13 @@ def omega_rows(r_s, r_d):
     """Min-cut value of the relay set in each row of ``r_s`` and ``r_d``.
 
     Both have shape (m, width); a row may be padded with zero-rate relays,
-    which leave its value bit for bit. On one row the value is
-    bit-identical to ``omega_sorted_scan`` on its rates in a stable r_s
-    order.
+    which leave its value bit for bit. Each row is put in a stable r_s
+    order and the stack goes through ``omega_sorted_scan``, so a row's
+    value is bit-identical to ``omega_fast`` of its rates.
     """
-    m_rows, k = r_s.shape
-    rows = np.arange(m_rows)[:, None]
+    rows = np.arange(r_s.shape[0])[:, None]
     order = r_s.argsort(axis=1, kind="stable")  # each row sorted by r_s
-    s_sorted = r_s[rows, order]
-    suff = np.maximum.accumulate(r_d[rows, order][:, ::-1], axis=1)[:, ::-1]
-    # candidate m: max r_d over sorted relays m.. plus r_s of relay m-1,
-    # with the first term absent at m = k and the second at m = 0
-    cand = np.concatenate((suff, s_sorted[:, -1:]), axis=1)
-    with np.errstate(over="ignore"):
-        cand[:, 1:k] += s_sorted[:, : k - 1]
-    # the largest minimizing m, as in omega_sorted_scan
-    return cand[rows[:, 0], k - cand[:, ::-1].argmin(axis=1)]
+    return omega_sorted_scan(r_s[rows, order], r_d[rows, order])[0]
 
 
 def sandwich_scan(ts2, td2, td):

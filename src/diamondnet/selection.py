@@ -11,11 +11,11 @@ bound that certificate proves, from the same thresholds.
 
 ``select_many`` and ``verify_selections`` do the same for many k on one
 table: each pick still comes from its own scans, but the picks' omegas come
-from one stacked ``kernels.omega_rows`` scan and their checks from one
-``kernels.brute_omega`` lattice walk, the relay sets padded with zero-rate
-relays, which leave every value bit for bit (the ``kernels`` docstring
-has the argument). ``select`` and ``verify_selection`` are their one-k
-cases, so every caller runs one code path.
+from one ``kernels.omega_rows`` call (the sorted scan of ``omega_fast``)
+and their checks from one ``kernels.brute_omega`` walk, on the relay sets
+stacked and padded with zero-rate relays, which leave every value bit for
+bit (the ``kernels`` docstring has the argument). ``select`` and
+``verify_selection`` are their one-k cases: every caller runs one path.
 
 ``omega_k_bruteforce`` / ``omega_k_ratio`` are the desk-scale oracles for
 the best k-subnetwork at one k; ``omega_k_table`` gives the best value for
@@ -29,7 +29,7 @@ resulting capacity lower bounds, the latter for every k at once in numpy.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from itertools import combinations
 
 import numpy as np
@@ -206,9 +206,9 @@ def select_many(rt: RateTable, ks, omega: float) -> tuple[SelectionResult, ...]:
 
     Each pick comes from the scans ``select`` describes, one k at a time;
     then every pick's ``omega_gamma`` comes from one ``kernels.omega_rows``
-    scan over the stacked picks, padded with zero-rate relays, which leave
-    each value bit for bit. So each result is bit-identical to
-    ``omega_fast`` of the pick's own rate table.
+    call, the scan of ``omega_fast`` over the stacked picks, padded with
+    zero-rate relays, which leave each value bit for bit. So each result is
+    bit-identical to ``omega_fast`` of the pick's own rate table.
     """
     _require("rt", rt, RateTable)
     ks = [_to_int("k", k, minimum=1) for k in ks]
@@ -249,15 +249,15 @@ def _pick(rt: RateTable, k: int, omega: float):
     if a == 0:
         return (p + 1,), Certificate(None, ()), comparisons
 
-    gamma = [p + 1]
+    gamma = [p + 1]  # kept sorted
     bins = [0]
     failure = "no qualifying relay at a selection round"
     while True:
         t_s, t_d = tau[bins[-1] + 1], tau[k - bins[-1]]
         y, passed = _first_hit(r_s, r_d, t_s, t_d, failure)
         # the charge of a scan over the unpicked relays, as in the docstring
-        comparisons += y + 1 - sum(g <= y + 1 for g in gamma) + passed - (p < y)
-        gamma.append(y + 1)
+        comparisons += y + 1 - bisect_right(gamma, y + 1) + passed - (p < y)
+        insort(gamma, y + 1)
         # the relay's r_s is in bin b, and b >= a ends the selection; charged
         # as the scalar tests r_s >= tau_a, then r_s < tau_{j+1}, j = a_prev+1..b
         b = bisect_right(tau, float(r_s[y])) - 1
@@ -267,7 +267,7 @@ def _pick(rt: RateTable, k: int, omega: float):
         comparisons += b - bins[-1]
         bins.append(b)
 
-    return tuple(sorted(gamma)), Certificate(a, tuple(bins)), comparisons
+    return tuple(gamma), Certificate(a, tuple(bins)), comparisons
 
 
 def verify_selection(

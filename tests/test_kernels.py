@@ -233,6 +233,50 @@ def test_single_row_omega_matches_sorted_scan_bit_for_bit():
         assert same_bits(kernels.omega_rows(r_s[None], r_d[None])[0], want)
 
 
+def suffix_cut_candidates(s_sorted, d_sorted):
+    """The n + 1 candidates of one row sorted by r_s, on Python floats,
+    which never warn: candidate m is max r_d over relays m .. n-1 plus r_s
+    of relay m-1, the first term absent at m = n and the second at m = 0."""
+    s, d = s_sorted.tolist(), d_sorted.tolist()
+    n = len(s)
+    return [max(d)] + [max(d[m:]) + s[m - 1] for m in range(1, n)] + [s[n - 1]]
+
+
+def test_sorted_scan_matches_its_definition_on_rows_and_stacks():
+    # the value and m at the largest minimizing candidate, on rows of ties
+    # between 0.0 and -0.0 and rows whose sums pass the float64 maximum, one
+    # at a time and stacked (m, n) and (2, 3, n); each stacked row gives the
+    # value and m of its own call, without a warning
+    rng = np.random.default_rng(287)
+    top = 1.7976931348623157e308
+    pools = ([0.0, -0.0], [0.0, -0.0, 0.5, 1.0], [0.0, 1.0, 5e307, 1e308, top])
+    rows = [rng.choice(pool, (2, 6, n)) for n in range(1, 10) for pool in pools]
+    rows += [np.array(row)[:, None] for row in rate_rows(287)]
+    # only the last row of this stack sums past the float64 maximum
+    rows.append(np.array([[[1.0, 2.0], [1e308, top]], [[2.0, 1.0], [1.0, top]]]))
+    negative_zeros = overflows = 0
+    for s_sorted, d_sorted in rows:
+        s_sorted.sort(axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, ms = kernels.omega_sorted_scan(s_sorted, d_sorted)
+            for i in range(len(s_sorted)):
+                value, m = kernels.omega_sorted_scan(s_sorted[i], d_sorted[i])
+                cand = suffix_cut_candidates(s_sorted[i], d_sorted[i])
+                want_m = max(j for j, c in enumerate(cand) if c == min(cand))
+                assert same_bits(value, cand[want_m]) and m == want_m
+                assert same_bits(values[i], value) and ms[i] == m
+                negative_zeros += math.copysign(1.0, value) < 0.0
+                overflows += math.inf in cand[1:-1]
+            if len(s_sorted) == 6:
+                cube, cube_ms = kernels.omega_sorted_scan(
+                    s_sorted.reshape(2, 3, -1), d_sorted.reshape(2, 3, -1)
+                )
+                assert same_bits(cube, values.reshape(2, 3))
+                assert (cube_ms == ms.reshape(2, 3)).all()
+    assert negative_zeros and overflows
+
+
 def test_min_cut_kernels_past_the_float_range():
     # cut and chain sums past the float64 range are inf, without a warning
     # (the suite turns RuntimeWarning into an error); the values are the

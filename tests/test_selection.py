@@ -544,6 +544,22 @@ class TestSelect:
             assert sel.gamma == gamma
             assert sel.comparisons == comparisons
 
+    @pytest.mark.parametrize(
+        "k, omega_hex, comparisons",
+        [(10**3, "0x1.f400000000000p+9", 5991), (10**4, "0x1.3880000000000p+13", 59991)],
+    )
+    def test_large_staircase_pick_is_pinned(self, k, omega_hex, comparisons):
+        # k - 1 rounds, each charged with the count of the picks so far;
+        # counted by bisection of the sorted picks, k = 10**4 runs in well
+        # under a second
+        rt = tight_config(k)
+        sel = select(rt, k, omega_fast(rt).value)
+        assert sel.gamma == tuple(range(1, k - 1)) + (k,)
+        assert sel.certificate.anchor_bin == k - 2
+        assert len(sel.certificate.bins) == k - 2
+        assert sel.omega_gamma.hex() == omega_hex
+        assert sel.comparisons == comparisons
+
 
 class TestVerifySelection:
     def test_accepts_staircase_selection(self):
