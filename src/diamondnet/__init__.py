@@ -53,7 +53,6 @@ from .selection import (
     strategy_gap,
     tight_config,
     verify_selection,
-    verify_selections,
 )
 from .verify import Failure, VerifyReport, run_verification, trial_seed
 
@@ -108,5 +107,4 @@ __all__ = [
     "tight_config",
     "trial_seed",
     "verify_selection",
-    "verify_selections",
 ]

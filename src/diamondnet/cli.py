@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="pick <= k relays carrying k/(k+1) of omega")
     p.add_argument("file")
     p.add_argument("k", type=int)
-    p.add_argument("--verify", action="store_true", help="brute-force check the pick")
+    p.add_argument("--verify", action="store_true", help="check the pick's guarantee")
     p.add_argument("--gap-model", choices=GAP_MODELS, default="nnc")
     add_format(p)
     p.set_defaults(func=cmd_select)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ValidationError
-from .model import RateTable, _Value, _linear_snrs, _require, _set, _to_int
+from .model import RateTable, _Value, _linear_snrs, _require, _set, _to_int, _to_tuple
 
 
 class Cut(_Value):
@@ -28,7 +28,7 @@ class Cut(_Value):
     __slots__ = ("members",)
 
     def __init__(self, members=()):
-        members = tuple(members)
+        members = _to_tuple("cut members", members)
         if not set(map(type, members)) <= {int}:
             for i in members:
                 if not isinstance(i, (int, np.integer)) or isinstance(i, bool):

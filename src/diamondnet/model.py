@@ -35,7 +35,7 @@ Scalar arguments follow one rule everywhere in the package, enforced by
 Python or numpy integer, never a ``bool`` or a float; a rate or an SNR is a
 finite real number. A violation raises ``ValidationError`` naming the
 argument. A table, network or selection argument of another type does the
-same, through ``_require``.
+same, through ``_require``, and a scalar for a relay set, through ``_to_tuple``.
 """
 
 from __future__ import annotations
@@ -83,6 +83,14 @@ def _to_int(name, value, minimum=None) -> int:
     kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
     kind = kind.get(minimum, f"an integer >= {minimum}")
     raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def _to_tuple(name, values) -> tuple:
+    """``values`` as a tuple: any iterable, a numpy array too, not a scalar."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be an iterable, got {values!r}") from None
 
 
 def _require(name, value, kind):

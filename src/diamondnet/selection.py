@@ -7,15 +7,16 @@ a rounding margin (``_thresholds``): it anchors on a relay with a top-bin
 source rate, then repeatedly finds relays whose destination rates cover the
 remaining gap, recording the strictly increasing bin certificate that
 forces termination within k-1 rounds. ``verify_selection`` checks the
-bound that certificate proves, from the same thresholds.
+bound that certificate proves (``_pick_bound``, from the same thresholds)
+against the pick's omega from the sorted scan behind ``omega_fast``, so it
+walks no cut lattice and has no size limit.
 
-``select_many`` and ``verify_selections`` do the same for many k on one
-table: each pick still comes from its own scans, but the picks' omegas come
-from one ``kernels.omega_rows`` call (the sorted scan of ``omega_fast``)
-and their checks from one ``kernels.brute_omega`` walk, on the relay sets
-stacked and padded with zero-rate relays, which leave every value bit for
-bit (the ``kernels`` docstring has the argument). ``select`` and
-``verify_selection`` are their one-k cases: every caller runs one path.
+``select_many`` does the same for many k on one table: each pick still
+comes from its own scans, but the picks' omegas come from one
+``kernels.omega_rows`` call (the sorted scan of ``omega_fast``) on the
+relay sets stacked and padded with zero-rate relays, which leave every
+value bit for bit (the ``kernels`` docstring has the argument). ``select``
+is its one-k case: every caller runs one path.
 
 ``omega_k_bruteforce`` / ``omega_k_ratio`` are the desk-scale oracles for
 the best k-subnetwork at one k; ``omega_k_table`` gives the best value for
@@ -35,9 +36,9 @@ from itertools import combinations
 import numpy as np
 
 from . import kernels
-from .cuts import gap_constant, omega_fast
+from .cuts import _sorted_scan, gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
-from .model import RateTable, _Value, _require, _set, _to_float, _to_int
+from .model import RateTable, _Value, _require, _set, _to_float, _to_int, _to_tuple
 
 SUBSET_ENUMERATION_LIMIT = 10**6
 
@@ -211,7 +212,7 @@ def select_many(rt: RateTable, ks, omega: float) -> tuple[SelectionResult, ...]:
     bit-identical to ``omega_fast`` of the pick's own rate table.
     """
     _require("rt", rt, RateTable)
-    ks = [_to_int("k", k, minimum=1) for k in ks]
+    ks = [_to_int("k", k, minimum=1) for k in _to_tuple("ks", ks)]
     omega = _to_float("omega", omega, "nonnegative")
     picks = [_pick(rt, k, omega) for k in ks]
     if not picks:
@@ -273,55 +274,43 @@ def _pick(rt: RateTable, k: int, omega: float):
 def verify_selection(
     rt: RateTable, sel: SelectionResult, k: int, omega: float
 ) -> bool:
-    """Exact brute-force check of the bound ``select`` proves for its pick.
+    """Exact check of the bound ``select`` proves for its pick.
 
-    Every cut of a ``select`` pick crosses relays worth tau_x + tau_{k-x}
-    for some x in 0..k, tau from ``_thresholds(omega, k)``. So the check,
-    with no tolerance, is that the subset's omega is at least the least
-    float sum tau_x + tau_{k-x} (the same at x and k - x); its x = 0 term
-    is tau_k, just under (k/(k+1)) * omega. The subset's rows of ``rt``,
-    validated with it, go straight to the brute-force kernel, which takes
-    the min over all 2**|gamma| cuts. The relay indices must be distinct
-    integers in 1..n.
+    The check, with no tolerance, is that the subset's omega is at least
+    ``_pick_bound(omega, k)``. The subset's omega comes from the sorted scan
+    behind ``omega_fast`` on its rows of ``rt``, bit-identical to the min
+    over all 2**|gamma| cuts, so the check takes O(|gamma| log |gamma| + k)
+    time at any size. The relay indices must be distinct integers in 1..n,
+    and k + 1 thresholds must fit numpy's array size.
     """
-    return verify_selections(rt, (sel,), (k,), omega)[0]
-
-
-def verify_selections(rt: RateTable, sels, ks, omega: float) -> tuple[bool, ...]:
-    """``verify_selection`` of each pick of ``sels`` at the k of ``ks`` in
-    the same position, on one table and omega.
-
-    Each pick is checked as ``verify_selection`` checks it, with the same
-    messages; then one ``kernels.brute_omega`` lattice walk gives the omega
-    of every pick, stacked and padded with zero-rate relays, which leave
-    each value bit for bit. The walk runs over the 2**width cuts of the
-    widest pick, so its working memory grows with the number of picks.
-    """
-    _require("rt", rt, RateTable)
-    sels, ks = tuple(sels), tuple(ks)
-    if len(sels) != len(ks):
-        raise ValidationError(f"got {len(sels)} selections for {len(ks)} values of k")
-    gammas, checked_ks = [], []
-    for sel, k in zip(sels, ks):
-        gamma = _require("sel", sel, SelectionResult).gamma
-        checked_ks.append(_to_int("k", k, minimum=1))
-        gammas.append(_checked_gamma(gamma, rt.n))
+    n = _require("rt", rt, RateTable).n
+    gamma = _require("sel", sel, SelectionResult).gamma
+    k = _to_int("k", k, minimum=1)
+    if k + 1 > _MAX_ARRAY_LEN:
+        raise ValidationError(
+            "k is too large: k + 1 thresholds exceed numpy's array size"
+        )
+    idx = np.array(_checked_gamma(gamma, n)) - 1
     omega = _to_float("omega", omega, "nonnegative")
-    if not gammas:
-        return ()
-    values, _ = kernels.brute_omega(*_stack(rt, gammas))
-    bounds = []
-    for k in checked_ks:
-        tau = _thresholds(omega, k)
-        bounds.append(min(tau[x] + tau[k - x] for x in range(k // 2 + 1)))
-    return tuple(v >= bound for v, bound in zip(values.tolist(), bounds))
+    return _sorted_scan(rt.r_s[idx], rt.r_d[idx])[1] >= _pick_bound(omega, k)
+
+
+def _pick_bound(omega, k):
+    """The least float sum tau_x + tau_{k-x} over x in 0..k (the same at x
+    and k - x), tau from ``_thresholds(omega, k)``. Every cut of a
+    ``select`` pick crosses relays worth one such sum, so the pick's omega
+    is at least this; its x = 0 term is tau_k, just under (k/(k+1)) * omega.
+    """
+    tau = _thresholds(omega, k)
+    return min(tau[x] + tau[k - x] for x in range(k // 2 + 1))
 
 
 def _checked_gamma(gamma, n):
     """``gamma`` as a tuple of distinct int relay indices in 1..n."""
+    gamma = _to_tuple("selection relay set", gamma)
     if not gamma:
         raise ValidationError("selection has an empty relay set")
-    if type(gamma) is not tuple or not set(map(type, gamma)) <= {int}:
+    if not set(map(type, gamma)) <= {int}:
         gamma = tuple(_to_int("selected relay index", i) for i in gamma)
     if min(gamma) < 1 or max(gamma) > n:
         raise ValidationError("selected relay index out of range")

@@ -3,18 +3,17 @@
 Every trial draws a seeded random network and checks the cross-module
 contracts on it: the fast and brute-force omega agree exactly, the
 bracketing chain holds, every k-relay selection meets its guarantee and
-comparison budget, the subnetwork ratio stays inside [k/(k+1), 1], the
-staircase configuration is exact, and the amplify-and-forward rate never
-beats the best-relay-plus-beamforming cap.
+comparison budget and has the brute force's omega, the subnetwork ratio
+stays inside [k/(k+1), 1], the staircase configuration is exact, and the
+amplify-and-forward rate never beats the best-relay-plus-beamforming cap.
 
 The best k-subnetwork value behind the ratio checks comes from one
 ``omega_k_table`` chain recurrence over the relay pairs per network, which
 gives every k at once, bit-identical to the per-k oracle
 ``omega_k_bruteforce``. The selections of every k likewise come from one
-``select_many`` call and their exact checks from one ``verify_selections``
-call, whose stacked kernels give each k the result of the one-k calls bit
-for bit; the per-k invariants are then recorded in k order, so the report
-is that of a k-by-k loop.
+``select_many`` call, and one ``brute_omega`` walk over the picks, stacked
+and padded with zero-rate relays, is their oracle; the per-k invariants are
+then recorded in k order, so the report is that of a k-by-k loop.
 
 Trial i runs on ``trial_seed(master_seed, i)`` (a splitmix64 mix, documented
 below), so any single trial can be reproduced in isolation. Inequality
@@ -34,8 +33,9 @@ from .af import af_optimize, af_rate_batch, af_snr_bound_sides, af_upper_bound
 from .cuts import cut_value, omega_bruteforce, omega_fast, sandwich
 from .errors import ValidationError
 from .generate import random_network
+from .kernels import brute_omega
 from .model import _Value, _set, _to_float, _to_int, rate_table
-from .selection import omega_k_table, select_many, tight_config, verify_selections
+from .selection import _pick_bound, _stack, omega_k_table, select_many, tight_config
 
 _MASK64 = (1 << 64) - 1
 
@@ -177,9 +177,9 @@ def _check_trial(rec, seed, nmax, kmode, rng):
             ks = [int(rng.integers(1, n))]
         table = omega_k_table(rt)
         sels = select_many(rt, ks, omega)
-        verified = verify_selections(rt, sels, ks, omega)
+        brute_values = brute_omega(*_stack(rt, [sel.gamma for sel in sels]))[0]
         prev_ratio = 0.0
-        for k, sel, ok in zip(ks, sels, verified):
+        for k, sel, value in zip(ks, sels, brute_values.tolist()):
             wk = table[k - 1]
             ratio = wk / omega
             rec.inequality(seed, "ratio-lower", k / (k + 1) - ratio, "k={}", k)
@@ -196,7 +196,9 @@ def _check_trial(rec, seed, nmax, kmode, rng):
                 k,
                 sel.gamma,
             )
+            ok = value >= _pick_bound(omega, k)
             rec.exact(seed, "selection-verified", ok, "k={}", k)
+            rec.exact(seed, "selection-oracle", value == sel.omega_gamma, "k={}", k)
             budget = 2 * n * k - (k - 1) * k // 2 + 2 * n
             rec.exact(
                 seed,

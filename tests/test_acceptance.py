@@ -125,7 +125,7 @@ def test_selection_guarantee_and_comparison_budget():
             checks += 1
     print(
         f"PASS selection guarantee: {checks} selections sized <= k, "
-        "verified by brute force, within the comparison budget"
+        "verified exactly, within the comparison budget"
     )
 
 

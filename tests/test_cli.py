@@ -140,6 +140,11 @@ class TestSelectCommand:
         assert code == 0
         assert "gamma = {1, 2, 3}" in out
 
+    def test_verify_rejects_k_past_the_array_size(self, capsys, stair_file):
+        code, out, err = run_cli(capsys, "select", stair_file, "1" + "0" * 400, "--verify")
+        assert (code, out) == (2, "")
+        assert err == "error: k is too large: k + 1 thresholds exceed numpy's array size\n"
+
     def test_staircase_at_huge_rates(self, capsys, tmp_path):
         # 2 * omega overflows here; the thresholds must not. Cut sums pass
         # the float64 range: inf, with no warning (the suite turns

@@ -132,6 +132,12 @@ class TestCutMembers:
         assert all(type(i) is int for i in cut.members)
         assert Cut(i for i in (np.int64(2), 5)) == Cut([2, 5])
 
+    @pytest.mark.parametrize("members", [5, 1.5, np.int64(2), None])
+    def test_rejects_a_scalar(self, members):
+        with pytest.raises(ValidationError) as exc:
+            Cut(members)
+        assert str(exc.value) == f"cut members must be an iterable, got {members!r}"
+
     def test_rejects_members_below_one(self):
         with pytest.raises(ValidationError) as exc:
             Cut([0, 2])

@@ -31,9 +31,9 @@ from diamondnet import (
     strategy_gap,
     tight_config,
     verify_selection,
-    verify_selections,
 )
-from diamondnet.selection import SUBSET_ENUMERATION_LIMIT, _thresholds
+from diamondnet import kernels
+from diamondnet.selection import _MAX_ARRAY_LEN, SUBSET_ENUMERATION_LIMIT, _thresholds
 from diamondnet.verify import trial_seed
 
 
@@ -559,6 +559,7 @@ class TestSelect:
         assert len(sel.certificate.bins) == k - 2
         assert sel.omega_gamma.hex() == omega_hex
         assert sel.comparisons == comparisons
+        assert verify_selection(rt, sel, k, omega_fast(rt).value)
 
 
 class TestVerifySelection:
@@ -628,6 +629,7 @@ class TestVerifySelection:
             ((2, 2), "selected relay indices must be distinct, got (2, 2)"),
             ((0,), "selected relay index out of range"),
             ((1, 4), "selected relay index out of range"),
+            ((), "selection has an empty relay set"),
         ],
     )
     def test_rejects_bad_relay_indices(self, gamma, message):
@@ -649,12 +651,51 @@ class TestVerifySelection:
         )
         assert verify_selection(rt, as_numpy, 2, 3.0)
 
-    def test_size_limit(self):
-        rt = RateTable(np.ones(25), np.ones(25))
-        sel = select(rt, 25, 1.0)
-        with pytest.raises(SizeLimitError) as exc:
-            verify_selection(rt, sel, 25, 1.0)
-        assert str(exc.value) == "brute force over 2**25 cuts refused (limit n <= 24)"
+    @pytest.mark.parametrize(
+        "gamma, want",
+        [
+            (np.array([1, 3]), True),
+            (np.array([3, 1], dtype=np.uint8), True),
+            (range(1, 4, 2), True),
+            (np.array([0, 1]), "selected relay index out of range"),
+            (np.array([], dtype=int), "selection has an empty relay set"),
+            (5, "selection relay set must be an iterable, got 5"),
+            (1.5, "selection relay set must be an iterable, got 1.5"),
+            (None, "selection relay set must be an iterable, got None"),
+        ],
+    )
+    def test_relay_set_is_any_iterable_of_indices(self, gamma, want):
+        # the pick {1, 3} has omega 2, just above the bound at k = 2
+        rt = tight_config(2, 1.0)
+        sel = SelectionResult(gamma=gamma, omega_gamma=0.0, certificate=None, comparisons=0)
+        if want is True:
+            assert verify_selection(rt, sel, 2, 3.0) is True
+            return
+        with pytest.raises(ValidationError) as exc:
+            verify_selection(rt, sel, 2, 3.0)
+        assert str(exc.value) == want
+
+    def test_pick_past_the_old_brute_force_limit_verifies(self):
+        # 28 relays: a lattice walk would need 2**28 cuts
+        rt = tight_config(29)
+        omega = omega_fast(rt).value
+        sel = select(rt, 29, omega)
+        assert len(sel.gamma) == 28
+        assert verify_selection(rt, sel, 29, omega)
+
+    def test_rejects_bad_arguments(self):
+        rt = tight_config(2, 1.0)
+        sel = select(rt, 2, 3.0)
+        with pytest.raises(ValidationError, match="k must be a positive integer"):
+            verify_selection(rt, sel, 0, 3.0)
+        with pytest.raises(ValidationError, match="sel must be a SelectionResult"):
+            verify_selection(rt, "x", 2, 3.0)
+        for k in (_MAX_ARRAY_LEN, 10**400):  # k + 1 thresholds past the array size
+            with pytest.raises(ValidationError) as exc:
+                verify_selection(rt, sel, k, 3.0)
+            assert str(exc.value) == (
+                "k is too large: k + 1 thresholds exceed numpy's array size"
+            )
 
 
 # tied integers, decimals, subnormals, and staircases
@@ -691,7 +732,7 @@ def assert_same_selection(got, want):
 
 
 class TestBatch:
-    """``select_many`` and ``verify_selections`` against the per-k calls."""
+    """``select_many`` against the per-k calls."""
 
     @settings(max_examples=300, deadline=None)
     @given(BATCH_TABLES, st.data())
@@ -701,19 +742,13 @@ class TestBatch:
         for w in (omega, 0.5 * omega, 0.0):
             sels = select_many(rt, ks, w)
             assert len(sels) == len(ks)
-            verdicts = verify_selections(rt, sels, ks, w)
-            assert verdicts == tuple(
-                verify_selection(rt, sel, k, w) for sel, k in zip(sels, ks)
-            )
-            for sel, k, verdict in zip(sels, ks, verdicts):
+            for sel, k in zip(sels, ks):
                 assert_same_selection(sel, select(rt, k, w))
                 # against the sorted scan and the enumeration, not the batch
                 idx = np.array(sel.gamma) - 1
                 sub = omega_fast(RateTable(rt.r_s[idx], rt.r_d[idx])).value
                 assert same_bits(sel.omega_gamma, sub)
                 assert enum_omega_of_subset(rt, sel.gamma) == sub
-                tau = _thresholds(w, k)
-                assert verdict is (sub >= min(tau[x] + tau[k - x] for x in range(k + 1)))
 
     def test_random_networks_every_k(self):
         for i in range(150):
@@ -723,41 +758,64 @@ class TestBatch:
             sels = select_many(rt, ks, omega)
             for sel, k in zip(sels, ks):
                 assert_same_selection(sel, select(rt, k, omega))
-            assert verify_selections(rt, sels, ks, omega) == (True,) * rt.n
+                assert verify_selection(rt, sel, k, omega)
 
     def test_no_k_gives_empty_tuples(self):
         rt = tight_config(2, 1.0)
         assert select_many(rt, [], 3.0) == ()
-        assert verify_selections(rt, [], [], 3.0) == ()
-
-    @pytest.mark.parametrize(
-        "gamma",
-        [(1.5,), ("1",), (1, True), (2, 2), (0,), (1, 4), ()],
-    )
-    def test_bad_pick_at_any_position_raises_its_message(self, gamma):
-        rt = tight_config(2, 1.0)
-        good = select_many(rt, (1, 2, 2), 3.0)
-        bad = SelectionResult(gamma=gamma, omega_gamma=0.0, certificate=None, comparisons=0)
-        with pytest.raises(ValidationError) as exc:
-            verify_selection(rt, bad, 2, 3.0)
-        for i in range(len(good) + 1):
-            sels = good[:i] + (bad,) + good[i:]
-            with pytest.raises(ValidationError) as batch_exc:
-                verify_selections(rt, sels, (2,) * len(sels), 3.0)
-            assert str(batch_exc.value) == str(exc.value)
 
     def test_rejects_bad_batch_arguments(self):
         rt = tight_config(2, 1.0)
-        sels = select_many(rt, (1, 2), 3.0)
-        with pytest.raises(ValidationError) as exc:
-            verify_selections(rt, sels, (1,), 3.0)
-        assert str(exc.value) == "got 2 selections for 1 values of k"
         with pytest.raises(ValidationError, match="k must be a positive integer"):
             select_many(rt, (1, 0), 3.0)
-        with pytest.raises(ValidationError, match="k must be a positive integer"):
-            verify_selections(rt, sels, (1, 0), 3.0)
-        with pytest.raises(ValidationError, match="sel must be a SelectionResult"):
-            verify_selections(rt, (sels[0], "x"), (1, 2), 3.0)
+
+    @pytest.mark.parametrize(
+        "ks, want",
+        [
+            (np.array([2, 1]), (2, 1)),
+            (range(1, 3), (1, 2)),
+            (5, "ks must be an iterable, got 5"),
+            (1.5, "ks must be an iterable, got 1.5"),
+            (None, "ks must be an iterable, got None"),
+        ],
+    )
+    def test_ks_is_any_iterable_of_ints(self, ks, want):
+        rt = tight_config(2, 1.0)
+        if isinstance(want, tuple):
+            assert select_many(rt, ks, 3.0) == select_many(rt, want, 3.0)
+            return
+        with pytest.raises(ValidationError) as exc:
+            select_many(rt, ks, 3.0)
+        assert str(exc.value) == want
+
+
+def brute_verdict(rt, gamma, k, omega):
+    """The verdict of ``verify_selection`` from the lattice walk over the
+    pick's cuts, against the bound formed here from the thresholds."""
+    idx = np.array(gamma) - 1
+    (value,), _ = kernels.brute_omega(rt.r_s[idx][None], rt.r_d[idx][None])
+    tau = _thresholds(omega, k)
+    return bool(value >= min(tau[x] + tau[k - x] for x in range(k + 1)))
+
+
+class TestVerifyAgainstTheLattice:
+    """``verify_selection``'s sorted scan against the brute-force walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(BATCH_TABLES, st.data())
+    def test_property_verdict_is_the_walk_against_the_bound(self, rt, data):
+        ks = data.draw(st.lists(st.integers(1, rt.n + 1), min_size=1, max_size=4))
+        forged = data.draw(
+            st.lists(st.integers(1, rt.n), min_size=1, max_size=rt.n, unique=True),
+            label="forged",
+        )
+        omega = omega_fast(rt).value
+        picks = [(sel.gamma, k) for sel, k in zip(select_many(rt, ks, omega), ks)]
+        picks.append((tuple(forged), ks[0]))
+        for gamma, k in picks:
+            sel = SelectionResult(gamma, 0.0, None, 0)
+            for w in (omega, 0.5 * omega, 2.0 * omega):
+                assert verify_selection(rt, sel, k, w) is brute_verdict(rt, gamma, k, w)
 
 
 class TestOmegaK:

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from diamondnet import (
@@ -96,6 +97,7 @@ CHECK_COUNTS = {
         "selection-size": 1067,
         "selection-guarantee": 1067,
         "selection-verified": 1067,
+        "selection-oracle": 1067,
         "selection-budget": 1067,
         "selection-certificate": 107,
         "af-bound": 400,
@@ -115,6 +117,7 @@ CHECK_COUNTS = {
         "selection-size": 181,
         "selection-guarantee": 181,
         "selection-verified": 181,
+        "selection-oracle": 181,
         "selection-budget": 181,
         "selection-certificate": 10,
         "af-bound": 400,
@@ -129,6 +132,7 @@ EXACT = {
     "staircase-subset",
     "selection-size",
     "selection-verified",
+    "selection-oracle",
     "selection-budget",
     "selection-certificate",
 }
@@ -167,7 +171,7 @@ class TestCheckInventory:
 
 
 def break_every_invariant(monkeypatch):
-    """Perturb what verify calls so that each of its 18 invariants fails."""
+    """Perturb what verify calls so that each of its 19 invariants fails."""
     orig = {
         name: getattr(verify, name)
         for name in (
@@ -222,7 +226,8 @@ def break_every_invariant(monkeypatch):
         ),
         "tight_config": lambda k, base: orig["tight_config"](k + 1, base),
         "select_many": select_many,
-        "verify_selections": lambda rt, sels, ks, omega: (False,) * len(sels),
+        # the picks' lattice walk: below every bound, and unequal to omega_gamma
+        "brute_omega": lambda r_s, r_d: (np.full(len(r_s), -1.0), None),
         "af_upper_bound": lambda rt: (orig["af_upper_bound"](rt)[0] - 5.0, 0.0),
         "af_snr_bound_sides": lambda *args: orig["af_snr_bound_sides"](*args)[::-1],
         "af_optimize": af_optimize,
@@ -259,10 +264,11 @@ class TestFailureDetails:
                 "k=1 cert=Certificate(anchor_bin=2, bins=(0, 2, 1))",
             ),
             "selection-guarantee": (a, "violated by 1.428e+00; k=1 gamma=(1, 1)"),
+            "selection-oracle": (a, "k=1"),
             "selection-size": (a, "k=1"),
             "selection-verified": (a, "k=1"),
             "staircase-omega": (a, "k=3"),
             "staircase-subset": (a, "k=3"),
         }
-        assert len(report.failures) == 80
+        assert len(report.failures) == 87
         assert report.max_violation == 996.8582232221845
