@@ -30,23 +30,21 @@ yields its first table as the one tile. ``_cut_tiles`` refuses n >
 ``BRUTE_FORCE_LIMIT`` with a ``SizeLimitError``, the one size guard of both
 oracles.
 
-Overflow rule of the min-cut kernels (``brute_omega``, ``omega_sorted_scan``,
-``best_chains``): a cut or chain sum r_s + r_d past the float64 range is
-inf, without a warning, and no value changes. The first two bound their sums
-by the largest r_s and r_d of the whole stack, and ``_overflow_guard`` adds
-the two on Python floats, which never warn, so that the sums run under
-``np.errstate(over="ignore")`` only when that bound is inf. ``best_chains``
-would need two reductions for the bound, which cost more than the
-``errstate`` block, so its sums always run under it. ``sandwich_scan``,
-whose sums are of linear SNRs, scales them by a power of two instead when
-they would pass the float64 range (its docstring has the rule).
+Overflow rule: a kernel forms its sums as it would with no overflow, under
+``np.errstate``, so a float sum past the float64 range is inf without a
+warning, and warning state changes no value. That is the whole rule of the
+min-cut kernels (``brute_omega``, ``omega_sorted_scan``, ``best_chains``):
+a cut or chain sum r_s + r_d that overflows is inf. ``af_rate_batch`` then
+evaluates again, scaled, only the rows whose terms overflowed, and
+``sandwich_scan``, whose sums are of linear SNRs, scales a whole lattice by
+a power of two when they would pass the float64 range; their docstrings
+have the rules.
 
 Conventions: relays are 0-indexed here; a cut is a bitmask with bit i set
 when relay i sits on the destination side; the maximum over an empty index
 set is 0.
 """
 
-import contextlib
 import math
 
 import numpy as np
@@ -96,18 +94,6 @@ _TILE_BITS = 14
 
 # the most relays whose 2**n cuts the brute-force oracles walk
 BRUTE_FORCE_LIMIT = 24
-
-
-_NO_GUARD = contextlib.nullcontext()
-
-
-def _overflow_guard(top_s, top_d):
-    """Context for sums r_s + r_d whose maxima are ``top_s`` and ``top_d``:
-    silences overflow when their sum is inf (rounding is monotone), and is
-    otherwise a no-op, which costs less."""
-    if float(top_s) + float(top_d) < math.inf:
-        return _NO_GUARD
-    return np.errstate(over="ignore")
 
 
 def _cut_tiles(rows, n_dest, fold):
@@ -170,8 +156,7 @@ def brute_omega(r_s, r_d):
     """
     rows = np.arange(r_s.shape[0])
     values, masks = [], []  # each tile's first minimum, per row
-    # the largest sum of any cut is at most top r_s + top r_d of the stack
-    with _overflow_guard(r_s.max(initial=0.0), r_d.max(initial=0.0)):
+    with np.errstate(over="ignore"):
         for base, (max_d, max_s) in _cut_tiles(np.array((r_d, r_s)), 1, np.maximum):
             cuts = max_d + max_s[:, ::-1]
             idx = cuts.argmin(axis=1)
@@ -196,11 +181,9 @@ def omega_sorted_scan(s_sorted, d_sorted):
     cand = np.empty(s_sorted.shape[:-1] + (n + 1,))
     # the suffix maxima of d_sorted, written backwards into cand[..., :n]
     np.maximum.accumulate(d_sorted[..., ::-1], axis=-1, out=cand[..., n - 1 :: -1])
-    # the largest sum is at most the top r_s (the last column) + the top r_d
-    top_s, top_d = s_sorted[..., n - 1], cand[..., 0]
-    with _overflow_guard(top_s.max(initial=0.0), top_d.max(initial=0.0)):
+    with np.errstate(over="ignore"):
         cand[..., 1:n] += s_sorted[..., : n - 1]
-    cand[..., n] = top_s
+    cand[..., n] = s_sorted[..., n - 1]
     m_best = n - cand[..., ::-1].argmin(axis=-1)
     # each row's candidate at its m
     return cand[(*np.indices(m_best.shape, sparse=True), m_best)], m_best
@@ -218,7 +201,8 @@ def best_chains(r_s, r_d):
     the best chain of h relays ending at j, less its last r_s term.
     Repeating a chain's first relay keeps its value, so ``f`` never falls
     from row to row, and the rounds, O(n**2) each, stop once a row repeats
-    the one before, after at most n.
+    the one before, after at most n. A link sum past the float64 range is
+    inf, as in the other min-cut kernels (the module's overflow rule).
     """
     n = r_s.shape[0]
     with np.errstate(over="ignore"):
@@ -303,25 +287,18 @@ def af_rate_batch(w, v, snr, alphas):
     2**-256 and v by 2**-512, exact powers of two that cancel in the SNR,
     and in logs: rate = log2(1 + 2**y), y = log2(snr) + 2*log2(num) -
     log2(den) on the scaled sums. Every other row is the expression above,
-    bit for bit. The tests for an overflow run on Python floats, which never
-    warn: den is finite when n * max(v) < 2**1022, and rounding is
-    monotone, so snr * num * num overflows in some row exactly when it does
-    at the largest num.
+    bit for bit.
     """
-    num = alphas @ w
-    if w.size * float(v.max()) < 2.0**1022:
-        den = 1.0 + (alphas * alphas) @ v
-        top = float(num.max(initial=0.0))
-        if snr * top * top < math.inf:
-            return np.log2(1.0 + snr * num * num / den)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num = alphas @ w
         den = 1.0 + (alphas * alphas) @ v
         x = snr * num * num
         rate = np.log2(1.0 + x / den)
-        big = (x == math.inf) | (den == math.inf)
-        a = alphas[big]
-        num = a @ (w * 2.0**-256)
-        den = 2.0**-512 + (a * a) @ (v * 2.0**-512)
-        y = math.log2(snr) + 2.0 * np.log2(num) - np.log2(den)
-        rate[big] = np.logaddexp2(0.0, y)
+        big = np.maximum(x, den) == math.inf  # x or den overflowed
+        if big.any():
+            a = alphas[big]
+            num = a @ (w * 2.0**-256)
+            den = 2.0**-512 + (a * a) @ (v * 2.0**-512)
+            y = math.log2(snr) + 2.0 * np.log2(num) - np.log2(den)
+            rate[big] = np.logaddexp2(0.0, y)
     return rate

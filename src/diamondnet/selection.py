@@ -141,8 +141,8 @@ def _stack(rt: RateTable, gammas):
     return r_s, r_d
 
 
-def _thresholds(omega, k):
-    """[tau_0, ..., tau_k], tau_j = j * omega * (1 - 2**-50) / (k+1).
+def _thresholds(omega, k, first=0):
+    """[tau_first, ..., tau_k], tau_j = j * omega * (1 - 2**-50) / (k+1).
 
     Formed at an exact power-of-two scale: 2**-64 above 1, so that j * omega
     cannot overflow, and 2**64 at or below 1, so that a subnormal omega
@@ -155,7 +155,7 @@ def _thresholds(omega, k):
     scale = 2.0**-64 if omega > 1.0 else 2.0**64
     w = omega * scale * (1.0 - 2.0**-50)
     k1 = k + 1
-    return [j * w / k1 / scale for j in range(k1)]
+    return [j * w / k1 / scale for j in range(first, k1)]
 
 
 def _first_hit(r_s, r_d, t_s, t_d, failure):
@@ -279,8 +279,9 @@ def verify_selection(
     The check, with no tolerance, is that the subset's omega is at least
     ``_pick_bound(omega, k)``. The subset's omega comes from the sorted scan
     behind ``omega_fast`` on its rows of ``rt``, bit-identical to the min
-    over all 2**|gamma| cuts, so the check takes O(|gamma| log |gamma| + k)
-    time at any size. The relay indices must be distinct integers in 1..n,
+    over all 2**|gamma| cuts, so the check takes O(|gamma| log |gamma|)
+    time at any size for a value of at least tau_k (``_clears_bound``), and
+    O(k) more below it. The relay indices must be distinct integers in 1..n,
     and k + 1 thresholds must fit numpy's array size.
     """
     n = _require("rt", rt, RateTable).n
@@ -292,7 +293,15 @@ def verify_selection(
         )
     idx = np.array(_checked_gamma(gamma, n)) - 1
     omega = _to_float("omega", omega, "nonnegative")
-    return _sorted_scan(rt.r_s[idx], rt.r_d[idx])[1] >= _pick_bound(omega, k)
+    return _clears_bound(_sorted_scan(rt.r_s[idx], rt.r_d[idx])[1], omega, k)
+
+
+def _clears_bound(value, omega, k):
+    """Whether a pick's omega ``value`` is at least ``_pick_bound(omega,
+    k)``. As tau_0 = 0, the bound's x = 0 term is tau_k, so a value at
+    least tau_k clears it without the other k thresholds.
+    """
+    return value >= _thresholds(omega, k, k)[0] or value >= _pick_bound(omega, k)
 
 
 def _pick_bound(omega, k):
@@ -300,6 +309,7 @@ def _pick_bound(omega, k):
     and k - x), tau from ``_thresholds(omega, k)``. Every cut of a
     ``select`` pick crosses relays worth one such sum, so the pick's omega
     is at least this; its x = 0 term is tau_k, just under (k/(k+1)) * omega.
+    It takes O(k) time; ``_clears_bound`` needs it only below tau_k.
     """
     tau = _thresholds(omega, k)
     return min(tau[x] + tau[k - x] for x in range(k // 2 + 1))

@@ -35,7 +35,7 @@ from .errors import ValidationError
 from .generate import random_network
 from .kernels import brute_omega
 from .model import _Value, _set, _to_float, _to_int, rate_table
-from .selection import _pick_bound, _stack, omega_k_table, select_many, tight_config
+from .selection import _clears_bound, _stack, omega_k_table, select_many, tight_config
 
 _MASK64 = (1 << 64) - 1
 
@@ -196,7 +196,7 @@ def _check_trial(rec, seed, nmax, kmode, rng):
                 k,
                 sel.gamma,
             )
-            ok = value >= _pick_bound(omega, k)
+            ok = _clears_bound(value, omega, k)
             rec.exact(seed, "selection-verified", ok, "k={}", k)
             rec.exact(seed, "selection-oracle", value == sel.omega_gamma, "k={}", k)
             budget = 2 * n * k - (k - 1) * k // 2 + 2 * n

@@ -149,11 +149,32 @@ class TestOverflowingSnr:
         assert af_optimize(net).rate == pytest.approx(want, rel=1e-9)
 
     def test_rows_that_fit_keep_their_bits(self):
-        net = Network(1.0, [1e154] * 3, [1e154] * 3)
-        rows = [[1.0, 1.0, 1.0], [1e-3, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        # relays 1-2 give a den past the float64 maximum, relays 3-4 an snr
+        # * num**2 past it; the other rows fit and keep the expression's bits
+        net = Network(1.0, [1e-5, 1e-5, 1e3, 1e3], [1.3e154, 1.3e154, 1e154, 1e154])
+        rows = np.array(
+            [
+                [1.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 1.0],
+                [0.0, 0.0, 1e-3, 0.0],
+                [0.5, 0.0, 0.3, 0.2],
+                [0.0, 0.0, 0.0, 0.0],
+                [1e-3, 1e-3, 1e-3, 1e-3],
+            ]
+        )
+        w, v = _af_weights(net)
+        with np.errstate(over="ignore"):
+            num = rows @ w
+            den = 1.0 + (rows * rows) @ v
+            x = net.snr * num * num
+        assert den[0] == math.inf and x[0] < math.inf
+        assert x[1] == math.inf and den[1] < math.inf
+        fit = (x < math.inf) & (den < math.inf)
+        assert fit.tolist() == [False, False, True, True, True, True]
         rates = af_rate_batch(net, rows)
-        assert math.isfinite(rates[0])
-        assert [af_rate(net, row) for row in rows[1:]] == rates[1:].tolist()
+        assert np.isfinite(rates).all()
+        want = np.log2(1.0 + net.snr * num[fit] * num[fit] / den[fit])
+        assert rates[fit].tobytes() == want.tobytes()
 
 
 class TestOverflowingGainProducts:

@@ -403,7 +403,8 @@ def test_zero_padding_leaves_both_min_cut_kernels_unchanged():
 
 def test_stacked_rows_whose_sums_overflow_run_without_a_warning():
     # one row of the stack sums past the float64 range, the others do not:
-    # the guard covers the whole stack, and each value is the definition's
+    # the sums run under errstate for the whole stack, and each value is
+    # the definition's
     top = 1.7976931348623157e308
     r_s = np.array([[1e308, 1e308, 0.0], [1.0, 2.0, 0.0], [top, 5e307, 1.0]])
     r_d = np.array([[1e308, 1e308, 0.0], [2.0, 1.0, 3.0], [5e307, top, 0.0]])

@@ -32,7 +32,7 @@ from diamondnet import (
     tight_config,
     verify_selection,
 )
-from diamondnet import kernels
+from diamondnet import kernels, selection
 from diamondnet.selection import _MAX_ARRAY_LEN, SUBSET_ENUMERATION_LIMIT, _thresholds
 from diamondnet.verify import trial_seed
 
@@ -244,7 +244,7 @@ class TestSelect:
     def test_k_at_least_n_all_dead(self):
         rt = RateTable([0.0, 1.0], [2.0, 0.0])
         sel = select(rt, 2, omega_fast(rt).value)
-        assert sel.gamma == (1, 2)
+        assert sel.gamma == tuple(range(1, rt.n + 1))
 
     def test_zero_omega_returns_first_relay(self):
         rt = RateTable([0.0, 1.0, 5.0], [2.0, 0.0, 0.0])
@@ -591,6 +591,27 @@ class TestVerifySelection:
         )
         with pytest.raises(ValidationError):
             verify_selection(rt, broken, 2, 3.0)
+
+    def test_pick_at_a_huge_k_clears_tau_k_alone(self, monkeypatch):
+        # a value at least tau_k clears the bound with no other threshold,
+        # so no list of k + 1 thresholds is built
+        def refuse(omega, k):
+            raise AssertionError("the O(k) bound was built")
+
+        monkeypatch.setattr(selection, "_pick_bound", refuse)
+        rt = tight_config(2)
+        omega = omega_fast(rt).value
+        k = 10**12
+        sel = select(rt, k, omega)
+        assert sel.gamma == tuple(range(1, rt.n + 1))
+        assert verify_selection(rt, sel, k, omega)
+
+    def test_tau_k_alone_is_the_last_threshold(self):
+        rng = np.random.default_rng(233)
+        omegas = [5e-324, 1e-310, 0.1, 1.0, 3.0, 1e300, 1.7976931348623157e308]
+        for omega in omegas + rng.lognormal(0.0, 30.0, 40).tolist():
+            for k in (1, 2, 7, 1000):
+                assert _thresholds(omega, k, k) == [_thresholds(omega, k)[k]]
 
     def test_random_sweep_always_verifies(self):
         for i in range(150):
