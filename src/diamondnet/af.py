@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 from .model import Network, RateTable, _Value, _check_range, _float_array
-from .model import _float_rows, _rates, _require, _set, _to_int
+from .model import _float_rows, _rates, _require, _to_int
 
 
 class AfCoefficients(_Value):
@@ -45,7 +45,7 @@ class AfCoefficients(_Value):
             raise ValidationError("alpha must have at least one entry")
         _check_range("alpha", alpha, 1.0)
         alpha.flags.writeable = False
-        _set(self, "alpha", alpha)
+        super().__init__(alpha)
 
     @property
     def n(self) -> int:
@@ -56,14 +56,6 @@ class AfReport(_Value):
     """Achieved rate, the coefficients, and the best-relay-plus-beamforming cap."""
 
     __slots__ = ("rate", "alpha", "upper_bound", "c1")
-
-    def __init__(
-        self, rate: float, alpha: AfCoefficients, upper_bound: float, c1: float
-    ):
-        _set(self, "rate", rate)
-        _set(self, "alpha", alpha)
-        _set(self, "upper_bound", upper_bound)
-        _set(self, "c1", c1)
 
 
 def _af_weights(net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -224,12 +216,7 @@ def af_optimize(net: Network) -> AfReport:
     rates = kernels.af_rate_batch(w, v, net.snr, alphas)
     pick = 1 if rates[1] > rates[0] else 0
     bound, c1 = _cap(*_rates(net))
-    return AfReport(
-        rate=float(rates[pick]),
-        alpha=AfCoefficients(alphas[pick]),
-        upper_bound=bound,
-        c1=c1,
-    )
+    return AfReport(float(rates[pick]), AfCoefficients(alphas[pick]), bound, c1)
 
 
 def af_grid_search(net: Network, points: int = 21) -> tuple[float, np.ndarray]:

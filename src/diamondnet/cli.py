@@ -186,11 +186,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_af(args) -> int:
     net = load(args.file).to_network()
-    bound, c1 = af_upper_bound(rate_table(net))
     if args.optimize:
-        rep = af_optimize(net)
-        rate, alpha = rep.rate, rep.alpha.alpha
+        rep = af_optimize(net)  # it carries the cap of ``af_upper_bound``
+        rate, alpha, bound, c1 = rep.rate, rep.alpha.alpha, rep.upper_bound, rep.c1
     else:
+        bound, c1 = af_upper_bound(rate_table(net))
         if args.alpha is not None:
             try:
                 alpha = np.array([float(x) for x in args.alpha.split(",")])

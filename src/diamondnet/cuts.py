@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ValidationError
-from .model import RateTable, _Value, _linear_snrs, _require, _set, _to_int, _to_tuple
+from .model import RateTable, _Value, _linear_snrs, _require, _to_int, _to_tuple
 
 
 class Cut(_Value):
@@ -37,7 +37,7 @@ class Cut(_Value):
         members = frozenset(members)
         if members and min(members) < 1:
             raise ValidationError("cut members are 1-based relay indices")
-        _set(self, "members", members)
+        super().__init__(members)
 
     @classmethod
     def from_mask(cls, mask: int) -> "Cut":
@@ -75,11 +75,6 @@ class OmegaResult(_Value):
 
     __slots__ = ("value", "argmin_cut", "comparisons")
 
-    def __init__(self, value: float, argmin_cut: Cut, comparisons: int):
-        _set(self, "value", value)
-        _set(self, "argmin_cut", argmin_cut)
-        _set(self, "comparisons", comparisons)
-
 
 class SandwichReport(_Value):
     """omega and the bracketing bounds on the cut-set bound.
@@ -89,12 +84,6 @@ class SandwichReport(_Value):
     """
 
     __slots__ = ("omega", "lower", "upper", "gap")
-
-    def __init__(self, omega: float, lower: float, upper: float, gap: float):
-        _set(self, "omega", omega)
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "gap", gap)
 
 
 def cut_value(rt: RateTable, cut: Cut) -> float:
@@ -140,11 +129,7 @@ def omega_bruteforce(rt: RateTable) -> OmegaResult:
     n = _require("rt", rt, RateTable).n
     (value,), (mask,) = kernels.brute_omega(rt.r_s[None], rt.r_d[None])
     # charge: two subset-max tables (2**n - 1 each) + the min scan (2**n - 1)
-    return OmegaResult(
-        value=float(value),
-        argmin_cut=Cut.from_mask(int(mask)),
-        comparisons=3 * (1 << n) - 3,
-    )
+    return OmegaResult(float(value), Cut.from_mask(int(mask)), 3 * (1 << n) - 3)
 
 
 def _sorted_scan(r_s, r_d):
@@ -165,11 +150,8 @@ def omega_fast(rt: RateTable) -> OmegaResult:
     ``omega_bruteforce`` including the argmin cut.
     """
     order, value, m_best = _sorted_scan(_require("rt", rt, RateTable).r_s, rt.r_d)
-    return OmegaResult(
-        value=value,
-        argmin_cut=Cut((order[m_best:] + 1).tolist()),
-        comparisons=_fast_schedule_charge(rt.n),
-    )
+    cut = Cut((order[m_best:] + 1).tolist())
+    return OmegaResult(value, cut, _fast_schedule_charge(rt.n))
 
 
 def sandwich(rt: RateTable) -> SandwichReport:
@@ -185,9 +167,5 @@ def sandwich(rt: RateTable) -> SandwichReport:
     ts2, td2 = _linear_snrs(rt)
     td = np.sqrt(td2)
     lower, upper = kernels.sandwich_scan(ts2, td2, td)
-    return SandwichReport(
-        omega=_sorted_scan(rt.r_s, rt.r_d)[1],
-        lower=float(lower),
-        upper=float(upper),
-        gap=gap_constant(n),
-    )
+    omega = _sorted_scan(rt.r_s, rt.r_d)[1]
+    return SandwichReport(omega, float(lower), float(upper), gap_constant(n))

@@ -23,7 +23,9 @@ that test fails or the arrays do not stack.
 Every value type of the package is an immutable value on one base,
 ``_Value``: these two and ``af.AfCoefficients``, and every result record
 (``cuts.Cut``, ``cuts.OmegaResult``, ``selection.SelectionResult``,
-``verify.VerifyReport`` and the rest). A record's fields are its
+``verify.VerifyReport`` and the rest). A type declares its fields once,
+as its ``__slots__``; only a type that checks its input writes a
+constructor, which ends in ``super().__init__``. A record's fields are its
 constructor's parameters, in order, and read as attributes
 (``omega_fast(rt).value``, ``sel.certificate.bins``); its ``repr`` names
 them all. Values compare equal field by field, an array by value; a record
@@ -40,6 +42,7 @@ same, through ``_require``, and a scalar for a relay set, through ``_to_tuple``.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -149,17 +152,35 @@ class _Value:
     (``Network``, ``RateTable``, ``af.AfCoefficients``) and every result
     record (``cuts.Cut``, ``selection.SelectionResult``, ...).
 
-    A subclass lists its constructor arguments, in order, as its
-    ``__slots__`` (a leading underscore marks a private one), and its
-    ``__init__`` checks them and stores each with ``_set``, in straight-line
-    code; an array type marks its arrays read-only first. Instances are
-    immutable, compare equal when their fields do (an array by value), and
-    copy and pickle through the constructor, so a copy is checked (and
-    read-only) again. A record hashes by its fields; an array type sets
-    ``__hash__ = None``. ``repr`` names every field, an array as a list.
+    A subclass declares its fields once, in order, as its ``__slots__`` (a
+    leading underscore marks a private one). A record writes no constructor:
+    ``_Value.__init__`` stores its arguments as the fields, and the
+    signature, one parameter per slot, is built from the slots. Only a type
+    that checks its input writes an ``__init__``, which ends in
+    ``super().__init__`` with the checked fields; an array type marks its
+    arrays read-only first. Instances are immutable, compare equal when
+    their fields do (an array by value), and copy and pickle through the
+    constructor, so a copy is checked (and read-only) again. A record hashes
+    by its fields; an array type sets ``__hash__ = None``. ``repr`` names
+    every field, an array as a list.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__init__" not in vars(cls):
+            kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+            params = [inspect.Parameter(name, kind) for name in cls.__slots__]
+            cls.__signature__ = inspect.Signature(params)
+
+    def __init__(self, *args, **kwargs):
+        # positional arguments, one per field, are stored as they come; any
+        # other call is bound to the signature, which raises ``TypeError``
+        # for a missing, unknown or repeated field as a plain constructor does
+        if kwargs or len(args) != len(self.__slots__):
+            args = self.__signature__.bind(*args, **kwargs).args
+        for name, value in zip(self.__slots__, args):
+            _set(self, name, value)
 
     def _args(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -253,9 +274,7 @@ class Network(_Value):
             g = float(gs[i])
             name = "gain_d" if math.isfinite(snr * g * g) else "gain_s"
             raise ValidationError(f"relay {i + 1}: snr * {name}**2 overflows")
-        _set(self, "snr", snr)
-        _set(self, "_gain_s", gs)
-        _set(self, "_gain_d", gd)
+        super().__init__(snr, gs, gd)
 
     @property
     def n(self) -> int:
@@ -292,8 +311,7 @@ class RateTable(_Value):
         # threshold moved
         r_s, r_d = rates[0].copy(), rates[1].copy()
         r_s.flags.writeable = r_d.flags.writeable = False
-        _set(self, "r_s", r_s)
-        _set(self, "r_d", r_d)
+        super().__init__(r_s, r_d)
 
     @property
     def n(self) -> int:

@@ -39,7 +39,7 @@ from array import array
 import numpy as np
 
 from .errors import ValidationError
-from .model import Network, RateTable, _Value, _require, _set, _to_float
+from .model import Network, RateTable, _Value, _require, _to_float
 from .model import network_from, rate_table
 
 
@@ -85,10 +85,7 @@ class NetworkFile(_Value):
                 f"label {label!r} must be a string without '#', line breaks "
                 "or surrounding whitespace"
             )
-        _set(self, "network", network)
-        _set(self, "rates", rates)
-        _set(self, "snr", snr)
-        _set(self, "label", label)
+        super().__init__(network, rates, snr, label)
 
     @property
     def n(self) -> int:

@@ -38,7 +38,7 @@ import numpy as np
 from . import kernels
 from .cuts import _sorted_scan, gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
-from .model import RateTable, _Value, _require, _set, _to_float, _to_int, _to_tuple
+from .model import RateTable, _Value, _require, _to_float, _to_int, _to_tuple
 
 SUBSET_ENUMERATION_LIMIT = 10**6
 
@@ -66,27 +66,11 @@ class Certificate(_Value):
 
     __slots__ = ("anchor_bin", "bins")
 
-    def __init__(self, anchor_bin: int | None, bins: tuple[int, ...]):
-        _set(self, "anchor_bin", anchor_bin)
-        _set(self, "bins", bins)
-
 
 class SelectionResult(_Value):
     """Chosen relay subset, its achieved omega, certificate and comparison count."""
 
     __slots__ = ("gamma", "omega_gamma", "certificate", "comparisons")
-
-    def __init__(
-        self,
-        gamma: tuple[int, ...],
-        omega_gamma: float,
-        certificate: Certificate | None,
-        comparisons: int,
-    ):
-        _set(self, "gamma", gamma)
-        _set(self, "omega_gamma", omega_gamma)
-        _set(self, "certificate", certificate)
-        _set(self, "comparisons", comparisons)
 
 
 class GuaranteeReport(_Value):
@@ -98,35 +82,11 @@ class GuaranteeReport(_Value):
 
     __slots__ = ("k", "lower_bound", "gap_model", "components")
 
-    def __init__(
-        self,
-        k: int,
-        lower_bound: float,
-        gap_model: str,
-        components: tuple[float, float, float],
-    ):
-        _set(self, "k", k)
-        _set(self, "lower_bound", lower_bound)
-        _set(self, "gap_model", gap_model)
-        _set(self, "components", components)
-
 
 class TradeoffReport(_Value):
     """Per-k guarantee table, the additive baseline, and the best k."""
 
     __slots__ = ("entries", "best_k", "baseline", "gap_model")
-
-    def __init__(
-        self,
-        entries: tuple[tuple[int, float], ...],
-        best_k: int,
-        baseline: float,
-        gap_model: str,
-    ):
-        _set(self, "entries", entries)
-        _set(self, "best_k", best_k)
-        _set(self, "baseline", baseline)
-        _set(self, "gap_model", gap_model)
 
 
 def _stack(rt: RateTable, gammas):
@@ -483,9 +443,4 @@ def hybrid_tradeoff(
     bounds = np.where(x > 0.0, x, 0.0)
     best_k = int(bounds.argmax()) + 1  # the smallest maximizing k
     baseline = max(0.0, c_bar_approx - 1.3 * n)
-    return TradeoffReport(
-        entries=tuple(zip(ks, bounds.tolist())),
-        best_k=best_k,
-        baseline=baseline,
-        gap_model=gap_model,
-    )
+    return TradeoffReport(tuple(zip(ks, bounds.tolist())), best_k, baseline, gap_model)

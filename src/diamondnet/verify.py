@@ -34,7 +34,7 @@ from .cuts import cut_value, omega_bruteforce, omega_fast, sandwich
 from .errors import ValidationError
 from .generate import random_network
 from .kernels import brute_omega
-from .model import _Value, _set, _to_float, _to_int, rate_table
+from .model import _Value, _to_float, _to_int, rate_table
 from .selection import _clears_bound, _stack, omega_k_table, select_many, tight_config
 
 _MASK64 = (1 << 64) - 1
@@ -65,29 +65,12 @@ class Failure(_Value):
 
     __slots__ = ("seed", "invariant", "details")
 
-    def __init__(self, seed: int, invariant: str, details: str):
-        _set(self, "seed", seed)
-        _set(self, "invariant", invariant)
-        _set(self, "details", details)
-
 
 class VerifyReport(_Value):
     """Trial count, the failures in (seed, invariant) order, the worst
     inequality deficit, and the wall time in seconds."""
 
     __slots__ = ("trials", "failures", "max_violation", "elapsed")
-
-    def __init__(
-        self,
-        trials: int,
-        failures: tuple[Failure, ...],
-        max_violation: float,
-        elapsed: float,
-    ):
-        _set(self, "trials", trials)
-        _set(self, "failures", failures)
-        _set(self, "max_violation", max_violation)
-        _set(self, "elapsed", elapsed)
 
     @property
     def ok(self) -> bool:
@@ -284,9 +267,5 @@ def run_verification(
         rng = np.random.default_rng(s)
         _check_trial(rec, s, nmax, kmode, rng)
     failures = tuple(sorted(rec.failures, key=lambda f: (f.seed, f.invariant)))
-    return VerifyReport(
-        trials=trials,
-        failures=failures,
-        max_violation=rec.max_violation,
-        elapsed=time.perf_counter() - started,
-    )
+    elapsed = time.perf_counter() - started
+    return VerifyReport(trials, failures, rec.max_violation, elapsed)

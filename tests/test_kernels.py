@@ -37,6 +37,13 @@ def test_backend_is_reported():
         assert callable(getattr(kernels, name))
 
 
+def test_numpy_warnings_are_errors_in_the_suite():
+    # pyproject.toml turns RuntimeWarning into an error for the whole suite,
+    # which the no-warning tests of the kernels and their callers rely on
+    with pytest.raises(RuntimeWarning):
+        np.float64(1e308) * 10.0
+
+
 def test_subset_max_matches_definition():
     rng = np.random.default_rng(281)
     for n in range(7):

@@ -201,6 +201,23 @@ def test_keyword_and_positional_construction(cls):
 
 
 @TYPES
+def test_constructor_rejects_a_missing_unknown_or_repeated_field(cls):
+    # Cut's and NetworkFile's fields have defaults, so only their unknown
+    # and repeated fields raise
+    fields = FIELDS[cls][0]
+    params = inspect.signature(cls).parameters.values()
+    required = [p.name for p in params if p.default is inspect.Parameter.empty]
+    if required:
+        with pytest.raises(TypeError):
+            cls(**{name: fields[name] for name in fields if name != required[-1]})
+    with pytest.raises(TypeError):
+        cls(**fields, extra=None)
+    first = next(iter(fields))
+    with pytest.raises(TypeError):
+        cls(fields[first], **fields)  # the first given twice
+
+
+@TYPES
 def test_equality_is_by_every_field(cls):
     value = make(cls)
     assert value == make(cls) and not value != make(cls)
