@@ -49,7 +49,6 @@ from .selection import (
     omega_k_ratio,
     omega_k_table,
     select,
-    select_many,
     strategy_gap,
     tight_config,
     verify_selection,
@@ -102,7 +101,6 @@ __all__ = [
     "run_verification",
     "sandwich",
     "select",
-    "select_many",
     "strategy_gap",
     "tight_config",
     "trial_seed",

@@ -21,7 +21,7 @@ import numpy as np
 from .af import af_optimize, af_rate, af_upper_bound
 from .cuts import omega_bruteforce, omega_fast, sandwich
 from .errors import ValidationError
-from .generate import random_network
+from .generate import DISTRIBUTIONS, random_network
 from .model import rate_table
 from .netfile import from_network, from_rates, load
 from .selection import (
@@ -32,7 +32,7 @@ from .selection import (
     tight_config,
     verify_selection,
 )
-from .verify import run_verification
+from .verify import KMODES, run_verification
 
 
 def _fmt(value) -> str:
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded random network file")
     p.add_argument("n", type=int)
-    p.add_argument("--dist", choices=("rayleigh", "loguniform"), default="rayleigh")
+    p.add_argument("--dist", choices=DISTRIBUTIONS, default="rayleigh")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--lo", type=float, default=0.1)
     p.add_argument("--hi", type=float, default=10.0)
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--kmode", choices=("all", "random"), default="all")
+    p.add_argument("--kmode", choices=KMODES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-9)
     add_format(p)

@@ -6,8 +6,8 @@ only: ``omega_bruteforce`` and ``verify``'s check of its picks; and
 ``sandwich_scan``), built on the per-subset folds of ``subset_max``; the
 sorted suffix scan (``omega_sorted_scan``), the one code that forms the
 n + 1 suffix-cut candidates, in place in one buffer of n + 1 floats per
-row: ``omega_fast``, ``sandwich`` and ``verify_selection`` run it on one
-row, and ``omega_rows`` (behind ``select_many`` and the oracle
+row: ``omega_fast``, ``sandwich``, ``select`` and ``verify_selection``
+run it on one row, and ``omega_rows`` (behind the oracle
 ``omega_k_bruteforce``) sorts each row of a stack and runs it once; the
 chain recurrence behind the best-k table (``best_chains``); and the row-wise
 amplify-and-forward rate (``af_rate_batch``). Each is checked in the tests against a definition

@@ -6,17 +6,11 @@ omega. The construction walks threshold bins tau_j = j*omega/(k+1), less
 a rounding margin (``_thresholds``): it anchors on a relay with a top-bin
 source rate, then repeatedly finds relays whose destination rates cover the
 remaining gap, recording the strictly increasing bin certificate that
-forces termination within k-1 rounds. ``verify_selection`` checks the
-bound that certificate proves (``_pick_bound``, from the same thresholds)
-against the pick's omega from the sorted scan behind ``omega_fast``, so it
-walks no cut lattice and has no size limit.
-
-``select_many`` does the same for many k on one table: each pick still
-comes from its own scans, but the picks' omegas come from one
-``kernels.omega_rows`` call (the sorted scan of ``omega_fast``) on the
-relay sets stacked and padded with zero-rate relays, which leave every
-value bit for bit (the ``kernels`` docstring has the argument). ``select``
-is its one-k case: every caller runs one path.
+forces termination within k-1 rounds. The pick's own omega comes from the
+sorted scan behind ``omega_fast`` on its rows. ``verify_selection`` checks
+that omega against the bound the certificate proves, formed lazily from the
+same thresholds (``_clears_bound``), so it walks no cut lattice and has no
+size limit.
 
 ``omega_k_bruteforce`` / ``omega_k_ratio`` are the desk-scale oracles for
 the best k-subnetwork at one k; ``omega_k_table`` gives the best value for
@@ -89,20 +83,8 @@ class TradeoffReport(_Value):
     __slots__ = ("entries", "best_k", "baseline", "gap_model")
 
 
-def _stack(rt: RateTable, gammas):
-    """The rates of each 1-based relay set of ``gammas`` as the rows of two
-    (m, width) arrays, padded with zero-rate relays."""
-    width = max(map(len, gammas))
-    idx = np.array([gamma + (0,) * (width - len(gamma)) for gamma in gammas]) - 1
-    r_s, r_d = rt.r_s[idx], rt.r_d[idx]
-    pad = idx < 0
-    r_s[pad] = 0.0
-    r_d[pad] = 0.0
-    return r_s, r_d
-
-
-def _thresholds(omega, k, first=0):
-    """[tau_first, ..., tau_k], tau_j = j * omega * (1 - 2**-50) / (k+1).
+def _tau(omega, k):
+    """The threshold function j -> tau_j = j * omega * (1 - 2**-50) / (k+1).
 
     Formed at an exact power-of-two scale: 2**-64 above 1, so that j * omega
     cannot overflow, and 2**64 at or below 1, so that a subnormal omega
@@ -110,12 +92,17 @@ def _thresholds(omega, k, first=0):
     (at most 2**-53 relative above the exact min cut) and the three
     roundings of tau, so tau_x + tau_y <= the exact min cut for x + y = k+1;
     a subnormal tau_j rounds to a multiple of 2**-1074, as the rates do.
-    The thresholds never decrease in j.
+    The thresholds never decrease in j, and tau_0 = 0.
     """
     scale = 2.0**-64 if omega > 1.0 else 2.0**64
     w = omega * scale * (1.0 - 2.0**-50)
     k1 = k + 1
-    return [j * w / k1 / scale for j in range(first, k1)]
+    return lambda j: j * w / k1 / scale
+
+
+def _thresholds(omega, k):
+    """[tau_0, ..., tau_k] of ``_tau``."""
+    return list(map(_tau(omega, k), range(k + 1)))
 
 
 def _first_hit(r_s, r_d, t_s, t_d, failure):
@@ -158,30 +145,17 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
     picks before the hit and, if it is one of them, the anchor's r_s test.
 
     Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
-    """
-    return select_many(rt, (k,), omega)[0]
 
-
-def select_many(rt: RateTable, ks, omega: float) -> tuple[SelectionResult, ...]:
-    """``select`` at each k of ``ks``, in order, on one table and omega.
-
-    Each pick comes from the scans ``select`` describes, one k at a time;
-    then every pick's ``omega_gamma`` comes from one ``kernels.omega_rows``
-    call, the scan of ``omega_fast`` over the stacked picks, padded with
-    zero-rate relays, which leave each value bit for bit. So each result is
-    bit-identical to ``omega_fast`` of the pick's own rate table.
+    ``omega_gamma`` comes from the sorted scan behind ``omega_fast`` on the
+    pick's rows, bit-identical to ``omega_fast`` of the pick's own table.
     """
     _require("rt", rt, RateTable)
-    ks = [_to_int("k", k, minimum=1) for k in _to_tuple("ks", ks)]
+    k = _to_int("k", k, minimum=1)
     omega = _to_float("omega", omega, "nonnegative")
-    picks = [_pick(rt, k, omega) for k in ks]
-    if not picks:
-        return ()
-    values = kernels.omega_rows(*_stack(rt, [p[0] for p in picks])).tolist()
-    return tuple(
-        SelectionResult(gamma, value, certificate, comparisons)
-        for (gamma, certificate, comparisons), value in zip(picks, values)
-    )
+    gamma, certificate, comparisons = _pick(rt, k, omega)
+    idx = np.array(gamma) - 1
+    value = _sorted_scan(rt.r_s[idx], rt.r_d[idx])[1]
+    return SelectionResult(gamma, value, certificate, comparisons)
 
 
 def _pick(rt: RateTable, k: int, omega: float):
@@ -236,8 +210,8 @@ def verify_selection(
 ) -> bool:
     """Exact check of the bound ``select`` proves for its pick.
 
-    The check, with no tolerance, is that the subset's omega is at least
-    ``_pick_bound(omega, k)``. The subset's omega comes from the sorted scan
+    The check, with no tolerance, is that the subset's omega clears the
+    bound of ``_clears_bound``. The subset's omega comes from the sorted scan
     behind ``omega_fast`` on its rows of ``rt``, bit-identical to the min
     over all 2**|gamma| cuts, so the check takes O(|gamma| log |gamma|)
     time at any size for a value of at least tau_k (``_clears_bound``), and
@@ -257,22 +231,18 @@ def verify_selection(
 
 
 def _clears_bound(value, omega, k):
-    """Whether a pick's omega ``value`` is at least ``_pick_bound(omega,
-    k)``. As tau_0 = 0, the bound's x = 0 term is tau_k, so a value at
-    least tau_k clears it without the other k thresholds.
-    """
-    return value >= _thresholds(omega, k, k)[0] or value >= _pick_bound(omega, k)
+    """Whether a pick's omega ``value`` is at least the bound ``select``
+    proves: the least float sum tau_x + tau_(k-x) over x in 0..k (the same
+    at x and k - x), tau from ``_tau(omega, k)``. Every cut of a pick
+    crosses relays worth one such sum.
 
-
-def _pick_bound(omega, k):
-    """The least float sum tau_x + tau_{k-x} over x in 0..k (the same at x
-    and k - x), tau from ``_thresholds(omega, k)``. Every cut of a
-    ``select`` pick crosses relays worth one such sum, so the pick's omega
-    is at least this; its x = 0 term is tau_k, just under (k/(k+1)) * omega.
-    It takes O(k) time; ``_clears_bound`` needs it only below tau_k.
+    The sums are formed one at a time from x = 0, and the first the value
+    clears ends the check. As tau_0 = 0, the x = 0 sum is tau_k, just under
+    (k/(k+1)) * omega, so a value of at least tau_k is checked at once; a
+    smaller one takes O(k) time. No list of thresholds is built.
     """
-    tau = _thresholds(omega, k)
-    return min(tau[x] + tau[k - x] for x in range(k // 2 + 1))
+    tau = _tau(omega, k)
+    return any(value >= tau(x) + tau(k - x) for x in range(k // 2 + 1))
 
 
 def _checked_gamma(gamma, n):

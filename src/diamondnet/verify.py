@@ -10,9 +10,9 @@ amplify-and-forward rate never beats the best-relay-plus-beamforming cap.
 The best k-subnetwork value behind the ratio checks comes from one
 ``omega_k_table`` chain recurrence over the relay pairs per network, which
 gives every k at once, bit-identical to the per-k oracle
-``omega_k_bruteforce``. The selections of every k likewise come from one
-``select_many`` call, and one ``brute_omega`` walk over the picks, stacked
-and padded with zero-rate relays, is their oracle; the per-k invariants are
+``omega_k_bruteforce``. Each k's pick comes from its own ``select`` call,
+and one ``brute_omega`` walk over the picks, stacked and padded with
+zero-rate relays (``_stack``), is their oracle; the per-k invariants are
 then recorded in k order, so the report is that of a k-by-k loop.
 
 Trial i runs on ``trial_seed(master_seed, i)`` (a splitmix64 mix, documented
@@ -35,7 +35,7 @@ from .errors import ValidationError
 from .generate import random_network
 from .kernels import brute_omega
 from .model import _Value, _to_float, _to_int, rate_table
-from .selection import _clears_bound, _stack, omega_k_table, select_many, tight_config
+from .selection import _clears_bound, omega_k_table, select, tight_config
 
 _MASK64 = (1 << 64) - 1
 
@@ -58,6 +58,18 @@ def trial_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _stack(rt, gammas):
+    """The rates of each 1-based relay set of ``gammas`` as the rows of two
+    (m, width) arrays, padded with zero-rate relays."""
+    width = max(map(len, gammas))
+    idx = np.array([gamma + (0,) * (width - len(gamma)) for gamma in gammas]) - 1
+    r_s, r_d = rt.r_s[idx], rt.r_d[idx]
+    pad = idx < 0
+    r_s[pad] = 0.0
+    r_d[pad] = 0.0
+    return r_s, r_d
 
 
 class Failure(_Value):
@@ -159,7 +171,7 @@ def _check_trial(rec, seed, nmax, kmode, rng):
         else:
             ks = [int(rng.integers(1, n))]
         table = omega_k_table(rt)
-        sels = select_many(rt, ks, omega)
+        sels = [select(rt, k, omega) for k in ks]
         brute_values = brute_omega(*_stack(rt, [sel.gamma for sel in sels]))[0]
         prev_ratio = 0.0
         for k, sel, value in zip(ks, sels, brute_values.tolist()):

@@ -6,7 +6,9 @@ import pytest
 
 from diamondnet import cli
 from diamondnet.cli import main
-from diamondnet.verify import Failure, VerifyReport
+from diamondnet.generate import DISTRIBUTIONS
+from diamondnet.selection import GAP_MODELS
+from diamondnet.verify import KMODES, Failure, VerifyReport
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +354,23 @@ class TestVerifyCommand:
         a.pop("elapsed_s")
         b.pop("elapsed_s")
         assert a == b
+
+
+class TestParser:
+    def test_choice_lists_are_the_library_tuples(self):
+        (commands,) = (
+            a for a in cli.build_parser()._actions if a.dest == "command"
+        )
+
+        def choices(command, dest):
+            (action,) = (
+                a for a in commands.choices[command]._actions if a.dest == dest
+            )
+            return action.choices
+
+        assert choices("gen", "dist") == DISTRIBUTIONS
+        assert choices("verify", "kmode") == KMODES
+        assert choices("select", "gap_model") == GAP_MODELS
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -27,13 +28,17 @@ from diamondnet import (
     random_network,
     rate_table,
     select,
-    select_many,
     strategy_gap,
     tight_config,
     verify_selection,
 )
 from diamondnet import kernels, selection
-from diamondnet.selection import _MAX_ARRAY_LEN, SUBSET_ENUMERATION_LIMIT, _thresholds
+from diamondnet.selection import (
+    _MAX_ARRAY_LEN,
+    SUBSET_ENUMERATION_LIMIT,
+    _clears_bound,
+    _thresholds,
+)
 from diamondnet.verify import trial_seed
 
 
@@ -186,11 +191,13 @@ def check_any_omega(rt, k, omega):
 
 
 def assert_omega_gamma_is_omega_fast(rt, k, omega):
-    """``select``'s omega_gamma is ``omega_fast`` of its pick, bit for bit."""
+    """``select``'s omega_gamma is ``omega_fast`` of its pick, bit for bit;
+    returns the selection."""
     sel = select(rt, k, omega)
     idx = np.array(sel.gamma) - 1
     want = omega_fast(RateTable(rt.r_s[idx], rt.r_d[idx])).value
     assert same_bits(sel.omega_gamma, want)
+    return sel
 
 
 class TestTightConfig:
@@ -259,6 +266,29 @@ class TestSelect:
             select(rt, 0, 3.0)
         with pytest.raises(ValidationError):
             select(rt, 2, -1.0)
+
+    @pytest.mark.parametrize(
+        "k, want",
+        [
+            (np.int64(2), 2),
+            (np.int32(1), 1),
+            (np.uint8(5), 5),
+            (0, "k must be a positive integer, got 0"),
+            (-1, "k must be a positive integer, got -1"),
+            (1.5, "k must be a positive integer, got 1.5"),
+            (None, "k must be a positive integer, got None"),
+            (True, "k must be a positive integer, got True"),
+            ("2", "k must be a positive integer, got '2'"),
+        ],
+    )
+    def test_k_is_any_positive_int(self, k, want):
+        rt = tight_config(2, 1.0)
+        if isinstance(want, int):
+            assert select(rt, k, 3.0) == select(rt, want, 3.0)
+            return
+        with pytest.raises(ValidationError) as exc:
+            select(rt, k, 3.0)
+        assert str(exc.value) == want
 
     def test_non_numeric_omega_message(self):
         with pytest.raises(ValidationError) as exc:
@@ -593,25 +623,44 @@ class TestVerifySelection:
             verify_selection(rt, broken, 2, 3.0)
 
     def test_pick_at_a_huge_k_clears_tau_k_alone(self, monkeypatch):
-        # a value at least tau_k clears the bound with no other threshold,
-        # so no list of k + 1 thresholds is built
-        def refuse(omega, k):
-            raise AssertionError("the O(k) bound was built")
+        # a value at least tau_k clears the bound at its first sum, x = 0,
+        # so only tau_0 and tau_k are formed
+        formed = []
+        tau = selection._tau
 
-        monkeypatch.setattr(selection, "_pick_bound", refuse)
+        def counted(omega, k):
+            fn = tau(omega, k)
+            return lambda j: formed.append(j) or fn(j)
+
+        monkeypatch.setattr(selection, "_tau", counted)
         rt = tight_config(2)
         omega = omega_fast(rt).value
         k = 10**12
         sel = select(rt, k, omega)
         assert sel.gamma == tuple(range(1, rt.n + 1))
         assert verify_selection(rt, sel, k, omega)
+        assert formed == [0, k]
 
-    def test_tau_k_alone_is_the_last_threshold(self):
+    def test_tau_k_clears_the_bound(self):
         rng = np.random.default_rng(233)
         omegas = [5e-324, 1e-310, 0.1, 1.0, 3.0, 1e300, 1.7976931348623157e308]
         for omega in omegas + rng.lognormal(0.0, 30.0, 40).tolist():
             for k in (1, 2, 7, 1000):
-                assert _thresholds(omega, k, k) == [_thresholds(omega, k)[k]]
+                assert _clears_bound(_thresholds(omega, k)[k], omega, k)
+
+    def test_forged_pick_below_tau_k_builds_no_threshold_list(self):
+        # relay 1 alone has omega 1, below every sum at omega 3: all k / 2 + 1
+        # sums are formed, one at a time
+        rt = tight_config(2)
+        sel = SelectionResult((1,), 0.0, None, 0)
+        omega = omega_fast(rt).value
+        tracemalloc.start()
+        try:
+            assert not verify_selection(rt, sel, 10**6, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_random_sweep_always_verifies(self):
         for i in range(150):
@@ -743,71 +792,28 @@ BATCH_TABLES = st.one_of(
 )
 
 
-def assert_same_selection(got, want):
-    assert (got.gamma, got.certificate, got.comparisons) == (
-        want.gamma,
-        want.certificate,
-        want.comparisons,
-    )
-    assert same_bits(got.omega_gamma, want.omega_gamma)
-
-
-class TestBatch:
-    """``select_many`` against the per-k calls."""
+class TestOmegaGammaEveryK:
+    """``select``'s omega_gamma at every k against the pick's own table."""
 
     @settings(max_examples=300, deadline=None)
-    @given(BATCH_TABLES, st.data())
-    def test_property_batch_equals_per_k_calls(self, rt, data):
-        ks = data.draw(st.lists(st.integers(1, rt.n + 1), max_size=14), label="ks")
+    @given(BATCH_TABLES)
+    def test_property_omega_gamma_is_omega_fast_and_the_enumeration(self, rt):
         omega = omega_fast(rt).value
+        enumerated = {}
         for w in (omega, 0.5 * omega, 0.0):
-            sels = select_many(rt, ks, w)
-            assert len(sels) == len(ks)
-            for sel, k in zip(sels, ks):
-                assert_same_selection(sel, select(rt, k, w))
-                # against the sorted scan and the enumeration, not the batch
-                idx = np.array(sel.gamma) - 1
-                sub = omega_fast(RateTable(rt.r_s[idx], rt.r_d[idx])).value
-                assert same_bits(sel.omega_gamma, sub)
-                assert enum_omega_of_subset(rt, sel.gamma) == sub
+            for k in range(1, rt.n + 2):
+                sel = assert_omega_gamma_is_omega_fast(rt, k, w)
+                if sel.gamma not in enumerated:
+                    enumerated[sel.gamma] = enum_omega_of_subset(rt, sel.gamma)
+                assert enumerated[sel.gamma] == sel.omega_gamma
 
     def test_random_networks_every_k(self):
         for i in range(150):
             rt = random_rt(i, master=347, nmax=14)
             omega = omega_fast(rt).value
-            ks = range(1, rt.n + 1)
-            sels = select_many(rt, ks, omega)
-            for sel, k in zip(sels, ks):
-                assert_same_selection(sel, select(rt, k, omega))
+            for k in range(1, rt.n + 1):
+                sel = assert_omega_gamma_is_omega_fast(rt, k, omega)
                 assert verify_selection(rt, sel, k, omega)
-
-    def test_no_k_gives_empty_tuples(self):
-        rt = tight_config(2, 1.0)
-        assert select_many(rt, [], 3.0) == ()
-
-    def test_rejects_bad_batch_arguments(self):
-        rt = tight_config(2, 1.0)
-        with pytest.raises(ValidationError, match="k must be a positive integer"):
-            select_many(rt, (1, 0), 3.0)
-
-    @pytest.mark.parametrize(
-        "ks, want",
-        [
-            (np.array([2, 1]), (2, 1)),
-            (range(1, 3), (1, 2)),
-            (5, "ks must be an iterable, got 5"),
-            (1.5, "ks must be an iterable, got 1.5"),
-            (None, "ks must be an iterable, got None"),
-        ],
-    )
-    def test_ks_is_any_iterable_of_ints(self, ks, want):
-        rt = tight_config(2, 1.0)
-        if isinstance(want, tuple):
-            assert select_many(rt, ks, 3.0) == select_many(rt, want, 3.0)
-            return
-        with pytest.raises(ValidationError) as exc:
-            select_many(rt, ks, 3.0)
-        assert str(exc.value) == want
 
 
 def brute_verdict(rt, gamma, k, omega):
@@ -831,7 +837,7 @@ class TestVerifyAgainstTheLattice:
             label="forged",
         )
         omega = omega_fast(rt).value
-        picks = [(sel.gamma, k) for sel, k in zip(select_many(rt, ks, omega), ks)]
+        picks = [(select(rt, k, omega).gamma, k) for k in ks]
         picks.append((tuple(forged), ks[0]))
         for gamma, k in picks:
             sel = SelectionResult(gamma, 0.0, None, 0)

@@ -179,7 +179,7 @@ def break_every_invariant(monkeypatch):
             "sandwich",
             "omega_k_table",
             "tight_config",
-            "select_many",
+            "select",
             "af_upper_bound",
             "af_snr_bound_sides",
             "af_optimize",
@@ -194,15 +194,13 @@ def break_every_invariant(monkeypatch):
             comparisons=res.comparisons,
         )
 
-    def select_many(rt, ks, omega):
-        return tuple(
-            SelectionResult(
-                gamma=sel.gamma * (k + 1),
-                omega_gamma=sel.omega_gamma / 4,
-                certificate=Certificate(anchor_bin=k + 1, bins=(0, 2, 1)),
-                comparisons=10**6,
-            )
-            for k, sel in zip(ks, orig["select_many"](rt, ks, omega))
+    def select(rt, k, omega):
+        sel = orig["select"](rt, k, omega)
+        return SelectionResult(
+            gamma=sel.gamma * (k + 1),
+            omega_gamma=sel.omega_gamma / 4,
+            certificate=Certificate(anchor_bin=k + 1, bins=(0, 2, 1)),
+            comparisons=10**6,
         )
 
     def sandwich(rt):
@@ -225,7 +223,7 @@ def break_every_invariant(monkeypatch):
             for k, v in enumerate(orig["omega_k_table"](rt), 1)
         ),
         "tight_config": lambda k, base: orig["tight_config"](k + 1, base),
-        "select_many": select_many,
+        "select": select,
         # the picks' lattice walk: below every bound, and unequal to omega_gamma
         "brute_omega": lambda r_s, r_d: (np.full(len(r_s), -1.0), None),
         "af_upper_bound": lambda rt: (orig["af_upper_bound"](rt)[0] - 5.0, 0.0),
