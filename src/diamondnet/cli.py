@@ -272,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega", help="min-cut capacity approximation of a network")
     p.add_argument("file")
     p.add_argument("--brute", action="store_true", help="cross-check the oracle")
-    p.add_argument("--counts", action="store_true", help="print comparison counters")
+    p.add_argument(
+        "--counts",
+        action="store_true",
+        help="print comparison counts: 2n - 1 for the scan, 3 * 2**n - 3 for --brute",
+    )
     add_format(p)
     p.set_defaults(func=cmd_omega)
 

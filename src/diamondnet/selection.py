@@ -24,7 +24,7 @@ resulting capacity lower bounds, the latter for every k at once in numpy.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from itertools import combinations
 
 import numpy as np
@@ -106,14 +106,13 @@ def _thresholds(omega, k):
 
 
 def _first_hit(r_s, r_d, t_s, t_d, failure):
-    """The first relay with r_s >= t_s and r_d >= t_d, and how many relays
-    up to it pass the r_s test. Without a hit, ``failure`` is raised."""
-    passed = r_s >= t_s
-    hit = passed & (r_d >= t_d)
+    """The first relay with r_s >= t_s and r_d >= t_d, from 2 * n rate
+    tests. Without a hit, ``failure`` is raised."""
+    hit = (r_s >= t_s) & (r_d >= t_d)
     y = int(hit.argmax())
     if not hit[y]:
         raise ValidationError(f"{failure}; omega is inconsistent with the rate table")
-    return y, int(np.count_nonzero(passed[: y + 1]))
+    return y
 
 
 def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
@@ -139,12 +138,12 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
     A pick never qualifies again, so each scan runs over all relays: the
     anchor's r_d is below tau_{k-a+1} <= tau_{k-x}, the r_d test of a later
     round at bin x < a, and a round pick in bin b has r_s below tau_{b+1} <=
-    tau_{x+1}, the r_s test of a later round at x >= b. The charge is still
-    that of a scan over the unpicked relays (an r_s test each up to the hit,
-    an r_d test for each that passes): the whole scan's count, less the
-    picks before the hit and, if it is one of them, the anchor's r_s test.
+    tau_{x+1}, the r_s test of a later round at x >= b.
 
-    Worst-case comparisons: 2*n*k - (k-1)*k/2 + 2*n.
+    ``comparisons`` counts the rate tests the scans make, 2 per relay per
+    scan: 2 * n * (1 + len(certificate.bins)) for the anchor scan and one
+    scan per round, at most 2 * n * k. The k >= n branch reports 2 * n (the
+    min of each relay's pair, then its zero test), and omega <= 0 reports 0.
 
     ``omega_gamma`` comes from the sorted scan behind ``omega_fast`` on the
     pick's rows, bit-identical to ``omega_fast`` of the pick's own table.
@@ -168,7 +167,6 @@ def _pick(rt: RateTable, k: int, omega: float):
         # whole network fits; zero-min-rate relays carry nothing and are dropped
         keep = np.flatnonzero(np.minimum(r_s, r_d) > 0.0) + 1
         gamma = tuple(keep.tolist()) if keep.size else tuple(range(1, n + 1))
-        # charge: min of each pair, then its zero test
         return gamma, None, 2 * n
 
     if omega <= 0.0:
@@ -176,33 +174,25 @@ def _pick(rt: RateTable, k: int, omega: float):
 
     tau = _thresholds(omega, k)
     failure = "no anchor relay clears the top threshold"
-    p, passed = _first_hit(r_s, r_d, tau[k], tau[1], failure)
-    # the anchor's r_d is in bin k - a, and a = 0 returns it alone; charged
-    # as the scalar tests r_d >= tau_k, tau_{k-1}, ..., tau_{k-a}
+    p = _first_hit(r_s, r_d, tau[k], tau[1], failure)
+    # the anchor's r_d is in bin k - a, and a = 0 returns it alone
     a = k - (bisect_right(tau, float(r_d[p])) - 1)
-    comparisons = p + 1 + passed + 1 + a  # the scan to p, then the bin tests
     if a == 0:
-        return (p + 1,), Certificate(None, ()), comparisons
+        return (p + 1,), Certificate(None, ()), 2 * n
 
-    gamma = [p + 1]  # kept sorted
+    gamma = [p + 1]  # in pick order
     bins = [0]
     failure = "no qualifying relay at a selection round"
     while True:
-        t_s, t_d = tau[bins[-1] + 1], tau[k - bins[-1]]
-        y, passed = _first_hit(r_s, r_d, t_s, t_d, failure)
-        # the charge of a scan over the unpicked relays, as in the docstring
-        comparisons += y + 1 - bisect_right(gamma, y + 1) + passed - (p < y)
-        insort(gamma, y + 1)
-        # the relay's r_s is in bin b, and b >= a ends the selection; charged
-        # as the scalar tests r_s >= tau_a, then r_s < tau_{j+1}, j = a_prev+1..b
+        y = _first_hit(r_s, r_d, tau[bins[-1] + 1], tau[k - bins[-1]], failure)
+        gamma.append(y + 1)
+        # the relay's r_s is in bin b, and b >= a ends the selection
         b = bisect_right(tau, float(r_s[y])) - 1
-        comparisons += 1
         if b >= a:
             break
-        comparisons += b - bins[-1]
         bins.append(b)
 
-    return tuple(gamma), Certificate(a, tuple(bins)), comparisons
+    return tuple(sorted(gamma)), Certificate(a, tuple(bins)), 2 * n * (1 + len(bins))
 
 
 def verify_selection(
@@ -216,15 +206,14 @@ def verify_selection(
     over all 2**|gamma| cuts, so the check takes O(|gamma| log |gamma|)
     time at any size for a value of at least tau_k (``_clears_bound``), and
     O(k) more below it. The relay indices must be distinct integers in 1..n,
-    and k + 1 thresholds must fit numpy's array size.
+    and k must be below ``_MAX_ARRAY_LEN``, the limit ``tight_config`` puts
+    on k.
     """
     n = _require("rt", rt, RateTable).n
     gamma = _require("sel", sel, SelectionResult).gamma
     k = _to_int("k", k, minimum=1)
-    if k + 1 > _MAX_ARRAY_LEN:
-        raise ValidationError(
-            "k is too large: k + 1 thresholds exceed numpy's array size"
-        )
+    if k >= _MAX_ARRAY_LEN:
+        raise ValidationError(f"k is too large: k must be below {_MAX_ARRAY_LEN}")
     idx = np.array(_checked_gamma(gamma, n)) - 1
     omega = _to_float("omega", omega, "nonnegative")
     return _clears_bound(_sorted_scan(rt.r_s[idx], rt.r_d[idx])[1], omega, k)

@@ -2,10 +2,11 @@
 
 Every trial draws a seeded random network and checks the cross-module
 contracts on it: the fast and brute-force omega agree exactly, the
-bracketing chain holds, every k-relay selection meets its guarantee and
-comparison budget and has the brute force's omega, the subnetwork ratio
-stays inside [k/(k+1), 1], the staircase configuration is exact, and the
-amplify-and-forward rate never beats the best-relay-plus-beamforming cap.
+bracketing chain holds, every k-relay selection meets its guarantee, makes
+at most k scans of the n relays (``comparisons <= 2 * n * k``) and has the
+brute force's omega, the subnetwork ratio stays inside [k/(k+1), 1], the
+staircase configuration is exact, and the amplify-and-forward rate never
+beats the best-relay-plus-beamforming cap.
 
 The best k-subnetwork value behind the ratio checks comes from one
 ``omega_k_table`` chain recurrence over the relay pairs per network, which
@@ -194,7 +195,7 @@ def _check_trial(rec, seed, nmax, kmode, rng):
             ok = _clears_bound(value, omega, k)
             rec.exact(seed, "selection-verified", ok, "k={}", k)
             rec.exact(seed, "selection-oracle", value == sel.omega_gamma, "k={}", k)
-            budget = 2 * n * k - (k - 1) * k // 2 + 2 * n
+            budget = 2 * n * k  # at most k scans, 2 rate tests per relay each
             rec.exact(
                 seed,
                 "selection-budget",

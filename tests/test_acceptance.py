@@ -121,7 +121,9 @@ def test_selection_guarantee_and_comparison_budget():
             assert 1 <= len(sel.gamma) <= k
             assert sel.omega_gamma >= (k / (k + 1)) * omega - 1e-9
             assert verified
-            assert sel.comparisons <= 2 * n * k - (k - 1) * k // 2 + 2 * n
+            # one anchor scan and one per round, at most k scans of n relays
+            scans = 1 + len(sel.certificate.bins)
+            assert sel.comparisons == 2 * n * scans <= 2 * n * k
             checks += 1
     print(
         f"PASS selection guarantee: {checks} selections sized <= k, "
@@ -245,21 +247,12 @@ def test_hybrid_tradeoff_regression():
 
 
 def test_comparison_counters_and_large_n_runtime():
-    # the counter is a deterministic schedule charge, so the closed form
-    # covers every n; spot runs confirm the reported field matches it
-    n = np.arange(1, 10**5 + 1, dtype=np.int64)
-    ceil_log = np.ceil(np.log2(n)).astype(np.int64)
-    merge = n * ceil_log - (1 << ceil_log) + 1
-    merge[0] = 0
-    counters = merge + 2 * n
-    bound = 2 * n * ceil_log + 3 * n + 2
-    assert np.all(counters <= bound)
-
+    # omega_fast counts its scan: n - 1 suffix maxima, then the argmin over
+    # the n + 1 candidates
     for probe in list(range(1, 65)) + [100, 1000, 10**4, 10**5]:
         rng = np.random.default_rng(probe)
         rt = RateTable(rng.uniform(0, 20, probe), rng.uniform(0, 20, probe))
-        res = omega_fast(rt)
-        assert res.comparisons == int(counters[probe - 1])
+        assert omega_fast(rt).comparisons == 2 * probe - 1
 
     rng = np.random.default_rng(0)
     rt = RateTable(rng.uniform(0, 20, 10**5), rng.uniform(0, 20, 10**5))
@@ -269,7 +262,7 @@ def test_comparison_counters_and_large_n_runtime():
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(
-        f"PASS comparison counters: bound holds for all n <= 1e5; "
+        f"PASS comparison counters: 2n - 1 at every probed n <= 1e5; "
         f"omega at n=1e5 in {elapsed * 1000:.0f}ms"
     )
 

@@ -145,7 +145,7 @@ class TestSelectCommand:
     def test_verify_rejects_k_past_the_array_size(self, capsys, stair_file):
         code, out, err = run_cli(capsys, "select", stair_file, "1" + "0" * 400, "--verify")
         assert (code, out) == (2, "")
-        assert err == "error: k is too large: k + 1 thresholds exceed numpy's array size\n"
+        assert err == "error: k is too large: k must be below 1152921504606846975\n"
 
     def test_staircase_at_huge_rates(self, capsys, tmp_path):
         # 2 * omega overflows here; the thresholds must not. Cut sums pass
@@ -393,13 +393,13 @@ GOLDEN = [
 n = 3
 omega = 3
 argmin_cut = {}
-comparisons = 9
+comparisons = 5
 brute_omega = 3
 oracle_agrees = true
 brute_comparisons = 21
 """),
     ("omega {stair} --brute --counts --format machine", 0,
-     '{"n": 3, "omega": 3.0, "argmin_cut": [], "comparisons": 9, "brute_omega": 3.0, '
+     '{"n": 3, "omega": 3.0, "argmin_cut": [], "comparisons": 5, "brute_omega": 3.0, '
      '"oracle_agrees": true, "brute_comparisons": 21}\n'),
     ("select {stair} 2 --verify", 0, """\
 n = 3
@@ -408,14 +408,14 @@ omega = 3
 gamma = {2}
 omega_gamma = 2
 ratio = 0.666667
-comparisons = 4
+comparisons = 6
 certificate = anchor_bin none; bins ()
 guaranteed_rate[nnc] = 0
 verified = true
 """),
     ("select {stair} 2 --verify --format machine", 0,
      '{"n": 3, "k": 2, "omega": 3.0, "gamma": [2], "omega_gamma": 2.0, '
-     '"ratio": 0.6666666666666666, "comparisons": 4, '
+     '"ratio": 0.6666666666666666, "comparisons": 6, '
      '"certificate": {"anchor_bin": null, "bins": []}, "gap_model": "nnc", '
      '"guaranteed_rate": 0.0, "verified": true}\n'),
     ("bounds {stair}", 0, """\
@@ -448,13 +448,13 @@ k nnc optimized
 n = 6
 omega = 2.7335
 argmin_cut = {6}
-comparisons = 23
+comparisons = 11
 brute_omega = 2.7335
 oracle_agrees = true
 brute_comparisons = 189
 """),
     ("omega {gains} --brute --counts --format machine", 0,
-     '{"n": 6, "omega": 2.7334968083211284, "argmin_cut": [6], "comparisons": 23, '
+     '{"n": 6, "omega": 2.7334968083211284, "argmin_cut": [6], "comparisons": 11, '
      '"brute_omega": 2.7334968083211284, "oracle_agrees": true, '
      '"brute_comparisons": 189}\n'),
     ("select {gains} 2 --verify", 0, """\
@@ -464,14 +464,14 @@ omega = 2.7335
 gamma = {5}
 omega_gamma = 2.72979
 ratio = 0.998642
-comparisons = 7
+comparisons = 12
 certificate = anchor_bin none; bins ()
 guaranteed_rate[nnc] = 0
 verified = true
 """),
     ("select {gains} 2 --verify --format machine", 0,
      '{"n": 6, "k": 2, "omega": 2.7334968083211284, "gamma": [5], '
-     '"omega_gamma": 2.729785922922521, "ratio": 0.998642440193341, "comparisons": 7, '
+     '"omega_gamma": 2.729785922922521, "ratio": 0.998642440193341, "comparisons": 12, '
      '"certificate": {"anchor_bin": null, "bins": []}, "gap_model": "nnc", '
      '"guaranteed_rate": 0.0, "verified": true}\n'),
     ("bounds {gains}", 0, """\
@@ -552,10 +552,10 @@ argmin_cut = {}
 n = 3
 omega = 3
 argmin_cut = {}
-comparisons = 9
+comparisons = 5
 """),
     ("omega {stair} --counts --format machine", 0,
-     '{"n": 3, "omega": 3.0, "argmin_cut": [], "comparisons": 9}\n'),
+     '{"n": 3, "omega": 3.0, "argmin_cut": [], "comparisons": 5}\n'),
     ("omega {stair} --brute", 0, """\
 n = 3
 omega = 3
@@ -589,13 +589,13 @@ omega = 2.7335
 gamma = {5}
 omega_gamma = 2.72979
 ratio = 0.998642
-comparisons = 7
+comparisons = 12
 certificate = anchor_bin none; bins ()
 guaranteed_rate[routing] = 0
 """),
     ("select {gains} 1 --gap-model routing --format machine", 0,
      '{"n": 6, "k": 1, "omega": 2.7334968083211284, "gamma": [5], '
-     '"omega_gamma": 2.729785922922521, "ratio": 0.998642440193341, "comparisons": 7, '
+     '"omega_gamma": 2.729785922922521, "ratio": 0.998642440193341, "comparisons": 12, '
      '"certificate": {"anchor_bin": null, "bins": []}, "gap_model": "routing", '
      '"guaranteed_rate": 0.0}\n'),
     ("select {gains} 2 --gap-model optimized", 0, """\
@@ -605,13 +605,13 @@ omega = 2.7335
 gamma = {5}
 omega_gamma = 2.72979
 ratio = 0.998642
-comparisons = 7
+comparisons = 12
 certificate = anchor_bin none; bins ()
 guaranteed_rate[optimized] = 0
 """),
     ("select {gains} 2 --gap-model optimized --format machine", 0,
      '{"n": 6, "k": 2, "omega": 2.7334968083211284, "gamma": [5], '
-     '"omega_gamma": 2.729785922922521, "ratio": 0.998642440193341, "comparisons": 7, '
+     '"omega_gamma": 2.729785922922521, "ratio": 0.998642440193341, "comparisons": 12, '
      '"certificate": {"anchor_bin": null, "bins": []}, "gap_model": "optimized", '
      '"guaranteed_rate": 0.0}\n'),
     ("af {gains} --alpha 0.5,1,0,1,1,0.25", 0, """\

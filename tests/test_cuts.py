@@ -250,13 +250,13 @@ class TestOmegaFast:
                 assert scaled.value == base.value * c
                 assert scaled.argmin_cut.members == base.argmin_cut.members
 
-    def test_comparison_counter_bound(self):
+    def test_comparison_count_is_the_scan(self):
+        # n - 1 suffix maxima, then the argmin over n + 1 candidates
         for n in list(range(1, 65)) + [100, 1000, 10**4]:
             rng = np.random.default_rng(n)
             rt = RateTable(rng.uniform(0, 10, n), rng.uniform(0, 10, n))
-            res = omega_fast(rt)
-            ceil_log = (n - 1).bit_length() if n > 1 else 0
-            assert res.comparisons <= 2 * n * ceil_log + 3 * n + 2
+            assert omega_fast(rt).comparisons == 2 * n - 1
+            assert omega_fast(tight_config(n)).comparisons == 2 * n + 1
 
 
 class TestGapConstant:

@@ -34,10 +34,10 @@ from diamondnet import (
 from diamondnet.selection import GAP_MODELS, Certificate
 
 # SHA-256 of ``fingerprint_lines()``, one line per network, joined by "\n"
-DIGEST = "b7290800147b9d202631ef7a80ac4c7de412ea3ba832ef664933347a078288ab"
+DIGEST = "af91487646482dcd979986e6cbd61a780fd2945bf70295ae3054d26a282f7bb2"
 
 # SHA-256 of ``harness_lines()``, joined by "\n"
-HARNESS_DIGEST = "acde8c06591f7a47164534c06f8b33124c8af82c16870992ca9edd739d582ab4"
+HARNESS_DIGEST = "bd3762a5ad2152db7691c4ce78bc0622594a8a8f6893f45985cfa72f13e4ca0d"
 
 
 def encode(x):

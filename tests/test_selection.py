@@ -66,38 +66,32 @@ def enum_omega_of_subset(rt, members):
 def scalar_select(rt, k, omega):
     """The relay-by-relay scans ``select`` used to run, kept as its oracle.
 
-    It reads ``select``'s own thresholds, so it checks the scans, bins and
-    charges; the thresholds are checked by the tests that run ``select`` at
+    It reads ``select``'s own thresholds, so it checks the scans and bins;
+    the thresholds are checked by the tests that run ``select`` at
     ``omega_fast``'s omega on decimal, scaled and staircase tables.
-    Returns (gamma, certificate, comparisons); certificate is
-    (anchor_bin, bins) or None. Assumes 1 <= k < n and omega > 0.
+    Returns (gamma, certificate); certificate is (anchor_bin, bins) or
+    None. Assumes 1 <= k < n and omega > 0.
     """
-    picks, cert, comparisons = scalar_picks(rt, k, omega)
-    return tuple(sorted(picks)), cert, comparisons
+    picks, cert = scalar_picks(rt, k, omega)
+    return tuple(sorted(picks)), cert
 
 
 def scalar_picks(rt, k, omega):
     """``scalar_select`` with the picks in the order the scans made them,
     the anchor first; the scans skip the relays already picked."""
     n, r_s, r_d = rt.n, rt.r_s, rt.r_d
-    comparisons = 0
     tau = _thresholds(omega, k)
     p = -1
     for i in range(n):
-        comparisons += 1
-        if r_s[i] >= tau[k]:
-            comparisons += 1
-            if r_d[i] >= tau[1]:
-                p = i
-                break
+        if r_s[i] >= tau[k] and r_d[i] >= tau[1]:
+            p = i
+            break
     if p < 0:
         raise ValidationError("no anchor")
-    comparisons += 1
     if r_d[p] >= tau[k]:
-        return [p + 1], (None, ()), comparisons
+        return [p + 1], (None, ())
     a = -1
     for cand_a in range(1, k):
-        comparisons += 1
         if r_d[p] >= tau[k - cand_a]:
             a = cand_a
             break
@@ -109,24 +103,17 @@ def scalar_picks(rt, k, omega):
     for _round in range(k - 1):
         y = -1
         for i in range(n):
-            if used[i]:
-                continue
-            comparisons += 1
-            if r_s[i] >= tau[a_prev + 1]:
-                comparisons += 1
-                if r_d[i] >= tau[k - a_prev]:
-                    y = i
-                    break
+            if not used[i] and r_s[i] >= tau[a_prev + 1] and r_d[i] >= tau[k - a_prev]:
+                y = i
+                break
         if y < 0:
             raise ValidationError("no qualifying relay")
         used[y] = True
         collected.append(y + 1)
-        comparisons += 1
         if r_s[y] >= tau[a]:
-            return [p + 1] + collected, (a, tuple(bins)), comparisons
+            return [p + 1] + collected, (a, tuple(bins))
         a_r = -1
         for cand in range(a_prev + 1, a):
-            comparisons += 1
             if r_s[y] < tau[cand + 1]:
                 a_r = cand
                 break
@@ -135,6 +122,12 @@ def scalar_picks(rt, k, omega):
         bins.append(a_r)
         a_prev = a_r
     raise ValidationError("no termination")
+
+
+def scan_count(n, bins):
+    """``select``'s comparisons for a pick whose certificate has ``bins``:
+    2 rate tests per relay in the anchor scan and in each round's."""
+    return 2 * n * (1 + len(bins))
 
 
 # the only errors ``select`` raises for a valid table, k and omega
@@ -173,13 +166,14 @@ def check_any_omega(rt, k, omega):
             scalar_select(rt, k, omega)
         return str(exc)
     assert 1 <= len(sel.gamma) <= k
-    assert sel.comparisons <= 2 * n * k - (k - 1) * k // 2 + 2 * n
+    assert sel.comparisons <= 2 * n * k
     cert = sel.certificate
     if k >= n or omega == 0.0:
         assert cert is None
+        assert sel.comparisons == (2 * n if k >= n else 0)
         return "none"
-    gamma, scalar_cert, comparisons = scalar_select(rt, k, omega)
-    assert (sel.gamma, sel.comparisons) == (gamma, comparisons)
+    gamma, scalar_cert = scalar_select(rt, k, omega)
+    assert (sel.gamma, sel.comparisons) == (gamma, scan_count(n, scalar_cert[1]))
     assert (cert.anchor_bin, cert.bins) == scalar_cert
     if cert.anchor_bin is None:
         assert cert.bins == () and len(sel.gamma) == 1
@@ -355,7 +349,8 @@ class TestSelect:
                 sel = select(rt, k, omega)
                 assert 1 <= len(sel.gamma) <= k
                 assert sel.omega_gamma >= (k / (k + 1)) * omega - 1e-9
-                assert sel.comparisons <= 2 * n * k - (k - 1) * k // 2 + 2 * n
+                assert sel.comparisons == scan_count(n, sel.certificate.bins)
+                assert sel.comparisons <= 2 * n * k
                 # the reported subnetwork value must be the true min cut
                 assert sel.omega_gamma == enum_omega_of_subset(rt, sel.gamma)
 
@@ -372,7 +367,7 @@ class TestSelect:
         sel = select(rt, k, omega)
         assert sel.omega_gamma >= (k / (k + 1)) * omega - 1e-9
         assert verify_selection(rt, sel, k, omega)
-        assert sel.comparisons <= 2 * n * k - (k - 1) * k // 2 + 2 * n
+        assert sel.comparisons <= 2 * n * k
 
     def test_certificate_shape_sweep(self):
         hit_rounds = 0
@@ -410,12 +405,13 @@ class TestSelect:
                 b = select(padded, k, omega)
                 assert a.gamma == b.gamma
                 assert a.omega_gamma == b.omega_gamma
-                assert a.comparisons == b.comparisons
+                # as many scans, each of two more relays
+                assert a.comparisons // rt.n == b.comparisons // padded.n
 
 
     def test_matches_scalar_scans_on_tied_tables(self):
-        # integer rates tie often, so the first-qualifying-relay rule and
-        # the comparison charge are both exercised; every k below n
+        # integer rates tie often, so the first-qualifying-relay rule is
+        # exercised; every k below n
         rng = np.random.default_rng(229)
         multi_round = 0
         for t in range(400):
@@ -430,20 +426,20 @@ class TestSelect:
                 continue
             for k in range(1, n):
                 sel = select(rt, k, omega)
-                gamma, cert, comparisons = scalar_select(rt, k, omega)
+                gamma, cert = scalar_select(rt, k, omega)
                 assert sel.gamma == gamma
                 assert (sel.certificate.anchor_bin, sel.certificate.bins) == cert
-                assert sel.comparisons == comparisons
+                assert sel.comparisons == scan_count(n, cert[1])
                 assert sel.omega_gamma == enum_omega_of_subset(rt, gamma)
                 multi_round += len(cert[1]) > 1
         assert multi_round > 0
 
-    def test_charge_when_round_hits_precede_the_anchor(self):
+    def test_picks_when_round_hits_precede_the_anchor(self):
         # staircases sorted by r_s put the round hits before the anchor;
         # tied fillers sit on both sides of each hit, and the shuffled half
         # also puts hits after the anchor and after earlier picks. The
-        # charge takes off the picks before a hit and, if it is among them,
-        # the anchor's passed r_s test: both terms are exercised.
+        # scans of ``select`` run over all relays and the oracle's skip the
+        # picks, so a pick that qualified again would part them.
         rng = np.random.default_rng(1103)
         seen = Counter()
         for t in range(240):
@@ -461,10 +457,10 @@ class TestSelect:
             omega = omega_fast(rt).value
             for kk in range(1, rt.n):
                 sel = select(rt, kk, omega)
-                picks, cert, comparisons = scalar_picks(rt, kk, omega)
+                picks, cert = scalar_picks(rt, kk, omega)
                 assert sel.gamma == tuple(sorted(picks))
                 assert (sel.certificate.anchor_bin, sel.certificate.bins) == cert
-                assert sel.comparisons == comparisons
+                assert sel.comparisons == scan_count(rt.n, cert[1])
                 anchor, r_s = picks[0], rt.r_s
                 for j, hit in enumerate(picks[1:], 1):
                     side = "before" if hit < anchor else "after"
@@ -482,10 +478,10 @@ class TestSelect:
             for k in range(1, rt.n):
                 for target in (omega, 0.6 * omega):
                     sel = select(rt, k, target)
-                    gamma, cert, comparisons = scalar_select(rt, k, target)
+                    gamma, cert = scalar_select(rt, k, target)
                     assert sel.gamma == gamma
                     assert (sel.certificate.anchor_bin, sel.certificate.bins) == cert
-                    assert sel.comparisons == comparisons
+                    assert sel.comparisons == scan_count(rt.n, cert[1])
 
     @pytest.mark.parametrize("base_rate", [0.1, 0.2, 0.3, 1 / 3, 0.7, 3.3, 1e-5, 1e300])
     def test_staircase_at_omega_fast(self, base_rate):
@@ -570,18 +566,20 @@ class TestSelect:
         omega = omega_fast(rt).value
         for k in (2, 5, 8):
             sel = select(rt, k, omega)
-            gamma, cert, comparisons = scalar_select(rt, k, omega)
+            gamma, cert = scalar_select(rt, k, omega)
             assert sel.gamma == gamma
-            assert sel.comparisons == comparisons
+            assert sel.comparisons == scan_count(n, cert[1])
 
     @pytest.mark.parametrize(
         "k, omega_hex, comparisons",
-        [(10**3, "0x1.f400000000000p+9", 5991), (10**4, "0x1.3880000000000p+13", 59991)],
+        [
+            (10**3, "0x1.f400000000000p+9", 1_999_998),
+            (10**4, "0x1.3880000000000p+13", 199_999_998),
+        ],
     )
     def test_large_staircase_pick_is_pinned(self, k, omega_hex, comparisons):
-        # k - 1 rounds, each charged with the count of the picks so far;
-        # counted by bisection of the sorted picks, k = 10**4 runs in well
-        # under a second
+        # the anchor scan and k - 2 rounds, each a scan of the k + 1 relays;
+        # k = 10**4 runs in well under a second
         rt = tight_config(k)
         sel = select(rt, k, omega_fast(rt).value)
         assert sel.gamma == tuple(range(1, k - 1)) + (k,)
@@ -760,12 +758,12 @@ class TestVerifySelection:
             verify_selection(rt, sel, 0, 3.0)
         with pytest.raises(ValidationError, match="sel must be a SelectionResult"):
             verify_selection(rt, "x", 2, 3.0)
-        for k in (_MAX_ARRAY_LEN, 10**400):  # k + 1 thresholds past the array size
+        # the largest k taken, on the whole network, which clears tau_k
+        assert verify_selection(rt, select(rt, 3, 3.0), _MAX_ARRAY_LEN - 1, 3.0)
+        for k in (_MAX_ARRAY_LEN, 10**400):
             with pytest.raises(ValidationError) as exc:
                 verify_selection(rt, sel, k, 3.0)
-            assert str(exc.value) == (
-                "k is too large: k + 1 thresholds exceed numpy's array size"
-            )
+            assert str(exc.value) == f"k is too large: k must be below {_MAX_ARRAY_LEN}"
 
 
 # tied integers, decimals, subnormals, and staircases
@@ -814,6 +812,38 @@ class TestOmegaGammaEveryK:
             for k in range(1, rt.n + 1):
                 sel = assert_omega_gamma_is_omega_fast(rt, k, omega)
                 assert verify_selection(rt, sel, k, omega)
+
+
+class TestComparisonCounts:
+    """``comparisons`` counts the tests ``omega_fast`` and ``select`` run."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            BATCH_TABLES,
+            st.lists(
+                st.tuples(st.floats(0.0, 64.0), st.floats(0.0, 64.0)),
+                min_size=1,
+                max_size=12,
+            ).map(lambda rates: RateTable(*zip(*rates))),
+        )
+    )
+    def test_property_counts_are_the_scans(self, rt):
+        n = rt.n
+        fast = omega_fast(rt)
+        # n - 1 suffix maxima, then the argmin over n + 1 candidates
+        assert fast.comparisons == 2 * n - 1
+        for w in (fast.value, 0.5 * fast.value, 0.0):
+            for k in range(1, n + 2):
+                sel = select(rt, k, w)
+                if k >= n:
+                    assert sel.comparisons == 2 * n
+                elif w <= 0.0:
+                    assert sel.comparisons == 0
+                else:
+                    # one scan per pick: the anchor's and one per round
+                    assert sel.comparisons == scan_count(n, sel.certificate.bins)
+                    assert sel.comparisons == 2 * n * len(sel.gamma) <= 2 * n * k
 
 
 def brute_verdict(rt, gamma, k, omega):

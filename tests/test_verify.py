@@ -256,7 +256,7 @@ class TestFailureDetails:
             "ratio-lower": (a, "violated by 2.500e-01; k=1"),
             "ratio-monotone": (c, "violated by 2.750e+00; k=3"),
             "ratio-upper": (c, "violated by 2.000e+00; k=2"),
-            "selection-budget": (a, "k=1: 1000000 > 8"),
+            "selection-budget": (a, "k=1: 1000000 > 4"),
             "selection-certificate": (
                 a,
                 "k=1 cert=Certificate(anchor_bin=2, bins=(0, 2, 1))",
