@@ -29,6 +29,12 @@ block. The line parser in ``_parse`` reads every layout above and takes
 any other block (the first, with its header lines, say) and any block with
 a bad number. Both run ``float`` on the same number strings, so the values
 and every error message, line number included, are the same either way.
+
+A number is what ``float`` reads, less two of its extensions: ``_``
+between digits and non-ASCII digits. ``dumps`` writes neither, and either
+would let a typo read as another network, so both are errors. A block with
+a ``_`` or a non-ASCII character goes to the line parser, which reports
+them.
 """
 
 from __future__ import annotations
@@ -183,7 +189,7 @@ def _canonical_pairs(block):
     every number parses; None otherwise. ``numbers`` holds the pairs
     interleaved, as ``_parse`` buffers them.
     """
-    if "#" in block:
+    if "#" in block or "_" in block or not block.isascii():
         return None
     tokens = block.split()
     if not tokens or len(tokens) % 4 or tokens[0] not in _PAIR_KEYS:
@@ -201,6 +207,21 @@ def _canonical_pairs(block):
         return key, array("d", map(float, tokens)), lines
     except ValueError:
         return None
+
+
+def _number(token, lineno):
+    """``float(token)``, for a token that holds neither ``_`` nor a
+    non-ASCII character; a ``ValidationError`` naming line ``lineno``
+    otherwise."""
+    if "_" in token or not token.isascii():
+        raise ValidationError(
+            f"line {lineno}: {token!r} is not a number: '_' and non-ASCII "
+            "characters are not allowed"
+        )
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise ValidationError(f"line {lineno}: {exc}") from None
 
 
 def _parse(blocks) -> NetworkFile:
@@ -233,10 +254,7 @@ def _parse(blocks) -> NetworkFile:
             key = key.strip().lower()
             value = value.strip()
             if key == "snr":
-                try:
-                    value = float(value)
-                except ValueError as exc:
-                    raise ValidationError(f"line {lineno}: {exc}") from None
+                value = _number(value, lineno)
             if key in ("label", "snr"):
                 if key in header:
                     # keeping either line would silently give another network
@@ -251,10 +269,7 @@ def _parse(blocks) -> NetworkFile:
                     f"line {lineno}: expected two numbers after '{key} =', "
                     f"got {value!r}"
                 )
-            try:
-                buffers[key].extend(map(float, numbers))
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
+            buffers[key].extend([_number(x, lineno) for x in numbers])
     label, snr = header.get("label"), header.get("snr")
     relay, rate = buffers["relay"], buffers["rate"]
     if relay and rate:

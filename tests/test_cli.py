@@ -77,6 +77,15 @@ class TestErrors:
         code, out, err = run_cli(capsys, "omega", str(path))
         assert (code, out, err) == (2, "", "error: line 2: duplicate 'snr'\n")
 
+    @pytest.mark.parametrize("number", ["1_0", "\u0661"])
+    def test_number_that_float_reads_otherwise_exits_2(self, capsys, tmp_path, number):
+        # float() takes '1_0' for 10.0 and the Arabic-Indic digit for 1.0
+        path = tmp_path / "net.txt"
+        path.write_text(f"rate = 1 2\nrate = {number} 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "omega", str(path))
+        message = "is not a number: '_' and non-ASCII characters are not allowed"
+        assert (code, out, err) == (2, "", f"error: line 2: {number!r} {message}\n")
+
     @pytest.mark.parametrize("exc,message", [
         (MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
         (MemoryError(), "out of memory"),

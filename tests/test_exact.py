@@ -8,7 +8,8 @@ k-subset value the maximum of omega* over the k-relay subsets. A
 correctly rounded result is the float nearest the exact value, which
 ``float(Fraction(...))`` gives. ``omega_fast``, ``kernels.omega_rows`` and
 ``omega_k_table`` must return exactly that, on decimal, integer x 10**e,
-subnormal-integer and binary-fraction tables of up to 7 relays.
+subnormal-integer, binary-fraction, ``tight_config`` staircase and
+near-1023 tables of up to 7 relays.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondnet import RateTable, kernels, omega_fast, omega_k_table
+from diamondnet import RateTable, kernels, omega_fast, omega_k_table, tight_config
 
 SCALE = 2**1074  # every float64 times SCALE is an integer
 
@@ -58,7 +59,16 @@ BINARY = st.tuples(st.integers(0, 2**53 - 1), st.integers(0, 80)).map(
     lambda me: me[0] * 2.0 ** -me[1]
 )
 
-# decimal, integer x 10**e, subnormal-integer and binary-fraction tables
+# staircase base rates whose multiples round, and one far below 1
+STAIR_BASES = (0.1, 0.2, 1 / 3, 0.7, 3.3, 1e-5)
+
+# rates within 64 of 1023, some past 1024, so that sums cross 2048
+NEAR_1023 = st.tuples(st.integers(-64, 64), st.integers(0, 44)).map(
+    lambda de: 1023 + de[0] * 2.0 ** -de[1]
+)
+
+# decimal, integer x 10**e, subnormal-integer, binary-fraction, staircase
+# and near-1023 tables
 TABLES = st.one_of(
     st.lists(
         st.tuples(st.integers(0, 300), st.integers(0, 300)), min_size=1, max_size=7
@@ -70,10 +80,16 @@ TABLES = st.one_of(
     st.lists(st.tuples(BINARY, BINARY), min_size=1, max_size=7).map(
         lambda pairs: RateTable(*zip(*pairs))
     ),
+    st.tuples(st.integers(1, 6), st.sampled_from(STAIR_BASES)).map(
+        lambda arg: tight_config(*arg)
+    ),
+    st.lists(st.tuples(NEAR_1023, NEAR_1023), min_size=1, max_size=7).map(
+        lambda pairs: RateTable(*zip(*pairs))
+    ),
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(TABLES)
 def test_omega_fast_rows_and_best_k_are_correctly_rounded(rt):
     n = rt.n

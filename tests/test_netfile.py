@@ -41,6 +41,10 @@ LABELS = st.text(
 ).filter(lambda s: s == s.strip() and s.splitlines() in ([], [s]))
 
 
+# float() reads '1_0' as 10.0 and the Arabic-Indic digit '\u0661' as 1.0
+NOT_A_NUMBER = "is not a number: '_' and non-ASCII characters are not allowed"
+
+
 class TestParsing:
     def test_gains_form(self):
         nf = loads(GAINS_TEXT)
@@ -254,6 +258,10 @@ class TestLargeFiles:
             ("snr = 2", "line 50001: duplicate 'snr'"),
             ("relay = 1 -1", "gain_d must be nonnegative, got -1.0"),
             ("relay = 1e200 1", "relay 49999: snr * gain_s**2 overflows"),
+            ("relay = 1_0 2", f"line 50001: '1_0' {NOT_A_NUMBER}"),
+            ("relay = 1 \u0661", f"line 50001: '\u0661' {NOT_A_NUMBER}"),
+            ("relay = \uff11 q", f"line 50001: '\uff11' {NOT_A_NUMBER}"),
+            ("snr = 3_0", f"line 50001: '3_0' {NOT_A_NUMBER}"),
         ],
     )
     def test_errors_deep_in_a_file_keep_their_line(self, big_lines, bad, message):
@@ -326,6 +334,15 @@ class TestLoad:
         assert peak < 1.5 * path.stat().st_size
 
 
+def reference_number(token, lineno):
+    if "_" in token or not token.isascii():
+        raise ValidationError(f"line {lineno}: {token!r} {NOT_A_NUMBER}")
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise ValidationError(f"line {lineno}: {exc}") from None
+
+
 def reference_parse(text):
     """A line-by-line parser written from the ``netfile`` module docstring:
     the same results, and the same messages, as ``loads`` should give."""
@@ -340,10 +357,7 @@ def reference_parse(text):
         key, value = key.strip().lower(), value.strip()
         if key in ("label", "snr"):
             if key == "snr":
-                try:
-                    value = float(value)
-                except ValueError as exc:
-                    raise ValidationError(f"line {lineno}: {exc}") from None
+                value = reference_number(value, lineno)
             if key in header:
                 raise ValidationError(f"line {lineno}: duplicate {key!r}")
             header[key] = value
@@ -353,10 +367,7 @@ def reference_parse(text):
                 raise ValidationError(
                     f"line {lineno}: expected two numbers after '{key} =', got {value!r}"
                 )
-            try:
-                pairs[key].append([float(x) for x in numbers])
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
+            pairs[key].append([reference_number(x, lineno) for x in numbers])
         else:
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
     label, snr = header.get("label"), header.get("snr")
@@ -388,7 +399,8 @@ def outcome(parse, text):
 
 
 NUMBERS = st.sampled_from(
-    ["0", "1", "2.5", "0.125", "1e-3", "7.62939453125e-06", "-0.0", "3", "1_0"]
+    ["0", "1", "2.5", "0.125", "1e-3", "7.62939453125e-06", "-0.0", "3", "1_0",
+     "\u0661", "\uff12.5"]
 )
 # line breaks other than '\n' that str.splitlines honours; only '\n' ends a
 # parse block
@@ -466,6 +478,8 @@ class TestBulkParse:
         "rate = 1 q\n",
         "snr = 1 2\n",
         "rate = = 1\n",
+        "rate = 1_0 2\n",
+        "rate = 1 \u0661\n",
     ])
     def test_odd_layouts_are_left_to_the_line_parser(self, block):
         assert netfile._canonical_pairs(block) is None
