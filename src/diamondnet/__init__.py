@@ -14,9 +14,9 @@ import sys
 # numpy's bundled OpenBLAS starts a worker thread per core when it loads,
 # and the workers spin idle until they time out, which in one CLI command
 # costs about as much CPU time as the command itself. The package's only
-# BLAS calls are small matrix-vector products, which gain nothing from
-# threads, so a process that loads numpy through this package gets one BLAS
-# thread. A user's own OPENBLAS_NUM_THREADS and a numpy loaded earlier are
+# BLAS calls are the amplify-and-forward kernel's dot products, one per row,
+# which gain little from threads, so a process that loads numpy through
+# this package gets one BLAS thread. A user's own OPENBLAS_NUM_THREADS and a numpy loaded earlier are
 # left alone, and the variable is removed again so that child processes
 # see only what the user set.
 if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:

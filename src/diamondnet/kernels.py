@@ -288,17 +288,24 @@ def af_rate_batch(w, v, snr, alphas):
     and in logs: rate = log2(1 + 2**y), y = log2(snr) + 2*log2(num) -
     log2(den) on the scaled sums. Every other row is the expression above,
     bit for bit.
+
+    A row's rate is the same bit for bit alone and at any position in any
+    batch: ``np.vecdot`` forms one dot product per C-ordered row, whose
+    order depends only on n. A matrix product (``@``) sums in an order that
+    depends on the number of rows, and so does ``einsum`` once a row is
+    longer than numpy's 8192-element buffer.
     """
+    alphas = np.ascontiguousarray(alphas)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = alphas @ w
-        den = 1.0 + (alphas * alphas) @ v
+        num = np.vecdot(alphas, w)
+        den = 1.0 + np.vecdot(alphas * alphas, v)
         x = snr * num * num
         rate = np.log2(1.0 + x / den)
         big = np.maximum(x, den) == math.inf  # x or den overflowed
         if big.any():
             a = alphas[big]
-            num = a @ (w * 2.0**-256)
-            den = 2.0**-512 + (a * a) @ (v * 2.0**-512)
+            num = np.vecdot(a, w * 2.0**-256)
+            den = 2.0**-512 + np.vecdot(a * a, v * 2.0**-512)
             y = math.log2(snr) + 2.0 * np.log2(num) - np.log2(den)
             rate[big] = np.logaddexp2(0.0, y)
     return rate

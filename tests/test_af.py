@@ -86,7 +86,45 @@ class TestAfRate:
         alphas = rng.uniform(0, 1, (20, net.n))
         batch = af_rate_batch(net, alphas)
         for row, expected in zip(alphas, batch):
-            assert af_rate(net, row) == pytest.approx(float(expected), abs=1e-12)
+            assert af_rate(net, row) == float(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 64),
+        st.integers(1, 24),
+        st.sampled_from((1.0, 2e152)),
+        st.booleans(),
+        st.data(),
+    )
+    def test_row_is_bit_identical_alone_and_anywhere_in_a_batch(
+        self, seed, n, m, scale, fortran, data
+    ):
+        # destination gains scaled by 2e152 send rows through the overflow
+        # branch, with snr * gain**2 still finite
+        rng = np.random.default_rng(seed)
+        snr = float(np.exp(rng.uniform(math.log(0.25), math.log(64.0))))
+        net = Network(snr, rng.rayleigh(size=n), scale * rng.rayleigh(size=n))
+        alphas = rng.uniform(0.0, 1.0, (m, n))
+        alphas[rng.random((m, n)) < 0.2] = 1.0
+        batch = af_rate_batch(net, np.asfortranarray(alphas) if fortran else alphas)
+        i = data.draw(st.integers(0, m - 1))
+        alone = af_rate_batch(net, alphas[i : i + 1])
+        assert batch[i].tobytes() == alone[0].tobytes()
+        assert af_rate(net, alphas[i]) == float(alone[0])
+
+    @pytest.mark.parametrize("n", [10000, 100000])
+    def test_long_row_is_bit_identical_alone_and_in_a_batch(self, n):
+        # einsum splits a row longer than numpy's 8192-element buffer into
+        # pieces, but only in a batch of more than one row
+        rng = np.random.default_rng(n)
+        net = Network(4.0, rng.rayleigh(size=n), rng.rayleigh(size=n))
+        alphas = rng.uniform(0.0, 1.0, (3, n))
+        batch = af_rate_batch(net, alphas)
+        for i in range(3):
+            assert batch[i] == af_rate(net, alphas[i])
+        rep = af_optimize(net)
+        assert rep.rate == af_rate(net, rep.alpha.alpha)
 
     def test_batch_matches_formula_row_by_row(self):
         for i in range(20):
@@ -164,8 +202,8 @@ class TestOverflowingSnr:
         )
         w, v = _af_weights(net)
         with np.errstate(over="ignore"):
-            num = rows @ w
-            den = 1.0 + (rows * rows) @ v
+            num = np.vecdot(rows, w)
+            den = 1.0 + np.vecdot(rows * rows, v)
             x = net.snr * num * num
         assert den[0] == math.inf and x[0] < math.inf
         assert x[1] == math.inf and den[1] < math.inf
@@ -259,6 +297,14 @@ class TestAfOptimize:
     def test_two_identical_relays_at_least_one_bit(self):
         rep = af_optimize(unit_net(2))
         assert rep.rate >= 1.0 - 1e-12
+
+    def test_rate_is_the_rate_of_its_alpha(self):
+        # the optimizer scores two rows in one batch; a rate must not depend
+        # on its batch, or `af --alpha` would not reproduce `af --optimize`
+        for i in range(300):
+            net = random_net(i, master=331, nmax=64)
+            rep = af_optimize(net)
+            assert rep.rate == af_rate(net, rep.alpha.alpha)
 
     def test_never_below_start_and_never_above_cap(self):
         for i in range(80):

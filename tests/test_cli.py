@@ -532,7 +532,7 @@ within_bound = true
 """),
     ("af {gains} --optimize --format machine", 0,
      '{"n": 6, "mode": "optimized", "alpha": [1.0, 1.0, 0.6916402877569547, 1.0, 1.0, 1.0], '
-     '"af_rate": 3.0932144390197207, "c1": 2.729785922922521, '
+     '"af_rate": 3.0932144390197203, "c1": 2.729785922922521, '
      '"upper_bound": 7.899710924364833, "within_bound": true}\n'),
     ("gen 6 --seed 0", 0, """\
 label = rayleigh-n6-seed0
