@@ -16,9 +16,10 @@ the relays held at full power finds it. ``af_grid_search`` is the
 exhaustive desk-scale oracle it is tested against.
 
 However many relays participate, the achievable rate never beats routing
-over the single best relay by more than the 2*log2(n) beamforming gain;
-``af_upper_bound`` computes that cap and ``af_snr_bound_sides`` exposes
-the scalar inequality behind it.
+over the single best relay by more than the 2*log2(n) beamforming gain.
+``af_upper_bound`` is the one code that forms that cap, from a rate table;
+``af_optimize`` reports only the rate and its coefficients.
+``af_snr_bound_sides`` exposes the scalar inequality behind the cap.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 from .model import Network, RateTable, _Value, _check_range, _float_array
-from .model import _float_rows, _rates, _require, _to_int
+from .model import _float_rows, _require, _to_int
 
 
 class AfCoefficients(_Value):
@@ -53,9 +54,9 @@ class AfCoefficients(_Value):
 
 
 class AfReport(_Value):
-    """Achieved rate, the coefficients, and the best-relay-plus-beamforming cap."""
+    """Achieved rate and the coefficients that achieve it."""
 
-    __slots__ = ("rate", "alpha", "upper_bound", "c1")
+    __slots__ = ("rate", "alpha")
 
 
 def _af_weights(net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -119,13 +120,8 @@ def af_upper_bound(rt: RateTable) -> tuple[float, float]:
     with all n relays can only add the 2*log2(n) beamforming gain on top.
     """
     _require("rt", rt, RateTable)
-    return _cap(rt.r_s, rt.r_d)
-
-
-def _cap(r_s, r_d) -> tuple[float, float]:
-    """``af_upper_bound`` of the rates (r_s, r_d), unchecked."""
-    c1 = float(np.minimum(r_s, r_d).max())
-    return c1 + 2.0 * math.log2(r_s.size), c1
+    c1 = float(np.minimum(rt.r_s, rt.r_d).max())
+    return c1 + 2.0 * math.log2(rt.n), c1
 
 
 def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
@@ -215,8 +211,7 @@ def af_optimize(net: Network) -> AfReport:
     alphas = np.array((start, _kkt_alpha(w, v)))
     rates = kernels.af_rate_batch(w, v, net.snr, alphas)
     pick = 1 if rates[1] > rates[0] else 0
-    bound, c1 = _cap(*_rates(net))
-    return AfReport(float(rates[pick]), AfCoefficients(alphas[pick]), bound, c1)
+    return AfReport(float(rates[pick]), AfCoefficients(alphas[pick]))
 
 
 def af_grid_search(net: Network, points: int = 21) -> tuple[float, np.ndarray]:

@@ -13,6 +13,7 @@ for identical command lines, except for the elapsed-time field of
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -92,15 +93,38 @@ _TEXT = {
 }
 
 
+def _out(text: str) -> None:
+    """Write ``text`` to stdout and flush it, so that every write error
+    surfaces here, inside ``main``, as an ``OSError``: a closed stdout
+    (``sys.stdout`` is None when fd 1 was closed at start) is EBADF.
+
+    After a failed write, fd 1 points at ``os.devnull``, as in the Python
+    docs' note on SIGPIPE, so the flush at exit cannot fail a second time.
+    """
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        raise
+
+
 def _emit(args, payload: dict, status: int = 0) -> int:
     """Print ``payload`` in the chosen format and return ``status``."""
     if args.format == "machine":
-        print(json.dumps(payload))
-        return status
-    for key, value in payload.items():
-        text = _TEXT[key](value, payload) if key in _TEXT else f"{key} = {_fmt(value)}"
-        if text is not None:
-            print(text)
+        lines = [json.dumps(payload)]
+    else:
+        lines = [
+            _TEXT[key](value, payload) if key in _TEXT else f"{key} = {_fmt(value)}"
+            for key, value in payload.items()
+        ]
+    _out("".join(f"{line}\n" for line in lines if line is not None))
     return status
 
 
@@ -111,7 +135,7 @@ def _write(args, nf) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _out(text)
     return 0
 
 
@@ -187,11 +211,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_af(args) -> int:
     net = load(args.file).to_network()
+    bound, c1 = af_upper_bound(rate_table(net))
     if args.optimize:
-        rep = af_optimize(net)  # it carries the cap of ``af_upper_bound``
-        rate, alpha, bound, c1 = rep.rate, rep.alpha.alpha, rep.upper_bound, rep.c1
+        rep = af_optimize(net)
+        rate, alpha = rep.rate, rep.alpha.alpha
     else:
-        bound, c1 = af_upper_bound(rate_table(net))
         if args.alpha is not None:
             try:
                 alpha = np.array([float(x) for x in args.alpha.split(",")])
@@ -200,7 +224,6 @@ def cmd_af(args) -> int:
         else:
             alpha = np.ones(net.n)
         rate = af_rate(net, alpha)
-    within = rate <= bound + 1e-9
     payload = {
         "n": net.n,
         "mode": "optimized" if args.optimize else "given",
@@ -208,9 +231,9 @@ def cmd_af(args) -> int:
         "af_rate": rate,
         "c1": c1,
         "upper_bound": bound,
-        "within_bound": within,
+        "within_bound": rate <= bound + 1e-9,
     }
-    return _emit(args, payload, 0 if within else 1)
+    return _emit(args, payload, 0 if payload["within_bound"] else 1)
 
 
 def cmd_gen(args) -> int:

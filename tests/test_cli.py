@@ -2,9 +2,10 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
-from diamondnet import cli
+from diamondnet import Network, af_upper_bound, cli, from_network, rate_table
 from diamondnet.cli import main
 from diamondnet.generate import DISTRIBUTIONS
 from diamondnet.selection import GAP_MODELS
@@ -275,6 +276,46 @@ class TestAfCommand:
         path.write_text("snr = 1.0\nrelay = 1 1\n")
         code, _, err = run_cli(capsys, "af", str(path), "--alpha", "zzz")
         assert code == 2
+
+    @staticmethod
+    def cap_networks():
+        """Seeded gains-form networks with dead relays and dead links, then
+        ones with snr < 1 and gains whose squares overflow float64, which
+        take ``_af_weights``' overflow branch."""
+        rng = np.random.default_rng(16)
+        for i in range(40):
+            n = int(rng.integers(1, 13))
+            snr = float(10.0 ** rng.uniform(-3.0, 6.0))
+            gains = rng.rayleigh(1.0, (2, n)) if i % 2 else np.exp(rng.uniform(-5, 5, (2, n)))
+            gains[:, rng.random(n) < 0.2] = 0.0  # dead relays
+            gains[rng.random((2, n)) < 0.1] = 0.0  # dead links
+            yield Network(snr, *gains)
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            snr = float(10.0 ** rng.uniform(-12.0, -4.0))
+            gains = rng.rayleigh(1.0, (2, n)) * 10.0 ** rng.uniform(150.0, 155.0, (2, n))
+            gains[:, rng.random(n) < 0.2] = 0.0
+            gains[rng.random((2, n)) < 0.1] = 0.0
+            gains[:, 0] = 2e154  # 2e154**2 overflows
+            yield Network(snr, *gains)
+
+    def test_every_mode_prints_the_cap_of_the_rate_table(self, capsys, tmp_path):
+        path = str(tmp_path / "net.txt")
+
+        def af(*mode):
+            code, out, _ = run_cli(capsys, "af", path, *mode, "--format", "machine")
+            assert code == 0
+            return json.loads(out, parse_constant=reject_constant)
+
+        for net in self.cap_networks():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(from_network(net).dumps())
+            want = [x.hex() for x in af_upper_bound(rate_table(net))]
+            opt = af("--optimize")
+            given = af("--alpha", ",".join(map(repr, opt["alpha"])))
+            assert given["af_rate"] == opt["af_rate"]
+            for payload in (opt, given, af()):
+                assert [payload["upper_bound"].hex(), payload["c1"].hex()] == want
 
     def test_optimize_and_alpha_exclude_each_other(self, capsys, gains_file):
         with pytest.raises(SystemExit) as exc:

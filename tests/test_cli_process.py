@@ -4,9 +4,11 @@ A finished command flushes stdout and stderr and ends with ``os._exit``,
 skipping the interpreter's teardown. These cases run fresh interpreters
 and check that nothing a user sees changes: piped stdout and written
 files are whole, exit codes and messages are those of ``main``, and a
-profiler still prints its report. ``PYTHONUNBUFFERED`` is unset in the
-children, so their stdout is block-buffered and a missing flush would
-lose output.
+profiler still prints its report. A stdout that cannot be written (closed
+at start, a full disk, a pipe with no reader) ends in one ``error:`` line
+and exit 2. ``PYTHONUNBUFFERED`` is unset in the children, so their stdout
+is block-buffered: a missing flush would lose output, and a write error
+could surface only when the stream is flushed.
 """
 
 import contextlib
@@ -32,13 +34,14 @@ def child_env():
     return env
 
 
-def run(*args, cwd=None, stdin=b"", env=()):
+def run(*args, cwd=None, stdin=b"", env=(), stdout=subprocess.PIPE):
     """Exit code, stdout and stderr of a fresh interpreter run with ``args``,
-    ``stdin`` as its input and ``env`` added to its environment."""
+    ``stdin`` as its input, ``env`` added to its environment and fd 1 on
+    ``stdout`` (its output is then None unless that is a pipe)."""
     proc = subprocess.run(
         [sys.executable, *args], input=stdin,
-        env={**child_env(), **dict(env)}, cwd=cwd, capture_output=True,
-        timeout=120,
+        env={**child_env(), **dict(env)}, cwd=cwd, stdout=stdout,
+        stderr=subprocess.PIPE, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -129,3 +132,62 @@ def test_debugger_sees_the_program_finish():
     )
     assert code == 0
     assert b"The program exited via sys.exit(). Exit status: 0" in out
+
+
+# runs the command in a process started with fd 1 closed
+CLOSED_STDOUT = (
+    "import os, sys\n"
+    "os.close(1)\n"
+    "os.execv(sys.executable, [sys.executable, '-m', 'diamondnet.cli', *sys.argv[1:]])\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [("tight", "3"), ("omega", "s.txt", "--format", "machine")]
+)
+def test_closed_stdout_is_an_error(tmp_path, argv):
+    assert in_process("tight", "2", "-o", str(tmp_path / "s.txt"))[0] == 0
+    assert run("-c", CLOSED_STDOUT, *argv, cwd=tmp_path) == (
+        2, b"", b"error: [Errno 9] Bad file descriptor\n"
+    )
+
+
+def test_output_file_is_written_with_stdout_closed(tmp_path):
+    assert run("-c", CLOSED_STDOUT, "tight", "3", "-o", "s.txt", cwd=tmp_path) == (
+        0, b"", b""
+    )
+    assert (tmp_path / "s.txt").read_text() == in_process("tight", "3")[1]
+
+
+@pytest.fixture
+def broken_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    yield write
+    os.close(write)
+
+
+# "3" stays in the stream buffer until the flush, "200000" fails mid-write;
+# under a profiler the process takes the interpreter's own exit
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-m", "diamondnet.cli", "tight", "3"),
+        ("-m", "diamondnet.cli", "tight", "200000"),
+        ("-c", ATEXIT.format(setup="sys.setprofile(lambda *a: None)")),
+    ],
+    ids=["buffered", "mid-write", "profiler"],
+)
+def test_broken_pipe_is_one_error(broken_pipe, args):
+    assert run(*args, stdout=broken_pipe) == (
+        2, None, b"error: [Errno 32] Broken pipe\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_disk_is_one_error(tmp_path):
+    assert in_process("tight", "2", "-o", str(tmp_path / "s.txt"))[0] == 0
+    with open("/dev/full", "wb") as full:
+        got = run("-m", "diamondnet.cli", "omega", "s.txt", cwd=tmp_path, stdout=full)
+    assert got == (2, None, b"error: [Errno 28] No space left on device\n")

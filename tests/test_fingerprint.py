@@ -18,6 +18,7 @@ from diamondnet import (
     Cut,
     RateTable,
     af_optimize,
+    af_upper_bound,
     hybrid_tradeoff,
     omega_bruteforce,
     omega_fast,
@@ -75,7 +76,7 @@ def network_outputs(i):
     sw = sandwich(rt)
     out.append((sw.omega, sw.lower, sw.upper, sw.gap))
     opt = af_optimize(net)
-    out.append((opt.rate, opt.alpha.alpha, opt.upper_bound, opt.c1))
+    out.append((opt.rate, opt.alpha.alpha, *af_upper_bound(rt)))
     for k in range(1, n + 1):
         for omega in (fast.value, 0.5 * fast.value):
             sel = select(rt, k, omega)

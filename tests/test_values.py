@@ -84,14 +84,10 @@ FIELDS = {
         {
             "rate": 0.75,
             "alpha": AfCoefficients([1.0, 0.5]),
-            "upper_bound": 1.5,
-            "c1": 1.0,
         },
         {
             "rate": 0.5,
             "alpha": AfCoefficients([1.0, 1.0]),
-            "upper_bound": 2.0,
-            "c1": 0.5,
         },
     ),
     Failure: (
@@ -150,10 +146,7 @@ REPRS = {
         "TradeoffReport(entries=((1, 0.0), (2, 0.5)), best_k=2, baseline=0.0, "
         "gap_model='nnc')"
     ),
-    AfReport: (
-        "AfReport(rate=0.75, alpha=AfCoefficients(alpha=[1.0, 0.5]), upper_bound=1.5, "
-        "c1=1.0)"
-    ),
+    AfReport: "AfReport(rate=0.75, alpha=AfCoefficients(alpha=[1.0, 0.5]))",
     Failure: (
         "Failure(seed=5, invariant='omega-oracle', details='fast 1.0 != brute 1.5')"
     ),

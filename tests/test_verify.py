@@ -211,9 +211,7 @@ def break_every_invariant(monkeypatch):
 
     def af_optimize(net):
         rep = orig["af_optimize"](net)
-        return AfReport(
-            rate=-1.0, alpha=rep.alpha, upper_bound=rep.upper_bound, c1=rep.c1
-        )
+        return AfReport(rate=-1.0, alpha=rep.alpha)
 
     patches = {
         "omega_bruteforce": brute,
