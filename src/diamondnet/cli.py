@@ -7,7 +7,7 @@ write one. Each other command builds one ordered payload dict, which
 ``key = value`` line per field, formatted by type (``_fmt``) unless the
 field has a formatter in ``_TEXT``. Output is byte-identical across runs
 for identical command lines, except for the elapsed-time field of
-``verify``. No environment variables are read.
+``verify``. No environment variable changes any output.
 """
 
 from __future__ import annotations
@@ -275,8 +275,20 @@ def cmd_verify(args) -> int:
     return _emit(args, payload, 0 if report.ok else 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose help goes to stdout through ``_out``, so
+    that a failed write is an ``OSError`` in ``main``, as for a command's
+    output. Its subcommand parsers are of this class too."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _out(self.format_help())
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diamondnet",
         description=(
             "Capacity approximation, relay selection and amplify-and-forward "
@@ -356,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # --help writes through _out before argparse's SystemExit
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValidationError, OSError, MemoryError) as exc:
         # a bare MemoryError carries no message

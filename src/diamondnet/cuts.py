@@ -43,12 +43,13 @@ class Cut(_Value):
     def from_mask(cls, mask: int) -> "Cut":
         """Cut whose bitmask is ``mask`` (bit i-1 set when relay i is a member).
 
-        Through the mask's little-endian bytes, in time linear in its bits.
+        Through the little-endian bytes of the mask shifted up one bit, so
+        that bit i of those bytes is relay i, in time linear in its bits.
         """
-        mask = _to_int("cut bitmask", mask, minimum=0)
-        raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        shifted = _to_int("cut bitmask", mask, minimum=0) << 1
+        raw = shifted.to_bytes((shifted.bit_length() + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
-        return cls((np.flatnonzero(bits) + 1).tolist())
+        return cls(bits.nonzero()[0].tolist())
 
     @property
     def mask(self) -> int:

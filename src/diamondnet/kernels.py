@@ -23,6 +23,12 @@ max(x, 0.0) is x and x + 0.0 is x, and a padded cut has the value of the
 same cut without its zero relays. ``brute_omega``'s first-minimal mask is
 kept too, since the padding relays are the highest bits.
 
+``brute_omega`` keeps a running first minimum as it walks the tiles: each
+tile's first minimal cut, its value read at the argmin, replaces the
+running one when its value is less, or equal (0.0 and -0.0 are equal) with
+a lesser mask. The tiles do not come in mask order, so a tie is settled by
+the masks, not by the order of the walk.
+
 The two oracles walk the 2**n cuts in tiles of 2**_TILE_BITS (``_cut_tiles``),
 so their working memory is O(n * 2**_TILE_BITS) floats at any n, not whole
 2**n tables. The walk has one code path for every n: at n <= _TILE_BITS it
@@ -46,6 +52,8 @@ set is 0.
 """
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -152,20 +160,25 @@ def brute_omega(r_s, r_d):
     single set is a stack of one. Returns two length-m arrays, the values
     (float64) and the masks (int64), from one lattice walk over the 2**width
     cuts of every row at once. A row may be padded with zero-rate relays,
-    which leave its value and its mask (the module docstring has why).
+    which leave its value and its mask (the module docstring has why). The
+    mask is each row's least mask among its minimal cuts, and the value is
+    read at that mask, so it keeps the sign of a zero.
     """
     rows = np.arange(r_s.shape[0])
-    values, masks = [], []  # each tile's first minimum, per row
+    values = masks = None
     with np.errstate(over="ignore"):
         for base, (max_d, max_s) in _cut_tiles(np.array((r_d, r_s)), 1, np.maximum):
-            cuts = max_d + max_s[:, ::-1]
+            cuts = np.add(max_d, max_s[:, ::-1], out=max_d)
             idx = cuts.argmin(axis=1)
-            values.append(cuts[rows, idx])
-            masks.append(base | idx)
-    # the first-minimal mask: per row, the tile of the least value, then of
-    # the least mask
-    first = np.lexsort((masks, values), axis=0)[0]
-    return np.array(values)[first, rows], np.array(masks)[first, rows]
+            value, mask = cuts[rows, idx], base | idx
+            if values is None:
+                values, masks = value, mask
+            else:
+                # the least value, then the least mask
+                better = np.where(value == values, mask < masks, value < values)
+                values = np.where(better, value, values)
+                masks = np.where(better, mask, masks)
+    return values, masks
 
 
 def omega_sorted_scan(s_sorted, d_sorted):
@@ -176,17 +189,21 @@ def omega_sorted_scan(s_sorted, d_sorted):
     side; ties in value resolve to the largest m (equivalently the smallest
     cut bitmask). Returns each row's value at that m, and the m: numpy
     scalars for one row of shape (n,).
+
+    The candidates are written from m = n down to m = 0, so that the first
+    minimum of a forward ``argmin`` is at the largest m and the suffix
+    maxima of d_sorted are a forward running max of the reversed row.
     """
     n = s_sorted.shape[-1]
-    cand = np.empty(s_sorted.shape[:-1] + (n + 1,))
-    # the suffix maxima of d_sorted, written backwards into cand[..., :n]
-    np.maximum.accumulate(d_sorted[..., ::-1], axis=-1, out=cand[..., n - 1 :: -1])
+    rev = np.empty(s_sorted.shape[:-1] + (n + 1,))  # rev[..., j] is candidate n - j
+    rev[..., 0] = s_sorted[..., -1]
+    tail = rev[..., 1:]
+    np.maximum.accumulate(d_sorted[..., ::-1], axis=-1, out=tail)
     with np.errstate(over="ignore"):
-        cand[..., 1:n] += s_sorted[..., : n - 1]
-    cand[..., n] = s_sorted[..., n - 1]
-    m_best = n - cand[..., ::-1].argmin(axis=-1)
+        tail[..., :-1] += s_sorted[..., -2::-1]
+    j = rev.argmin(axis=-1)
     # each row's candidate at its m
-    return cand[(*np.indices(m_best.shape, sparse=True), m_best)], m_best
+    return rev[(*np.indices(j.shape, sparse=True), j)], n - j
 
 
 def best_chains(r_s, r_d):
@@ -212,12 +229,14 @@ def best_chains(r_s, r_d):
     f[0] = r_d
     rounds = n
     for h in range(1, n):
-        np.minimum(f[h - 1, :, None], step, out=links).max(axis=0, out=f[h])
-        if (f[h] == f[h - 1]).all():
+        np.maximum.reduce(np.minimum(f[h - 1, :, None], step, out=links), out=f[h])
+        if np.logical_and.reduce(f[h] == f[h - 1]):
             rounds = h
             break
     best = np.empty(n)
-    np.minimum(f[:rounds], r_s, out=links[:rounds]).max(axis=1, out=best[:rounds])
+    np.maximum.reduce(
+        np.minimum(f[:rounds], r_s, out=links[:rounds]), axis=1, out=best[:rounds]
+    )
     best[rounds:] = best[rounds - 1]
     return best
 
@@ -246,17 +265,17 @@ def sandwich_scan(ts2, td2, td):
     Overflow rule: the fold adds a side's terms in index order, rounding is
     monotone and the terms are nonnegative, so no side sum, nor (sum
     td)**2, exceeds the sum of all n terms in index order, formed once per
-    row by ``np.add.accumulate``. When one of these three is inf (linear
-    SNRs near 2**1023), every cut is evaluated on ts2 and td2 scaled by
-    2**-32 and td by 2**-16, exact powers of two: each log term is then
+    row on Python floats, which never warn. When one of these three is inf
+    (linear SNRs near 2**1023), every cut is evaluated on ts2 and td2 scaled
+    by 2**-32 and td by 2**-16, exact powers of two: each log term is then
     log2(2**-32 + scaled sum), 32 short, and 64 is added back to both mins.
     With n <= ``BRUTE_FORCE_LIMIT`` the scaled sums stay below 2**1001.
     Every other bracket is the expression above, bit for bit.
     """
     rows = np.array((td2, td, ts2))
-    with np.errstate(over="ignore"):
-        # the largest prefix sum is the whole row's (0 for no relay)
-        d2, d, s2 = np.add.accumulate(rows, axis=1).max(axis=1, initial=0.0).tolist()
+    # each row's sum in index order, 0 for no relay; not ``sum``, which adds
+    # floats with compensation from Python 3.12
+    d2, d, s2 = (reduce(operator.add, row, 0.0) for row in rows.tolist())
     one, shift = 1.0, 0.0
     if max(d2, d * d, s2) == math.inf:
         one, shift = 2.0**-32, 64.0
@@ -270,9 +289,9 @@ def sandwich_scan(ts2, td2, td):
         src = sums[2, ::-1]
         np.add(src, sums[0], out=sums[0])  # the lower form per cut
         np.add(src, sums[1], out=sums[1])  # the upper form
-        lower = min(lower, sums[0].min())
-        upper = min(upper, sums[1].min())
-    return float(lower) + shift, float(upper) + shift
+        low, up = np.minimum.reduce(sums[:2], axis=1).tolist()
+        lower, upper = min(lower, low), min(upper, up)
+    return lower + shift, upper + shift
 
 
 def af_rate_batch(w, v, snr, alphas):
@@ -302,7 +321,7 @@ def af_rate_batch(w, v, snr, alphas):
         x = snr * num * num
         rate = np.log2(1.0 + x / den)
         big = np.maximum(x, den) == math.inf  # x or den overflowed
-        if big.any():
+        if np.logical_or.reduce(big):
             a = alphas[big]
             num = np.vecdot(a, w * 2.0**-256)
             den = 2.0**-512 + np.vecdot(a * a, v * 2.0**-512)

@@ -220,7 +220,10 @@ def _same(a, b) -> bool:
 
 def _in_range(arr, hi=math.inf) -> bool:
     """Whether every entry of a nonempty ``arr`` is finite and in [0, hi]."""
-    return 0.0 <= arr.min() and arr.max() <= min(hi, _MAX_FLOAT)
+    return (
+        0.0 <= np.minimum.reduce(arr, axis=None)
+        and np.maximum.reduce(arr, axis=None) <= min(hi, _MAX_FLOAT)
+    )
 
 
 def _check_range(name, arr, hi=math.inf):
@@ -255,8 +258,8 @@ class Network(_Value):
         # derived rates; each message names the first relay at fault. A NaN
         # makes the minimum NaN, which fails the bulk test.
         if gs.size:
-            top = gains.max()
-            if not (gains.min() >= 0.0 and top < math.inf):
+            top = np.maximum.reduce(gains, axis=None)
+            if not (np.minimum.reduce(gains, axis=None) >= 0.0 and top < math.inf):
                 valid = ((gains >= 0.0) & (gains < math.inf)).all(axis=0)
                 i = int(valid.argmin())
                 _to_float("gain_s", gs[i], "nonnegative")
@@ -332,7 +335,7 @@ def rate_table(net: Network) -> RateTable:
 def _linear_snrs(rt: RateTable) -> tuple[np.ndarray, np.ndarray]:
     """(2**r_s - 1, 2**r_d - 1), the linear link SNRs behind ``rt``; a rate
     above ``_MAX_INVERTIBLE_RATE`` is rejected."""
-    if max(rt.r_s.max(), rt.r_d.max()) > _MAX_INVERTIBLE_RATE:
+    if max(np.maximum.reduce(rt.r_s), np.maximum.reduce(rt.r_d)) > _MAX_INVERTIBLE_RATE:
         raise ValidationError(
             f"rates above {_MAX_INVERTIBLE_RATE} bits/s/Hz cannot be mapped back "
             "to linear SNRs in float64"
@@ -349,7 +352,7 @@ def network_from(rt: RateTable, snr: float) -> Network:
     snr = _to_float("snr", snr, "positive")
     ts2, td2 = _linear_snrs(_require("rt", rt, RateTable))
     # division is monotone, so only the largest quotient can overflow
-    if float(max(ts2.max(), td2.max())) / snr == math.inf:
+    if float(max(np.maximum.reduce(ts2), np.maximum.reduce(td2))) / snr == math.inf:
         raise ValidationError(
             f"snr {snr} is too small for these rates: (2**r - 1) / snr overflows"
         )

@@ -191,3 +191,13 @@ def test_full_disk_is_one_error(tmp_path):
     with open("/dev/full", "wb") as full:
         got = run("-m", "diamondnet.cli", "omega", "s.txt", cwd=tmp_path, stdout=full)
     assert got == (2, None, b"error: [Errno 28] No space left on device\n")
+
+
+# argparse writes the help and raises SystemExit(0) itself, before any
+# command runs; its write error is the same one error: line
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("--help",), ("omega", "--help")])
+def test_help_to_a_full_disk_is_one_error(argv):
+    with open("/dev/full", "wb") as full:
+        got = run("-m", "diamondnet.cli", *argv, stdout=full)
+    assert got == (2, None, b"error: [Errno 28] No space left on device\n")

@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -428,3 +429,93 @@ def test_stacked_rows_whose_sums_overflow_run_without_a_warning():
         assert cut_values.index(min(cut_values)) == masks[i]
         overflowed.append(math.inf in cut_values)
     assert overflowed == [True, False, True]
+
+
+def tile_walk_order(n):
+    """The base mask of each tile of a 2**n lattice walk, in walk order."""
+    rows = np.zeros((2, 1, n))
+    return [base for base, _ in kernels._cut_tiles(rows, 1, np.maximum)]
+
+
+def test_brute_omega_settles_ties_across_tiles_by_mask():
+    # n = 15 and 16 walk 2 and 4 tiles, and the walk meets a tile of high
+    # masks first, so a later tile can hold the least minimal mask while an
+    # earlier one holds another minimal cut: the running minimum must
+    # compare masks, and read the value at the mask, which keeps the sign
+    # of a zero. Rows of 12 and 13 rates ride in the stack, padded with
+    # zero-rate relays past one tile; each row is checked against every cut
+    # value of its own, unpadded lattice
+    assert kernels._TILE_BITS == 14
+    tile = 1 << kernels._TILE_BITS
+    rng = np.random.default_rng(343)
+    later = signed = 0
+    for n in (15, 16):
+        walk = tile_walk_order(n)
+        rows = [np.ones((2, n)), rng.integers(0, 2, (2, n)).astype(float)]
+        rows += [rng.choice([0.0, -0.0], (2, n)) for _ in range(2)]
+        rows += [rng.choice([0.0, -0.0, 1.0], (2, n))]
+        widths = [n] * len(rows) + [12, 13]
+        rows += [rng.integers(0, 3, (2, w)).astype(float) for w in (12, 13)]
+        r_s, r_d = np.zeros((2, len(rows), n))
+        for i, row in enumerate(rows):
+            r_s[i, : row.shape[1]], r_d[i, : row.shape[1]] = row
+        values, masks = kernels.brute_omega(r_s, r_d)
+        for i, w in enumerate(widths):
+            cuts = old_subset_max(r_d[i, :w]) + old_subset_max(r_s[i, :w])[::-1]
+            first = int(np.argmin(cuts))
+            assert masks[i] == first and same_bits(values[i], cuts[first])
+            minimal = np.flatnonzero(cuts == cuts[first]).tolist()
+            seen = min(walk.index(mask - mask % tile) for mask in minimal if mask < 1 << n)
+            later += walk.index(first - first % tile) > seen
+            signed += len({math.copysign(1.0, c) for c in cuts[minimal]}) == 2
+    assert later and signed
+
+
+def test_sorted_scan_of_one_row_is_its_row_of_a_stack():
+    # ties between 0.0 and -0.0, where the largest minimizing m and a
+    # smaller one hold zeros of both signs, and tied integers; each row of a
+    # stack, one row of a (1, n) stack and the row alone give the same value
+    # and m, all the definition's, and omega_rows of the rows padded with
+    # zero-rate relays gives the value of the unpadded row
+    rng = np.random.default_rng(344)
+    signed = 0
+    for n in range(1, 9):
+        pools = ([0.0, -0.0], [0.0, -0.0, 1.0], [1.0, 2.0])
+        for pool in pools:
+            s_sorted, d_sorted = rng.choice(pool, (2, 8, n))
+            s_sorted.sort(axis=1)
+            values, ms = kernels.omega_sorted_scan(s_sorted, d_sorted)
+            for i in range(8):
+                cand = suffix_cut_candidates(s_sorted[i], d_sorted[i])
+                want_m = max(j for j, c in enumerate(cand) if c == min(cand))
+                value, m = kernels.omega_sorted_scan(s_sorted[i], d_sorted[i])
+                (one,), (one_m,) = kernels.omega_sorted_scan(
+                    s_sorted[i : i + 1], d_sorted[i : i + 1]
+                )
+                assert isinstance(value, np.float64) and isinstance(m, np.integer)
+                assert m == one_m == ms[i] == want_m
+                for got in (value, one, values[i]):
+                    assert same_bits(got, cand[want_m])
+                signed += len({math.copysign(1.0, c) for c in cand if c == 0.0}) == 2
+            if pool[0] == 1.0:
+                pad = np.zeros((8, 3))
+                padded = kernels.omega_rows(np.hstack((s_sorted, pad)), np.hstack((d_sorted, pad)))
+                assert same_bits(padded, values)
+    assert signed
+
+
+def test_sandwich_scan_overflow_test_adds_in_index_order():
+    # in index order MAX + 2**969 rounds back to MAX twice, so no side sum
+    # overflows and the bracket is the unscaled expression; the exact sum,
+    # MAX + 2**970, is half an ulp past MAX and rounds to inf, so a
+    # compensated total (``sum`` from Python 3.12) would scale the lattice
+    top = 1.7976931348623157e308
+    ts2 = np.array([top, 2.0**969, 2.0**969])
+    assert sum(map(Fraction, ts2.tolist())) == Fraction(top) + 2**970
+    for td2 in (np.ones(3), np.array([4.0, 0.0, 9.0])):
+        td = np.sqrt(td2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(
+                kernels.sandwich_scan(ts2, td2, td), old_sandwich_scan(ts2, td2, td)
+            )
