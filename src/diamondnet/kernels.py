@@ -229,14 +229,12 @@ def best_chains(r_s, r_d):
     f[0] = r_d
     rounds = n
     for h in range(1, n):
-        np.maximum.reduce(np.minimum(f[h - 1, :, None], step, out=links), out=f[h])
-        if np.logical_and.reduce(f[h] == f[h - 1]):
+        np.minimum(f[h - 1, :, None], step, out=links).max(axis=0, out=f[h])
+        if (f[h] == f[h - 1]).all():
             rounds = h
             break
     best = np.empty(n)
-    np.maximum.reduce(
-        np.minimum(f[:rounds], r_s, out=links[:rounds]), axis=1, out=best[:rounds]
-    )
+    np.minimum(f[:rounds], r_s, out=links[:rounds]).max(axis=1, out=best[:rounds])
     best[rounds:] = best[rounds - 1]
     return best
 
@@ -321,7 +319,7 @@ def af_rate_batch(w, v, snr, alphas):
         x = snr * num * num
         rate = np.log2(1.0 + x / den)
         big = np.maximum(x, den) == math.inf  # x or den overflowed
-        if np.logical_or.reduce(big):
+        if big.any():
             a = alphas[big]
             num = np.vecdot(a, w * 2.0**-256)
             den = 2.0**-512 + np.vecdot(a * a, v * 2.0**-512)
