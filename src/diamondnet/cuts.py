@@ -43,13 +43,11 @@ class Cut(_Value):
     def from_mask(cls, mask: int) -> "Cut":
         """Cut whose bitmask is ``mask`` (bit i-1 set when relay i is a member).
 
-        Through the little-endian bytes of the mask shifted up one bit, so
-        that bit i of those bytes is relay i, in time linear in its bits.
+        From the mask's binary digits, lowest first, in time linear in its
+        bits.
         """
-        shifted = _to_int("cut bitmask", mask, minimum=0) << 1
-        raw = shifted.to_bytes((shifted.bit_length() + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
-        return cls(bits.nonzero()[0].tolist())
+        digits = bin(_to_int("cut bitmask", mask, minimum=0))[:1:-1]
+        return cls([i for i, digit in enumerate(digits, 1) if digit == "1"])
 
     @property
     def mask(self) -> int:

@@ -40,7 +40,9 @@ Overflow rule: a kernel forms its sums as it would with no overflow, under
 ``np.errstate``, so a float sum past the float64 range is inf without a
 warning, and warning state changes no value. That is the whole rule of the
 min-cut kernels (``brute_omega``, ``omega_sorted_scan``, ``best_chains``):
-a cut or chain sum r_s + r_d that overflows is inf. ``af_rate_batch`` then
+a cut or chain sum r_s + r_d that overflows is inf; each runs whole under
+``np.errstate(over="ignore")`` as a decorator, which costs about half of a
+``with`` block per call. ``af_rate_batch`` then
 evaluates again, scaled, only the rows whose terms overflowed, and
 ``sandwich_scan``, whose sums are of linear SNRs, scales a whole lattice by
 a power of two when they would pass the float64 range; their docstrings
@@ -153,6 +155,7 @@ def _walk(rows, n_dest, fold, tile_at, i, base, tile):
         yield from _walk(rows, n_dest, fold, tile_at, i + 1, base | bit, child)
 
 
+@np.errstate(over="ignore")
 def brute_omega(r_s, r_d):
     """Min cut value and first-minimal argmin bitmask of each relay set.
 
@@ -166,21 +169,21 @@ def brute_omega(r_s, r_d):
     """
     rows = np.arange(r_s.shape[0])
     values = masks = None
-    with np.errstate(over="ignore"):
-        for base, (max_d, max_s) in _cut_tiles(np.array((r_d, r_s)), 1, np.maximum):
-            cuts = np.add(max_d, max_s[:, ::-1], out=max_d)
-            idx = cuts.argmin(axis=1)
-            value, mask = cuts[rows, idx], base | idx
-            if values is None:
-                values, masks = value, mask
-            else:
-                # the least value, then the least mask
-                better = np.where(value == values, mask < masks, value < values)
-                values = np.where(better, value, values)
-                masks = np.where(better, mask, masks)
+    for base, (max_d, max_s) in _cut_tiles(np.array((r_d, r_s)), 1, np.maximum):
+        cuts = np.add(max_d, max_s[:, ::-1], out=max_d)
+        idx = cuts.argmin(axis=1)
+        value, mask = cuts[rows, idx], base | idx
+        if values is None:
+            values, masks = value, mask
+        else:
+            # the least value, then the least mask
+            better = np.where(value == values, mask < masks, value < values)
+            values = np.where(better, value, values)
+            masks = np.where(better, mask, masks)
     return values, masks
 
 
+@np.errstate(over="ignore")
 def omega_sorted_scan(s_sorted, d_sorted):
     """Min over the n+1 candidate suffix cuts of each row sorted by r_s.
 
@@ -199,13 +202,13 @@ def omega_sorted_scan(s_sorted, d_sorted):
     rev[..., 0] = s_sorted[..., -1]
     tail = rev[..., 1:]
     np.maximum.accumulate(d_sorted[..., ::-1], axis=-1, out=tail)
-    with np.errstate(over="ignore"):
-        tail[..., :-1] += s_sorted[..., -2::-1]
+    tail[..., :-1] += s_sorted[..., -2::-1]
     j = rev.argmin(axis=-1)
     # each row's candidate at its m
     return rev[(*np.indices(j.shape, sparse=True), j)], n - j
 
 
+@np.errstate(over="ignore")
 def best_chains(r_s, r_d):
     """Max of omega over the relay subsets of each size 1..n, by relay chains.
 
@@ -222,8 +225,7 @@ def best_chains(r_s, r_d):
     inf, as in the other min-cut kernels (the module's overflow rule).
     """
     n = r_s.shape[0]
-    with np.errstate(over="ignore"):
-        step = r_s[:, None] + r_d  # the link from relay i to relay j
+    step = r_s[:, None] + r_d  # the link from relay i to relay j
     links = np.empty_like(step)
     f = np.empty_like(step)
     f[0] = r_d

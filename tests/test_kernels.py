@@ -461,11 +461,13 @@ def test_brute_omega_settles_ties_across_tiles_by_mask():
             r_s[i, : row.shape[1]], r_d[i, : row.shape[1]] = row
         values, masks = kernels.brute_omega(r_s, r_d)
         for i, w in enumerate(widths):
-            cuts = old_subset_max(r_d[i, :w]) + old_subset_max(r_s[i, :w])[::-1]
-            first = int(np.argmin(cuts))
-            assert masks[i] == first and same_bits(values[i], cuts[first])
+            own = old_subset_max(r_d[i, :w]) + old_subset_max(r_s[i, :w])[::-1]
+            first = int(np.argmin(own))
+            assert masks[i] == first and same_bits(values[i], own[first])
+            # the minimal cuts of the walked row, padding relays included
+            cuts = old_subset_max(r_d[i]) + old_subset_max(r_s[i])[::-1]
             minimal = np.flatnonzero(cuts == cuts[first]).tolist()
-            seen = min(walk.index(mask - mask % tile) for mask in minimal if mask < 1 << n)
+            seen = min(walk.index(mask - mask % tile) for mask in minimal)
             later += walk.index(first - first % tile) > seen
             signed += len({math.copysign(1.0, c) for c in cuts[minimal]}) == 2
     assert later and signed
@@ -499,8 +501,8 @@ def test_sorted_scan_of_one_row_is_its_row_of_a_stack():
                 signed += len({math.copysign(1.0, c) for c in cand if c == 0.0}) == 2
             if pool[0] == 1.0:
                 pad = np.zeros((8, 3))
-                padded = kernels.omega_rows(np.hstack((s_sorted, pad)), np.hstack((d_sorted, pad)))
-                assert same_bits(padded, values)
+                s_padded, d_padded = np.hstack((s_sorted, pad)), np.hstack((d_sorted, pad))
+                assert same_bits(kernels.omega_rows(s_padded, d_padded), values)
     assert signed
 
 
