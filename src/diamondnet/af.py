@@ -77,7 +77,7 @@ def _af_weights(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """
     gs, gd = net.gain_arrays()
     snr = net.snr
-    top_s, top_d = float(np.maximum.reduce(gs)), float(np.maximum.reduce(gd))
+    top_s, top_d = float(gs.max()), float(gd.max())
     if max(top_s * top_s * snr, top_d * top_s, top_d * top_d) < math.inf:
         scale = snr / (1.0 + gs * gs * snr)
         return gd * gs * np.sqrt(scale), gd * gd * scale
@@ -120,7 +120,7 @@ def af_upper_bound(rt: RateTable) -> tuple[float, float]:
     with all n relays can only add the 2*log2(n) beamforming gain on top.
     """
     _require("rt", rt, RateTable)
-    c1 = float(np.maximum.reduce(np.minimum(rt.r_s, rt.r_d)))
+    c1 = float(np.minimum(rt.r_s, rt.r_d).max())
     return c1 + 2.0 * math.log2(rt.n), c1
 
 
@@ -141,8 +141,7 @@ def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
     u_d, u_s, b = rows
     # one bulk test of the three rows passes good inputs (NaN fails it); the
     # checks that name the fault, in their order, run only when it fails
-    lo = np.minimum.reduce(rows, axis=1).tolist()
-    hi = np.maximum.reduce(rows, axis=1).tolist()
+    lo, hi = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
     if not (lo[0] > 0.0 and lo[1] > 0.0 and max(hi[:2]) < math.inf
             and lo[2] >= 0.0 and hi[2] <= 1.0):
         if not np.isfinite(rows).all():
@@ -151,9 +150,8 @@ def af_snr_bound_sides(u_d, u_s, b) -> tuple[float, float]:
             raise ValidationError("u_d and u_s must be positive")
         _check_range("b", b, 1.0)
     ratio = u_d * b / (1.0 + u_s)
-    lhs = max(1.0, float(np.maximum.reduce(ratio)))
-    lhs *= float(np.maximum.reduce(np.minimum(u_d, u_s)))
-    rhs = float(np.maximum.reduce(ratio * u_s))
+    lhs = max(1.0, float(ratio.max())) * float(np.minimum(u_d, u_s).max())
+    rhs = float((ratio * u_s).max())
     return lhs, rhs
 
 

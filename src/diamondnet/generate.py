@@ -33,7 +33,7 @@ def random_network(
     if distribution == "rayleigh":
         sigma = _to_float("sigma", sigma, "positive")
         gains = rng.rayleigh(scale=sigma, size=(n, 2))
-        if np.maximum.reduce(gains, axis=None) == math.inf:  # the draws are >= 0
+        if gains.max() == math.inf:  # the draws are nonnegative
             raise ValidationError(
                 f"sigma {sigma} is too large: the Rayleigh draws overflow"
             )
