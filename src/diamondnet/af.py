@@ -164,6 +164,12 @@ def _kkt_alpha(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     the top f of them are clipped, lam = (1 + V_f) / W_f (prefix sums of v
     and w); each f gives one candidate, scored in closed form from prefix
     and suffix sums. Relays with w_i / v_i not positive stay at 0.
+
+    Before the scan, w and w / v are scaled by 2**-e, which puts the
+    largest live w in [0.5, 1). Within the normal float range a power of
+    two scales exactly, so each lam * w_i / v_i keeps its bits and each
+    score is 4**-e times what it was, but the sums of w * w / v and
+    num * num no longer overflow when w is near 1e154 or more.
     """
     alpha = np.zeros(w.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -171,6 +177,8 @@ def _kkt_alpha(w: np.ndarray, v: np.ndarray) -> np.ndarray:
         live = np.flatnonzero(ratio > 0.0)
         if live.size == 0:
             return alpha
+        e = math.frexp(w[live].max())[1]
+        w, ratio = np.ldexp(w, -e), np.ldexp(ratio, -e)
         order = live[(-ratio[live]).argsort(kind="stable")]
         r = ratio[order]
         w_ord = w[order]

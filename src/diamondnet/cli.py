@@ -25,7 +25,7 @@ from .cuts import omega_bruteforce, omega_fast, sandwich
 from .errors import ValidationError
 from .generate import DISTRIBUTIONS, random_network
 from .model import rate_table
-from .netfile import from_network, from_rates, load
+from .netfile import _plain, from_network, from_rates, load
 from .selection import (
     GAP_MODELS,
     guarantee,
@@ -218,7 +218,7 @@ def cmd_af(args) -> int:
     else:
         if args.alpha is not None:
             try:
-                alpha = np.array([float(x) for x in args.alpha.split(",")])
+                alpha = np.array([_plain(x) for x in args.alpha.split(",")])
             except ValueError as exc:
                 raise ValidationError(f"bad --alpha value: {exc}") from None
         else:
@@ -261,7 +261,6 @@ def cmd_verify(args) -> int:
         nmax=args.nmax,
         kmode=args.kmode,
         seed=args.seed,
-        tolerance=args.tolerance,
     )
     payload = {
         "trials": report.trials,
@@ -287,6 +286,17 @@ class _Parser(argparse.ArgumentParser):
             super().print_help(file)
 
 
+def _number_type(convert):
+    """``convert`` (int or float) as an argparse ``type`` that follows the
+    network file's number rule; argparse names it in its error."""
+
+    def parse(text):
+        return _plain(text, convert)
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="diamondnet",
@@ -296,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    integer, real = _number_type(int), _number_type(float)
 
     def add_format(p):
         p.add_argument(
@@ -318,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="pick <= k relays carrying k/(k+1) of omega")
     p.add_argument("file")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=integer)
     p.add_argument("--verify", action="store_true", help="check the pick's guarantee")
     p.add_argument("--gap-model", choices=GAP_MODELS, default="nnc")
     add_format(p)
@@ -338,28 +349,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_af)
 
     p = sub.add_parser("gen", help="generate a seeded random network file")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
     p.add_argument("--dist", choices=DISTRIBUTIONS, default="rayleigh")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--lo", type=float, default=0.1)
-    p.add_argument("--hi", type=float, default=10.0)
-    p.add_argument("--snr", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=real, default=1.0)
+    p.add_argument("--lo", type=real, default=0.1)
+    p.add_argument("--hi", type=real, default=10.0)
+    p.add_argument("--snr", type=real, default=1.0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("tight", help="emit the exact k/(k+1) staircase network")
-    p.add_argument("k", type=int)
-    p.add_argument("rate", type=float, nargs="?", default=1.0)
+    p.add_argument("k", type=integer)
+    p.add_argument("rate", type=real, nargs="?", default=1.0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_tight)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--nmax", type=int, default=12)
+    p.add_argument("--trials", type=integer, default=200)
+    p.add_argument("--nmax", type=integer, default=12)
     p.add_argument("--kmode", choices=KMODES, default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--seed", type=integer, default=0)
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

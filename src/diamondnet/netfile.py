@@ -209,17 +209,21 @@ def _canonical_pairs(block):
         return None
 
 
-def _number(token, lineno):
-    """``float(token)``, for a token that holds neither ``_`` nor a
-    non-ASCII character; a ``ValidationError`` naming line ``lineno``
-    otherwise."""
+def _plain(token, convert=float):
+    """``convert(token)`` under the format's number rule: ``int`` and
+    ``float`` also read ``_`` and non-ASCII digits, which raise a
+    ``ValueError`` here. The CLI reads its numeric arguments by it too."""
     if "_" in token or not token.isascii():
-        raise ValidationError(
-            f"line {lineno}: {token!r} is not a number: '_' and non-ASCII "
-            "characters are not allowed"
+        raise ValueError(
+            f"{token!r} is not a number: '_' and non-ASCII characters are not allowed"
         )
+    return convert(token)
+
+
+def _number(token, lineno):
+    """``_plain(token)``, with a ``ValidationError`` naming line ``lineno``."""
     try:
-        return float(token)
+        return _plain(token)
     except ValueError as exc:
         raise ValidationError(f"line {lineno}: {exc}") from None
 

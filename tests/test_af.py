@@ -39,6 +39,14 @@ def random_net(i, master, nmax=8, snr_hi=64.0):
     return random_network(n, snr, s, dist)
 
 
+def gap_net(i, master=353):
+    """A 2-4 relay network at snr 1e-10 with gains 1e150-1e158, where w is
+    near 1e156 and the unscaled KKT scores overflow."""
+    rng = np.random.default_rng(trial_seed(master, i))
+    n = int(rng.integers(2, 5))
+    return Network(1e-10, *(10.0 ** rng.uniform(150.0, 158.0, size=(2, n))))
+
+
 class TestAfRate:
     def test_silent_relays(self):
         assert af_rate(unit_net(3), [0.0, 0.0, 0.0]) == 0.0
@@ -331,8 +339,8 @@ class TestAfOptimize:
     def test_matches_exhaustive_grid(self):
         # a global optimum dominates every grid point up to roundoff, while
         # the cap bounds it from above
-        for i in range(30):
-            net = random_net(i, master=331, nmax=4)
+        nets = [random_net(i, master=331, nmax=4) for i in range(30)]
+        for net in nets + [gap_net(i) for i in range(60)]:
             rep = af_optimize(net)
             grid_rate, _ = af_grid_search(net, 21)
             assert rep.rate >= grid_rate - 1e-12

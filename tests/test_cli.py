@@ -87,6 +87,27 @@ class TestErrors:
         message = "is not a number: '_' and non-ASCII characters are not allowed"
         assert (code, out, err) == (2, "", f"error: line 2: {number!r} {message}\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["tight", "2", "1_0"], "argument rate: invalid float value: '1_0'"),
+        (["gen", "\u0661\u0662"], "argument n: invalid int value: '\u0661\u0662'"),
+        (["verify", "--seed", "1_0"], "argument --seed: invalid int value: '1_0'"),
+    ])
+    def test_argument_that_int_or_float_reads_otherwise_exits_2(
+        self, capsys, argv, message
+    ):
+        # int() and float() take the same characters as in a file
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"diamondnet {argv[0]}: error: {message}"]
+
+    def test_alpha_that_float_reads_otherwise_exits_2(self, capsys, gains_file):
+        code, out, err = run_cli(capsys, "af", gains_file, "--alpha", "0_1,1,1")
+        message = "'0_1' is not a number: '_' and non-ASCII characters are not allowed"
+        assert (code, out, err) == (2, "", f"error: bad --alpha value: {message}\n")
+
     @pytest.mark.parametrize("exc,message", [
         (MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
         (MemoryError(), "out of memory"),
@@ -391,10 +412,11 @@ class TestVerifyCommand:
         assert code == 0
         assert "failures = 0" in out
 
-    def test_negative_tolerance_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--tolerance", "-1")
-        assert code == 2
-        assert "tolerance" in err
+    def test_tolerance_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tolerance", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
     def test_machine_output_deterministic_except_elapsed(self, capsys):
         args = ("verify", "--trials", "10", "--seed", "3", "--format", "machine")

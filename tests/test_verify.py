@@ -72,12 +72,40 @@ class TestRunVerification:
             {"trials": 5, "nmax": 0},
             {"trials": 5, "nmax": 40},
             {"trials": 5, "kmode": "some"},
-            {"trials": 5, "tolerance": -1.0},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValidationError):
             run_verification(**kwargs)
+
+    def test_has_no_tolerance(self):
+        with pytest.raises(TypeError):
+            run_verification(5, tolerance=1e-9)
+
+    def test_best_k_one_ulp_above_omega_fails(self, monkeypatch):
+        # ratio-upper is exact: a 2.2e-16 excess is below the slack of an
+        # inequality check, but best-k <= omega holds in floats
+        orig_rate_table, orig_table = verify.rate_table, verify.omega_k_table
+        trial = {}
+
+        def rate_table(net):
+            trial["rt"] = orig_rate_table(net)
+            return trial["rt"]
+
+        def omega_k_table(rt):
+            table = list(orig_table(rt))
+            if rt is trial["rt"]:  # not the staircase
+                # k = n - 1, the last k checked, so the table still never falls
+                table[-2] = float(np.nextafter(verify.omega_fast(rt).value, np.inf))
+            return tuple(table)
+
+        monkeypatch.setattr(verify, "rate_table", rate_table)
+        monkeypatch.setattr(verify, "omega_k_table", omega_k_table)
+        report = run_verification(1, nmax=6, kmode="all", seed=1)
+        (fail,) = report.failures
+        assert fail.invariant == "ratio-upper"
+        assert fail.details.startswith("k=5: ")
+        assert report.max_violation <= verify.SLACK
 
 
 # Checks per invariant in run_verification(200, nmax=12, seed=277), counted
@@ -102,6 +130,7 @@ CHECK_COUNTS = {
         "selection-certificate": 107,
         "af-bound": 400,
         "af-monotone": 200,
+        "af-optimal": 200,
         "af-snr-inequality": 200,
     },
     "random": {
@@ -122,6 +151,7 @@ CHECK_COUNTS = {
         "selection-certificate": 10,
         "af-bound": 400,
         "af-monotone": 200,
+        "af-optimal": 200,
         "af-snr-inequality": 200,
     },
 }
@@ -135,6 +165,9 @@ EXACT = {
     "selection-oracle",
     "selection-budget",
     "selection-certificate",
+    "ratio-upper",
+    "ratio-monotone",
+    "af-monotone",
 }
 
 
@@ -171,7 +204,7 @@ class TestCheckInventory:
 
 
 def break_every_invariant(monkeypatch):
-    """Perturb what verify calls so that each of its 19 invariants fails."""
+    """Perturb what verify calls so that each of its 20 invariants fails."""
     orig = {
         name: getattr(verify, name)
         for name in (
@@ -244,7 +277,8 @@ class TestFailureDetails:
         a, b, c = 9312843868474496213, 13606743526313246680, 9971732663584954733
         assert first == {
             "af-bound": (a, "violated by 2.469e+00; random coefficients"),
-            "af-monotone": (a, "violated by 6.401e+00; optimizer below start"),
+            "af-monotone": (a, "-1.0 < start 5.400687233452268"),
+            "af-optimal": (a, "violated by 6.180e+00; random coefficients"),
             "af-snr-inequality": (a, "violated by 4.818e-01; m=1"),
             "bracket-gap": (a, "violated by 9.923e+02; upper > omega + gap"),
             "bracket-lower": (a, "violated by 6.711e+00; omega > lower"),
@@ -252,8 +286,8 @@ class TestFailureDetails:
             "omega-argmin": (a, "argmin cuts have different values"),
             "omega-oracle": (a, "fast 5.711031475191098 != brute 6.211031475191098"),
             "ratio-lower": (a, "violated by 2.500e-01; k=1"),
-            "ratio-monotone": (c, "violated by 2.750e+00; k=3"),
-            "ratio-upper": (c, "violated by 2.000e+00; k=2"),
+            "ratio-monotone": (c, "k=3: 1.3815908063604119 < 16.57908967632494"),
+            "ratio-upper": (c, "k=2: 16.57908967632494 > 5.5263632254416475"),
             "selection-budget": (a, "k=1: 1000000 > 4"),
             "selection-certificate": (
                 a,
@@ -266,5 +300,5 @@ class TestFailureDetails:
             "staircase-omega": (a, "k=3"),
             "staircase-subset": (a, "k=3"),
         }
-        assert len(report.failures) == 87
+        assert len(report.failures) == 91
         assert report.max_violation == 996.8582232221845
