@@ -29,9 +29,12 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import ValidationError
+from .errors import SizeLimitError, ValidationError
 from .model import Network, RateTable, _Value, _check_range, _float_array
 from .model import _float_rows, _require, _to_int
+
+# the most coefficient rows ``af_grid_search`` evaluates
+GRID_LIMIT = 10**6
 
 
 class AfCoefficients(_Value):
@@ -225,11 +228,17 @@ def af_optimize(net: Network) -> AfReport:
 def af_grid_search(net: Network, points: int = 21) -> tuple[float, np.ndarray]:
     """Best rate over the full grid of ``points`` levels per coordinate.
 
-    Exhaustive desk-scale oracle for ``af_optimize``; cost points**n, so
-    keep n small. Returns (rate, alpha).
+    Exhaustive desk-scale oracle for ``af_optimize``; it costs points**n
+    rate evaluations, and a grid of more than ``GRID_LIMIT`` points is
+    refused with a ``SizeLimitError``. Returns (rate, alpha).
     """
     n = _require("net", net, Network).n
     points = _to_int("points", points, minimum=2)
+    # 2**20 is past the limit, so any n >= 20 is too
+    if points ** min(n, 20) > GRID_LIMIT:
+        raise SizeLimitError(
+            f"a grid of {points}**{n} points exceeds the limit {GRID_LIMIT}"
+        )
     w, v = _af_weights(net)
     levels = np.linspace(0.0, 1.0, points)
     inner = min(n, 4)

@@ -34,7 +34,7 @@ from .selection import (
     tight_config,
     verify_selection,
 )
-from .verify import KMODES, run_verification
+from .verify import KMODES, SLACK, run_verification
 
 
 def _fmt(value) -> str:
@@ -231,7 +231,7 @@ def cmd_af(args) -> int:
         "af_rate": rate,
         "c1": c1,
         "upper_bound": bound,
-        "within_bound": rate <= bound + 1e-9,
+        "within_bound": rate <= bound + SLACK,
     }
     return _emit(args, payload, 0 if payload["within_bound"] else 1)
 

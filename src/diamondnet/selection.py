@@ -18,7 +18,7 @@ every k at once from a chain recurrence over relay pairs, bit-identical to
 theirs.
 ``tight_config`` generates the worst-case family where the k/(k+1) fraction
 is achieved exactly, and ``guarantee`` / ``hybrid_tradeoff`` evaluate the
-resulting capacity lower bounds, the latter for every k at once in numpy.
+resulting capacity lower bounds, the latter ``guarantee``'s for every k.
 """
 
 from __future__ import annotations
@@ -378,28 +378,15 @@ def hybrid_tradeoff(
     """Guarantee for every k, against the purely additive baseline c - 1.3*n.
 
     ``best_k`` is the smallest k maximizing the guarantee. The routing
-    model only admits k = 1, so its table has a single row. Every entry is
-    bit-identical to ``guarantee(c_bar_approx, k, n, gap_model).lower_bound``.
+    model only admits k = 1, so its table has a single row. Entry k is
+    ``guarantee(c_bar_approx, k, n, gap_model).lower_bound``, by ``_bound``.
     """
     n = _to_int("n", n, minimum=1)
     _check_gap_model(gap_model)
     c_bar_approx = _to_float("c_bar_approx", c_bar_approx, "nonnegative")
     gap = gap_constant(n)
     ks = (1,) if gap_model == "routing" else range(1, n + 1)
-    # _bound on every k at once: the divisions, products and differences
-    # round as they do on Python floats
-    k = np.arange(1, len(ks) + 1)
-    frac = k / (k + 1)
-    if gap_model == "optimized":
-        # math.log2, as strategy_gap takes it: np.log2 rounds a few integers
-        # differently
-        log2s = np.fromiter(map(math.log2, range(1, n + 2)), np.float64, n + 1)
-        sgap = log2s[1:] + log2s[:-1] + 1.0
-    else:
-        sgap = _STRATEGY_GAPS[gap_model](k)
-    x = frac * c_bar_approx - sgap - frac * gap
-    # max(0.0, x), which keeps 0.0 over a -0.0 bound
-    bounds = np.where(x > 0.0, x, 0.0)
-    best_k = int(bounds.argmax()) + 1  # the smallest maximizing k
+    entries = tuple((k, _bound(c_bar_approx, k, gap, gap_model)[0]) for k in ks)
+    best_k = max(entries, key=lambda entry: entry[1])[0]  # the first, so the smallest
     baseline = max(0.0, c_bar_approx - 1.3 * n)
-    return TradeoffReport(tuple(zip(ks, bounds.tolist())), best_k, baseline, gap_model)
+    return TradeoffReport(entries, best_k, baseline, gap_model)

@@ -1,13 +1,14 @@
 """Monte Carlo verification harness tying all modules together.
 
 Every trial draws a seeded random network and checks the cross-module
-contracts on it: the fast and brute-force omega agree exactly, the
-bracketing chain holds, every k-relay selection meets its guarantee, makes
-at most k scans of the n relays (``comparisons <= 2 * n * k``) and has the
-brute force's omega, the subnetwork ratio stays inside [k/(k+1), 1], the
-staircase configuration is exact, and the amplify-and-forward optimum
-beats its start and every random coefficient row but never the
-best-relay-plus-beamforming cap.
+contracts on it: the fast and brute-force omega agree exactly, on the
+value and on the argmin cut, the bracketing chain holds, every k-relay
+selection meets its guarantee, makes at most k scans of the n relays
+(``comparisons <= 2 * n * k``), has the brute force's omega and a
+well-formed certificate (``_certificate_ok``), the subnetwork ratio
+stays inside [k/(k+1), 1], the staircase configuration is exact, and the
+amplify-and-forward optimum beats its start and every random coefficient
+row but never the best-relay-plus-beamforming cap.
 
 The best k-subnetwork value behind the ratio checks comes from one
 ``omega_k_table`` chain recurrence over the relay pairs per network, which
@@ -32,7 +33,7 @@ import time
 import numpy as np
 
 from .af import af_optimize, af_rate_batch, af_snr_bound_sides, af_upper_bound
-from .cuts import cut_value, omega_bruteforce, omega_fast, sandwich
+from .cuts import omega_bruteforce, omega_fast, sandwich
 from .errors import ValidationError
 from .generate import random_network
 from .kernels import brute_omega
@@ -76,6 +77,24 @@ def _stack(rt, gammas):
     r_s[pad] = 0.0
     r_d[pad] = 0.0
     return r_s, r_d
+
+
+def _certificate_ok(cert, k):
+    """Whether ``cert`` is one ``select`` can give at a k below n and a
+    positive omega: an anchor alone has no round bins, and otherwise the
+    bins start at 0, rise strictly, and stay below the anchor's bin, which
+    is at most k - 1."""
+    if cert is None:
+        return False
+    bins = cert.bins
+    if cert.anchor_bin is None:
+        return bins == ()
+    return (
+        bool(bins)
+        and bins[0] == 0
+        and all(x < y for x, y in zip(bins, bins[1:]))
+        and bins[-1] < cert.anchor_bin <= k - 1
+    )
 
 
 class Failure(_Value):
@@ -138,13 +157,13 @@ def _check_trial(rec, seed, nmax, kmode, rng):
         fast.value,
         brute.value,
     )
-    # equal cuts have equal values, so only different ones are evaluated
     rec.exact(
         seed,
         "omega-argmin",
-        fast.argmin_cut == brute.argmin_cut
-        or cut_value(rt, fast.argmin_cut) == cut_value(rt, brute.argmin_cut),
-        "argmin cuts have different values",
+        fast.argmin_cut == brute.argmin_cut,
+        "fast {} != brute {}",
+        fast.argmin_cut,
+        brute.argmin_cut,
     )
 
     # bracketing chain
@@ -210,19 +229,14 @@ def _check_trial(rec, seed, nmax, kmode, rng):
                 sel.comparisons,
                 budget,
             )
-            cert = sel.certificate
-            if cert is not None and cert.anchor_bin is not None and len(cert.bins) > 1:
-                increasing = all(
-                    cert.bins[j] < cert.bins[j + 1] for j in range(len(cert.bins) - 1)
-                )
-                rec.exact(
-                    seed,
-                    "selection-certificate",
-                    increasing and cert.bins[-1] < cert.anchor_bin <= k - 1,
-                    "k={} cert={}",
-                    k,
-                    cert,
-                )
+            rec.exact(
+                seed,
+                "selection-certificate",
+                _certificate_ok(sel.certificate, k),
+                "k={} cert={}",
+                k,
+                sel.certificate,
+            )
 
     # amplify-and-forward: the optimum beats its start and every random
     # row, and never the best-relay cap

@@ -11,6 +11,7 @@ from diamondnet import (
     AfCoefficients,
     Network,
     RateTable,
+    SizeLimitError,
     ValidationError,
     af_grid_search,
     af_optimize,
@@ -539,3 +540,25 @@ class TestAfGridSearch:
     def test_rejects_bad_points(self):
         with pytest.raises(ValidationError):
             af_grid_search(unit_net(1), 1)
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            # 21**7 rows took about two minutes before the guard
+            ((random_network(7, 1.0, 0),), "21**7"),
+            # 10**16 rows once ended in numpy's MemoryError
+            ((random_network(4, 1.0, 0), 10**4), "10000**4"),
+            ((unit_net(6), 11), "11**6"),
+            ((unit_net(40), 2), "2**40"),
+        ],
+    )
+    def test_refuses_grids_past_the_limit(self, args, text):
+        with pytest.raises(SizeLimitError) as exc:
+            af_grid_search(*args)
+        assert str(exc.value) == f"a grid of {text} points exceeds the limit 1000000"
+
+    def test_runs_a_grid_at_the_limit(self):
+        # 10**6 rows
+        rate, alpha = af_grid_search(unit_net(6), 10)
+        assert rate == af_rate(unit_net(6), np.ones(6))
+        assert alpha.tolist() == [1.0] * 6

@@ -6,6 +6,7 @@ import pytest
 from diamondnet import (
     AfReport,
     Cut,
+    Network,
     OmegaResult,
     SandwichReport,
     SelectionResult,
@@ -108,8 +109,82 @@ class TestRunVerification:
         assert report.max_violation <= verify.SLACK
 
 
+class TestStrictChecks:
+    """omega-argmin and selection-certificate check identity and shape."""
+
+    @pytest.mark.parametrize(
+        "anchor_bin",
+        # a single round bin, and an anchor returned alone, were once exempt
+        [lambda k: k, lambda k: None],
+        ids=["single-bin", "anchor-alone"],
+    )
+    def test_forged_certificate_fails(self, anchor_bin, monkeypatch):
+        orig = verify.select
+        forged = []
+
+        def select(rt, k, omega):
+            sel = orig(rt, k, omega)
+            forged.append((k, Certificate(anchor_bin(k), (0,))))
+            return SelectionResult(
+                sel.gamma, sel.omega_gamma, forged[-1][1], sel.comparisons
+            )
+
+        monkeypatch.setattr(verify, "select", select)
+        report = run_verification(3, nmax=6, kmode="all", seed=31)
+        assert forged
+        assert {f.invariant for f in report.failures} == {"selection-certificate"}
+        assert sorted(f.details for f in report.failures) == sorted(
+            f"k={k} cert={cert}" for k, cert in forged
+        )
+
+    @pytest.mark.parametrize(
+        "cert, k, ok",
+        [
+            (Certificate(None, ()), 1, True),
+            (Certificate(1, (0,)), 2, True),
+            (Certificate(3, (0, 1, 2)), 4, True),
+            (None, 2, False),
+            (Certificate(None, (0,)), 2, False),
+            (Certificate(1, ()), 2, False),
+            (Certificate(2, (0,)), 2, False),
+            (Certificate(2, (1,)), 3, False),
+            (Certificate(2, (0, 2)), 3, False),
+            (Certificate(3, (0, 2, 1)), 4, False),
+        ],
+    )
+    def test_certificate_shapes(self, cert, k, ok):
+        assert verify._certificate_ok(cert, k) is ok
+
+    def test_another_minimal_cut_fails(self, monkeypatch):
+        # with equal gains only the empty and the full cut are minimal; the
+        # fast path reports the other one of the two
+        orig = verify.omega_fast
+        ns = {}
+
+        def random_network(n, snr, seed, distribution):
+            ns[seed] = n
+            return Network(snr, [1.0] * n, [1.0] * n)
+
+        def omega_fast(rt):
+            res = orig(rt)
+            other = Cut(set(range(1, rt.n + 1)) - res.argmin_cut.members)
+            return OmegaResult(res.value, other, res.comparisons)
+
+        monkeypatch.setattr(verify, "random_network", random_network)
+        monkeypatch.setattr(verify, "omega_fast", omega_fast)
+        report = run_verification(3, nmax=6, kmode="all", seed=31)
+        assert [f.invariant for f in report.failures] == ["omega-argmin"] * 3
+        for f in report.failures:
+            empty, full = Cut(), Cut(range(1, ns[f.seed] + 1))
+            assert f.details in (
+                f"fast {empty} != brute {full}",
+                f"fast {full} != brute {empty}",
+            )
+
+
 # Checks per invariant in run_verification(200, nmax=12, seed=277), counted
-# before the checks were made to format their details only on failure.
+# before the checks were made to format their details only on failure;
+# selection-certificate once skipped certificates with fewer than two bins.
 CHECK_COUNTS = {
     "all": {
         "omega-oracle": 200,
@@ -127,7 +202,7 @@ CHECK_COUNTS = {
         "selection-verified": 1067,
         "selection-oracle": 1067,
         "selection-budget": 1067,
-        "selection-certificate": 107,
+        "selection-certificate": 1067,
         "af-bound": 400,
         "af-monotone": 200,
         "af-optimal": 200,
@@ -148,7 +223,7 @@ CHECK_COUNTS = {
         "selection-verified": 181,
         "selection-oracle": 181,
         "selection-budget": 181,
-        "selection-certificate": 10,
+        "selection-certificate": 181,
         "af-bound": 400,
         "af-monotone": 200,
         "af-optimal": 200,
@@ -283,7 +358,10 @@ class TestFailureDetails:
             "bracket-gap": (a, "violated by 9.923e+02; upper > omega + gap"),
             "bracket-lower": (a, "violated by 6.711e+00; omega > lower"),
             "bracket-order": (b, "violated by 1.000e+00; lower > upper"),
-            "omega-argmin": (a, "argmin cuts have different values"),
+            "omega-argmin": (
+                a,
+                "fast Cut(members=frozenset()) != brute Cut(members=frozenset({1, 2}))",
+            ),
             "omega-oracle": (a, "fast 5.711031475191098 != brute 6.211031475191098"),
             "ratio-lower": (a, "violated by 2.500e-01; k=1"),
             "ratio-monotone": (c, "k=3: 1.3815908063604119 < 16.57908967632494"),
