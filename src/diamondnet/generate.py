@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .model import Network, _to_float, _to_int
+from .model import _MAX_ARRAY_LEN, Network, _to_float, _to_int
 
 DISTRIBUTIONS = ("rayleigh", "loguniform")
 
@@ -29,6 +29,8 @@ def random_network(
 ) -> Network:
     """Deterministic random diamond network for the given seed."""
     n = _to_int("n", n, minimum=1)
+    if 2 * n > _MAX_ARRAY_LEN:
+        raise ValidationError("n is too large: 2 * n gains exceed numpy's array size")
     rng = np.random.default_rng(_to_int("seed", seed, minimum=0))
     if distribution == "rayleigh":
         sigma = _to_float("sigma", sigma, "positive")

@@ -56,6 +56,9 @@ _MAX_INVERTIBLE_RATE = 1023.0
 
 _MAX_FLOAT = float(np.finfo(np.float64).max)
 
+# the most float64 entries one numpy array can hold: its bytes fit an intp
+_MAX_ARRAY_LEN = np.iinfo(np.intp).max // 8
+
 
 def _to_float(name, value, sign=None) -> float:
     """``value`` as a float; with ``sign`` ("positive" or "nonnegative") it

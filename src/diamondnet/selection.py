@@ -3,14 +3,14 @@
 ``select`` discovers, in O(kN) comparisons, a subset of at most k relays
 whose own min-cut approximation is at least k/(k+1) of the full network's
 omega. The construction walks threshold bins tau_j = j*omega/(k+1), less
-a rounding margin (``_thresholds``): it anchors on a relay with a top-bin
-source rate, then repeatedly finds relays whose destination rates cover the
-remaining gap, recording the strictly increasing bin certificate that
-forces termination within k-1 rounds. The pick's own omega comes from the
-sorted scan behind ``omega_fast`` on its rows. ``verify_selection`` checks
-that omega against the bound the certificate proves, formed lazily from the
-same thresholds (``_clears_bound``), so it walks no cut lattice and has no
-size limit.
+a rounding margin, each formed by ``_tau`` as it is read: it anchors on a
+relay with a top-bin source rate, then repeatedly finds relays whose
+destination rates cover the remaining gap, recording the strictly
+increasing bin certificate that forces termination within k-1 rounds. The
+pick's own omega comes from the sorted scan behind ``omega_fast`` on its
+rows. ``verify_selection`` checks that omega against the bound the
+certificate proves, formed from the same thresholds (``_clears_bound``), so
+it walks no cut lattice and has no size limit.
 
 ``omega_k_bruteforce`` / ``omega_k_ratio`` are the desk-scale oracles for
 the best k-subnetwork at one k; ``omega_k_table`` gives the best value for
@@ -32,16 +32,21 @@ import numpy as np
 from . import kernels
 from .cuts import _sorted_scan, gap_constant, omega_fast
 from .errors import DegenerateNetworkError, SizeLimitError, ValidationError
-from .model import RateTable, _Value, _require, _to_float, _to_int, _to_tuple
+from .model import (
+    _MAX_ARRAY_LEN,
+    RateTable,
+    _Value,
+    _require,
+    _to_float,
+    _to_int,
+    _to_tuple,
+)
 
 SUBSET_ENUMERATION_LIMIT = 10**6
 
-# the most float64 entries one numpy array can hold: its bytes fit an intp
-_MAX_ARRAY_LEN = np.iinfo(np.intp).max // 8
-
 # the achievability gap s(k) of each relaying strategy
 _STRATEGY_GAPS = {
-    "nnc": lambda k: 1.3 * k,
+    "nnc": lambda k: 1.3 * _to_float("k", k),  # names a k past the float64 range
     "optimized": lambda k: math.log2(k + 1) + math.log2(k) + 1.0,
     "routing": lambda k: 0.0,
 }
@@ -100,11 +105,6 @@ def _tau(omega, k):
     return lambda j: j * w / k1 / scale
 
 
-def _thresholds(omega, k):
-    """[tau_0, ..., tau_k] of ``_tau``."""
-    return list(map(_tau(omega, k), range(k + 1)))
-
-
 def _first_hit(r_s, r_d, t_s, t_d, failure):
     """The first relay with r_s >= t_s and r_d >= t_d, from 2 * n rate
     tests. Without a hit, ``failure`` is raised."""
@@ -120,9 +120,9 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
 
     ``omega`` is the caller-supplied min-cut approximation of ``rt``
     (compute it once with ``omega_fast``). The thresholds tau_j are
-    j * omega / (k+1) less a 2**-50 relative margin (``_thresholds``), and
-    the bin of a rate is the largest j with tau_j <= rate. Scans take the
-    first qualifying relay in index order.
+    j * omega / (k+1) less a 2**-50 relative margin, each formed by ``_tau``
+    as it is read; the bin of a rate, the largest j with tau_j <= rate, is
+    found by bisection. Scans take the first qualifying relay in index order.
 
     Edge cases: when k >= n the iteration is skipped and all relays with a
     nonzero min-rate are returned (all relays when none qualify); when
@@ -159,9 +159,7 @@ def select(rt: RateTable, k: int, omega: float) -> SelectionResult:
 
 def _pick(rt: RateTable, k: int, omega: float):
     """(gamma, certificate, comparisons) of ``select`` on checked arguments."""
-    n = rt.n
-    r_s = rt.r_s
-    r_d = rt.r_d
+    n, r_s, r_d = rt.n, rt.r_s, rt.r_d
 
     if k >= n:
         # whole network fits; zero-min-rate relays carry nothing and are dropped
@@ -172,11 +170,11 @@ def _pick(rt: RateTable, k: int, omega: float):
     if omega <= 0.0:
         return (1,), None, 0
 
-    tau = _thresholds(omega, k)
+    tau = _tau(omega, k)
     failure = "no anchor relay clears the top threshold"
-    p = _first_hit(r_s, r_d, tau[k], tau[1], failure)
+    p = _first_hit(r_s, r_d, tau(k), tau(1), failure)
     # the anchor's r_d is in bin k - a, and a = 0 returns it alone
-    a = k - (bisect_right(tau, float(r_d[p])) - 1)
+    a = k - (bisect_right(range(k + 1), float(r_d[p]), key=tau) - 1)
     if a == 0:
         return (p + 1,), Certificate(None, ()), 2 * n
 
@@ -184,10 +182,10 @@ def _pick(rt: RateTable, k: int, omega: float):
     bins = [0]
     failure = "no qualifying relay at a selection round"
     while True:
-        y = _first_hit(r_s, r_d, tau[bins[-1] + 1], tau[k - bins[-1]], failure)
+        y = _first_hit(r_s, r_d, tau(bins[-1] + 1), tau(k - bins[-1]), failure)
         gamma.append(y + 1)
         # the relay's r_s is in bin b, and b >= a ends the selection
-        b = bisect_right(tau, float(r_s[y])) - 1
+        b = bisect_right(range(k + 1), float(r_s[y]), key=tau) - 1
         if b >= a:
             break
         bins.append(b)
@@ -384,9 +382,10 @@ def hybrid_tradeoff(
     n = _to_int("n", n, minimum=1)
     _check_gap_model(gap_model)
     c_bar_approx = _to_float("c_bar_approx", c_bar_approx, "nonnegative")
+    # before the table, so an n past the float64 range is an error, not a long loop
+    baseline = max(0.0, c_bar_approx - 1.3 * _to_float("n", n))
     gap = gap_constant(n)
     ks = (1,) if gap_model == "routing" else range(1, n + 1)
     entries = tuple((k, _bound(c_bar_approx, k, gap, gap_model)[0]) for k in ks)
     best_k = max(entries, key=lambda entry: entry[1])[0]  # the first, so the smallest
-    baseline = max(0.0, c_bar_approx - 1.3 * n)
     return TradeoffReport(entries, best_k, baseline, gap_model)

@@ -384,6 +384,13 @@ class TestGenCommand:
             "error: sigma 1e+308 is too large: the Rayleigh draws overflow\n"
         )
 
+    @pytest.mark.parametrize("n", ["100000000000000000000", "1152921504606846975"])
+    def test_n_past_numpys_array_size_is_an_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "gen", n)
+        assert code == 2
+        assert out == ""
+        assert err == "error: n is too large: 2 * n gains exceed numpy's array size\n"
+
 
 class TestTightCommand:
     def test_emits_rates_form(self, capsys):

@@ -142,8 +142,10 @@ CLOSED_STDOUT = (
 )
 
 
+# argparse writes --help to stderr when sys.stdout is None, so "--help"
+# needs cli._Parser to end in the error
 @pytest.mark.parametrize(
-    "argv", [("tight", "3"), ("omega", "s.txt", "--format", "machine")]
+    "argv", [("tight", "3"), ("omega", "s.txt", "--format", "machine"), ("--help",)]
 )
 def test_closed_stdout_is_an_error(tmp_path, argv):
     assert in_process("tight", "2", "-o", str(tmp_path / "s.txt"))[0] == 0

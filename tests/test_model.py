@@ -533,6 +533,21 @@ BAD_ARGUMENTS = [
         lambda: random_network(3, 1.0, 0, "uniform"),
         "unknown distribution 'uniform'; pick from ('rayleigh', 'loguniform')",
     ),
+    # checked before the draw, as numpy raises a bare ValueError past its size
+    (
+        lambda: random_network(10**20, 1.0, 0),
+        "n is too large: 2 * n gains exceed numpy's array size",
+    ),
+    (
+        lambda: random_network(2**60 - 1, 1.0, 0),
+        "n is too large: 2 * n gains exceed numpy's array size",
+    ),
+    # the nnc gap is 1.3 * k
+    (lambda: dn.guarantee(1.0, 10**400, 10**400), "k exceeds the float64 range"),
+    (lambda: dn.strategy_gap(10**400, "nnc"), "k exceeds the float64 range"),
+    # the baseline is c - 1.3 * n, formed before the table of n entries
+    (lambda: dn.hybrid_tradeoff(1.0, 10**400), "n exceeds the float64 range"),
+    (lambda: dn.hybrid_tradeoff(1.0, 10**400, "routing"), "n exceeds the float64 range"),
 ]
 
 RT = RateTable([1.0, 2.0], [2.0, 1.0])

@@ -37,9 +37,27 @@ from diamondnet.selection import (
     _MAX_ARRAY_LEN,
     SUBSET_ENUMERATION_LIMIT,
     _clears_bound,
-    _thresholds,
 )
 from diamondnet.verify import trial_seed
+
+
+def _thresholds(omega, k):
+    """[tau_0, ..., tau_k], each formed by ``selection._tau``."""
+    return list(map(selection._tau(omega, k), range(k + 1)))
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """The j of each threshold tau_j that ``selection._tau`` forms, in order."""
+    formed = []
+    tau = selection._tau
+
+    def counted(omega, k):
+        fn = tau(omega, k)
+        return lambda j: formed.append(j) or fn(j)
+
+    monkeypatch.setattr(selection, "_tau", counted)
+    return formed
 
 
 def same_bits(a, b):
@@ -620,17 +638,9 @@ class TestVerifySelection:
         with pytest.raises(ValidationError):
             verify_selection(rt, broken, 2, 3.0)
 
-    def test_pick_at_a_huge_k_clears_tau_k_alone(self, monkeypatch):
+    def test_pick_at_a_huge_k_clears_tau_k_alone(self, formed):
         # a value at least tau_k clears the bound at its first sum, x = 0,
         # so only tau_0 and tau_k are formed
-        formed = []
-        tau = selection._tau
-
-        def counted(omega, k):
-            fn = tau(omega, k)
-            return lambda j: formed.append(j) or fn(j)
-
-        monkeypatch.setattr(selection, "_tau", counted)
         rt = tight_config(2)
         omega = omega_fast(rt).value
         k = 10**12
@@ -638,6 +648,16 @@ class TestVerifySelection:
         assert sel.gamma == tuple(range(1, rt.n + 1))
         assert verify_selection(rt, sel, k, omega)
         assert formed == [0, k]
+
+    def test_select_forms_the_thresholds_it_reads(self, formed):
+        # two per scan, and one bisection of about log2(k) per bin; no list
+        # of k + 1
+        rt = rate_table(random_network(100_001, 10.0, 7))
+        omega = omega_fast(rt).value
+        k = 10**5
+        sel = select(rt, k, omega)
+        bins = sel.certificate.bins
+        assert 0 < len(formed) <= 2 * (1 + len(bins)) * (k.bit_length() + 2)
 
     def test_tau_k_clears_the_bound(self):
         rng = np.random.default_rng(233)
