@@ -241,23 +241,19 @@ def af_grid_search(net: Network, points: int = 21) -> tuple[float, np.ndarray]:
         )
     w, v = _af_weights(net)
     levels = np.linspace(0.0, 1.0, points)
-    inner = min(n, 4)
-    inner_block = (
-        np.stack(
-            np.meshgrid(*([levels] * inner), indexing="ij"), axis=-1
-        ).reshape(-1, inner)
-    )
-    best_rate = -np.inf
-    best_alpha = None
+    # a block holds the trailing coordinates, as many as fit 2**16 rows, one at least
+    inner = 1
+    while inner < n and points ** (inner + 1) <= 1 << 16:
+        inner += 1
+    block = np.empty((points**inner, n))
+    grid = np.meshgrid(*[levels] * inner, indexing="ij")
+    block[:, n - inner :] = np.stack(grid, axis=-1).reshape(-1, inner)
+    best_rate, best_alpha = -np.inf, None
     # np.ndindex(()) yields one empty index, so n == inner runs one block
-    outer_shape = (points,) * (n - inner)
-    block = np.empty((inner_block.shape[0], n))
-    block[:, n - inner:] = inner_block
-    for outer_idx in np.ndindex(outer_shape):
+    for outer_idx in np.ndindex((points,) * (n - inner)):
         block[:, : n - inner] = levels[list(outer_idx)]
         rates = kernels.af_rate_batch(w, v, net.snr, block)
         idx = int(np.argmax(rates))
         if rates[idx] > best_rate:
-            best_rate = float(rates[idx])
-            best_alpha = block[idx].copy()
+            best_rate, best_alpha = float(rates[idx]), block[idx].copy()
     return best_rate, best_alpha

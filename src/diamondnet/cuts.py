@@ -117,8 +117,8 @@ def omega_bruteforce(rt: RateTable) -> OmegaResult:
     """Definitional omega: minimum cut value over all 2**n cuts.
 
     The argmin is the minimizing cut with the numerically smallest bitmask.
-    The cuts are scanned in tiles, in O(n * 2**14) working memory rather
-    than whole 2**n tables; guarded at n <= 24.
+    The cuts are walked in tiles, in working memory that does not grow with
+    n; guarded at n <= 24.
     """
     n = _require("rt", rt, RateTable).n
     (value,), (mask,) = kernels.brute_omega(rt.r_s[None], rt.r_d[None])
@@ -154,8 +154,7 @@ def sandwich(rt: RateTable) -> SandwichReport:
     Per cut, with t**2 = 2**r - 1 the equivalent linear link SNRs:
     the lower form keeps full sums of t**2 on both sides, the upper form
     coherently combines the destination side as (sum t)**2. Minimized by
-    brute force over cuts, scanned in tiles in O(n * 2**14) working memory
-    rather than whole 2**n tables, and guarded at n <= 24.
+    brute force over cuts, walked in tiles, and guarded at n <= 24.
     """
     n = _require("rt", rt, RateTable).n
     ts2, td2 = _linear_snrs(rt)

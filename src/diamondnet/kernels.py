@@ -1,19 +1,18 @@
 """Numeric kernels, vectorized with numpy.
 
-These kernels carry the arithmetic of the package: the 2**n subset-lattice
-enumerations behind the brute-force oracles (``brute_omega``, an oracle
-only: ``omega_bruteforce`` and ``verify``'s check of its picks; and
-``sandwich_scan``), built on the per-subset folds of ``subset_max``; the
-sorted suffix scan (``omega_sorted_scan``), the one code that forms the
-n + 1 suffix-cut candidates, in place in one buffer of n + 1 floats per
-row: ``omega_fast``, ``sandwich``, ``select`` and ``verify_selection``
-run it on one row, and ``omega_rows`` (behind the oracle
-``omega_k_bruteforce``) sorts each row of a stack and runs it once; the
-chain recurrence behind the best-k table (``best_chains``); and the row-wise
-amplify-and-forward rate (``af_rate_batch``). Each is checked in the tests against a definition
-evaluated directly. ``best_chains`` keeps each round's chains as a row of
-an n x n table (8 MB at n = 1000, as are its link and scratch tables) and
-reads the best of every size off all rows at once.
+These kernels carry the arithmetic of the package, each checked in the
+tests against a definition evaluated directly: the 2**n subset-lattice
+walks of the brute-force oracles (``brute_omega``, behind
+``omega_bruteforce`` and ``verify``'s check of its picks, and
+``sandwich_scan``), on the folds of ``subset_max``; the sorted suffix scan
+(``omega_sorted_scan``), the one code that forms the n + 1 suffix-cut
+candidates, in one buffer of n + 1 floats per row, for ``omega_fast``,
+``sandwich``, ``select`` and ``verify_selection`` on one row and for
+``omega_rows`` (behind ``omega_k_bruteforce``) on a sorted stack; the
+chain recurrence behind the best-k table (``best_chains``), which keeps
+two rows of chains beside its n x (n + 1) link and scratch tables (8 MB
+each at n = 1000); and the row-wise amplify-and-forward rate
+(``af_rate_batch``).
 
 ``brute_omega`` and ``omega_rows`` take a stack of relay sets, rows of
 shape (m, width), and a single set is a stack of one. Sets of different
@@ -23,18 +22,11 @@ max(x, 0.0) is x and x + 0.0 is x, and a padded cut has the value of the
 same cut without its zero relays. ``brute_omega``'s first-minimal mask is
 kept too, since the padding relays are the highest bits.
 
-``brute_omega`` keeps a running first minimum as it walks the tiles: each
-tile's first minimal cut, its value read at the argmin, replaces the
-running one when its value is less, or equal (0.0 and -0.0 are equal) with
-a lesser mask. The tiles do not come in mask order, so a tie is settled by
-the masks, not by the order of the walk.
-
-The two oracles walk the 2**n cuts in tiles of 2**_TILE_BITS (``_cut_tiles``),
-so their working memory is O(n * 2**_TILE_BITS) floats at any n, not whole
-2**n tables. The walk has one code path for every n: at n <= _TILE_BITS it
-yields its first table as the one tile. ``_cut_tiles`` refuses n >
-``BRUTE_FORCE_LIMIT`` with a ``SizeLimitError``, the one size guard of both
-oracles.
+The two oracles walk the 2**n cuts in tiles of 2**_TILE_BITS, in one flat
+loop of ``_cut_tiles`` that refolds one buffer per tile, so their working
+memory is O(2**_TILE_BITS) floats per relay set at any n. It is the one
+code path for every n, and the one size guard of both oracles: it refuses
+n > ``BRUTE_FORCE_LIMIT`` with a ``SizeLimitError``.
 
 Overflow rule: a kernel forms its sums as it would with no overflow, under
 ``np.errstate``, so a float sum past the float64 range is inf without a
@@ -42,11 +34,10 @@ warning, and warning state changes no value. That is the whole rule of the
 min-cut kernels (``brute_omega``, ``omega_sorted_scan``, ``best_chains``):
 a cut or chain sum r_s + r_d that overflows is inf; each runs whole under
 ``np.errstate(over="ignore")`` as a decorator, which costs about half of a
-``with`` block per call. ``af_rate_batch`` then
-evaluates again, scaled, only the rows whose terms overflowed, and
-``sandwich_scan``, whose sums are of linear SNRs, scales a whole lattice by
-a power of two when they would pass the float64 range; their docstrings
-have the rules.
+``with`` block per call. ``af_rate_batch`` then evaluates again, scaled,
+only the rows whose terms overflowed, and ``sandwich_scan``, whose sums
+are of linear SNRs, scales a whole lattice by a power of two when they
+would pass the float64 range; their docstrings have the rules.
 
 Conventions: relays are 0-indexed here; a cut is a bitmask with bit i set
 when relay i sits on the destination side; the maximum over an empty index
@@ -78,6 +69,16 @@ __all__ = [
 ]
 
 
+def _fold(table, x, fold):
+    """``table``, entry m its entry 0 folded with ``x`` at the relays of m in
+    increasing order: the loop of ``subset_max`` and of ``_cut_tiles``."""
+    for i in range(x.shape[-1]):
+        # the masks holding relay i extend the 2**i masks below bit i
+        h = 1 << i
+        fold(table[..., :h], x[..., i, None], out=table[..., h : 2 * h])
+    return table
+
+
 def subset_max(x, fold=np.maximum):
     """Fold of ``x`` over the relays of every bitmask in 0 .. 2**n - 1.
 
@@ -87,20 +88,13 @@ def subset_max(x, fold=np.maximum):
     which gives one table per row from the same loop.
     """
     x = np.asarray(x)
-    n = x.shape[-1]
-    table = np.empty(x.shape[:-1] + (1 << n,))
-    table[..., 0] = 0.0
-    for i in range(n):
-        # the masks holding relay i extend the 2**i masks below bit i
-        h = 1 << i
-        fold(table[..., :h], x[..., i, None], out=table[..., h : 2 * h])
-    return table
+    return _fold(np.zeros(x.shape[:-1] + (1 << x.shape[-1],)), x, fold)
 
 
-# log2 of the cuts per tile of the lattice walk. Measured at n = 22 and 24
-# on 2 CPUs with a 4 MB L2 cache, 13 to 15 ran fastest: smaller tiles pay
-# more numpy calls per cut, larger ones more memory and cache misses.
-_TILE_BITS = 14
+# log2 of the cuts per tile of the lattice walk. Measured at n = 20 to 24
+# on 2 CPUs with a 4 MB L2 cache, 16 ran fastest: smaller tiles pay more
+# numpy calls per cut, larger ones more memory and cache misses.
+_TILE_BITS = 16
 
 # the most relays whose 2**n cuts the brute-force oracles walk
 BRUTE_FORCE_LIMIT = 24
@@ -112,47 +106,27 @@ def _cut_tiles(rows, n_dest, fold):
     ``rows`` has shape (R, ..., n): the first n_dest of its R blocks are
     folded over the destination side of a cut, the others over its source
     side, and the axes between hold a stack of relay sets folded alike.
-    Yields ``(base, tile)`` per tile of the 2**b cuts ``base | low``, with
-    b = min(n, _TILE_BITS): ``tile[r][..., low]`` for a destination block
-    and ``tile[r][..., ::-1][..., low]`` for a source block (the source
-    side is the complement mask) hold the folds of cut ``base | low``. The
-    low b relays form one ``subset_max`` table; a depth-first walk then adds
-    the relays above them, in increasing order, to one side or the other,
-    so every value is folded in the order of one whole-lattice
-    ``subset_max`` table. The tiles do not come in mask order; each is the
-    consumer's to overwrite, and the next one is written over it. Working
-    memory is O(R * n * 2**b) floats per relay set. Refuses n past
-    ``BRUTE_FORCE_LIMIT``.
+    Yields ``(base, a, tile)`` per mask ``base`` of the first a = n -
+    min(n, _TILE_BITS) relays, in increasing order: ``tile[r][..., low]``
+    (``[..., ::-1][..., low]`` in a source block, whose side is the
+    complement) is the fold over cut ``base | low << a``, from the outer
+    relays' ``subset_max`` entry on, in increasing relay order as in one
+    whole-lattice table. Each tile is the consumer's to overwrite; the next
+    one is written over it.
     """
     n = rows.shape[-1]
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
             f"brute force over 2**{n} cuts refused (limit n <= {BRUTE_FORCE_LIMIT})"
         )
-    b = min(n, _TILE_BITS)
-    low = subset_max(rows[..., :b], fold)
-    # one tile per high relay, written by each branch at that depth in turn
-    tile_at = np.empty((n - b,) + low.shape)
-    return _walk(rows, n_dest, fold, tile_at, b, 0, low)
-
-
-def _walk(rows, n_dest, fold, tile_at, i, base, tile):
-    """The depth-first walk of ``_cut_tiles`` from relay i, ``tile`` holding
-    the folds with relays below i placed: yields it once every relay is.
-
-    A module-level function, not a closure: a recursive closure is a
-    reference cycle, left to the garbage collector on every call.
-    """
-    n = rows.shape[-1]
-    if i == n:
-        yield base, tile
-        return
-    child = tile_at[i - n]  # tile_at holds depths n - len(tile_at) .. n - 1
-    dest, src = slice(0, n_dest), slice(n_dest, None)
-    for side, other, bit in ((dest, src, 1 << i), (src, dest, 0)):
-        fold(tile[side], rows[side, ..., i, None], out=child[side])
-        child[other] = tile[other]
-        yield from _walk(rows, n_dest, fold, tile_at, i + 1, base | bit, child)
+    a = n - min(n, _TILE_BITS)
+    outer = subset_max(rows[..., :a], fold)
+    tile = np.empty(outer.shape[:-1] + (1 << (n - a),))
+    dest, src = tile[:n_dest, ..., 0], tile[n_dest:, ..., 0]
+    for base in range(1 << a):
+        dest[...] = outer[:n_dest, ..., base]
+        src[...] = outer[n_dest:, ..., ~base]  # the fold over base's complement
+        yield base, a, _fold(tile, rows[..., a:], fold)
 
 
 @np.errstate(over="ignore")
@@ -165,19 +139,24 @@ def brute_omega(r_s, r_d):
     cuts of every row at once. A row may be padded with zero-rate relays,
     which leave its value and its mask (the module docstring has why). The
     mask is each row's least mask among its minimal cuts, and the value is
-    read at that mask, so it keeps the sign of a zero.
+    read at that mask, so it keeps the sign of a zero. A tile's first
+    minimal cut replaces the running one only when its value is less. A
+    cut's value is max r_d over one side plus max r_s over the other, and
+    rounding is monotone, so the relays that two minimal cuts share on the
+    destination side form a minimal cut too: the least minimal mask, the
+    common part of all, is the argmin of the first tile to hold a minimum.
     """
     rows = np.arange(r_s.shape[0])
     values = masks = None
-    for base, (max_d, max_s) in _cut_tiles(np.array((r_d, r_s)), 1, np.maximum):
+    for base, a, (max_d, max_s) in _cut_tiles(np.array((r_d, r_s)), 1, np.maximum):
         cuts = np.add(max_d, max_s[:, ::-1], out=max_d)
         idx = cuts.argmin(axis=1)
-        value, mask = cuts[rows, idx], base | idx
+        value, mask = cuts[rows, idx], base | idx << a
         if values is None:
             values, masks = value, mask
         else:
-            # the least value, then the least mask
-            better = np.where(value == values, mask < masks, value < values)
+            # a tie keeps the earlier tile, which holds the least mask
+            better = value < values
             values = np.where(better, value, values)
             masks = np.where(better, mask, masks)
     return values, masks
@@ -217,27 +196,30 @@ def best_chains(r_s, r_d):
     the best k-subset's omega: every cut of a chain's relays crosses one of
     its links, and a subset's suffix-maximum chain in r_s order uses only
     omega's own candidates, the float sums ``omega_sorted_scan`` forms; so
-    each entry is bit-identical to a row-wise evaluation. ``f[h - 1, j]`` holds
-    the best chain of h relays ending at j, less its last r_s term.
-    Repeating a chain's first relay keeps its value, so ``f`` never falls
-    from row to row, and the rounds, O(n**2) each, stop once a row repeats
-    the one before, after at most n. A link sum past the float64 range is
-    inf, as in the other min-cut kernels (the module's overflow rule).
+    each entry is bit-identical to a row-wise evaluation. In round h,
+    ``f[j]`` holds the best chain of h relays ending at j, less its last r_s
+    term, which column n of ``step`` adds: one pass gives the next round's
+    row and, at entry n, the best chain of h relays. Repeating a chain's
+    first relay keeps its value, so ``f`` never falls from round to round,
+    and the rounds, O(n**2) each, stop once a row repeats the one before,
+    after at most n. A link sum past the float64 range is inf, as in the
+    other min-cut kernels (the module's overflow rule).
     """
     n = r_s.shape[0]
-    step = r_s[:, None] + r_d  # the link from relay i to relay j
+    step = np.empty((n, n + 1))  # the link from relay i to relay j, or to the end
+    np.add(r_s[:, None], r_d, out=step[:, :n])
+    step[:, n] = r_s
     links = np.empty_like(step)
-    f = np.empty_like(step)
-    f[0] = r_d
-    rounds = n
-    for h in range(1, n):
-        np.minimum(f[h - 1, :, None], step, out=links).max(axis=0, out=f[h])
-        if (f[h] == f[h - 1]).all():
-            rounds = h
-            break
+    f, g = np.empty((2, n + 1))
+    f[:n] = r_d
     best = np.empty(n)
-    np.minimum(f[:rounds], r_s, out=links[:rounds]).max(axis=1, out=best[:rounds])
-    best[rounds:] = best[rounds - 1]
+    for h in range(n):
+        np.minimum(f[:n, None], step, out=links).max(axis=0, out=g)
+        best[h] = g[n]
+        if (g[:n] == f[:n]).all():
+            break
+        f, g = g, f
+    best[h + 1 :] = best[h]
     return best
 
 
@@ -281,7 +263,7 @@ def sandwich_scan(ts2, td2, td):
         one, shift = 2.0**-32, 64.0
         rows *= np.array([[one], [2.0**-16], [one]])
     lower = upper = np.inf
-    for _, sums in _cut_tiles(rows, 2, np.add):
+    for *_, sums in _cut_tiles(rows, 2, np.add):
         # in place: log2(one + sum) per row, the dest-side td sum squared first
         np.multiply(sums[1], sums[1], out=sums[1])
         np.add(sums, one, out=sums)

@@ -35,7 +35,9 @@ rebuilt through the constructor, so it is checked, and read-only, again.
 Scalar arguments follow one rule everywhere in the package, enforced by
 ``_to_int`` and ``_to_float``: an integer (n, k, a seed, a relay index) is a
 Python or numpy integer, never a ``bool`` or a float; a rate or an SNR is a
-finite real number. A violation raises ``ValidationError`` naming the
+finite real number, never a str, bytes or bool, as a network file reads no
+'_' or non-ASCII digit (``netfile._plain``); nor is an array entry
+(``_float_array``). A violation raises ``ValidationError`` naming the
 argument. A table, network or selection argument of another type does the
 same, through ``_require``, and a scalar for a relay set, through ``_to_tuple``.
 """
@@ -60,10 +62,15 @@ _MAX_FLOAT = float(np.finfo(np.float64).max)
 _MAX_ARRAY_LEN = np.iinfo(np.intp).max // 8
 
 
+_NOT_REAL = (str, bytes, bool, np.bool_)  # float() reads "1_0" as 10, True as 1.0
+
+
 def _to_float(name, value, sign=None) -> float:
-    """``value`` as a float; with ``sign`` ("positive" or "nonnegative") it
-    must also be finite and of that sign."""
+    """``value`` as a float, not a str, bytes or bool; with ``sign``
+    ("positive" or "nonnegative") it must also be finite and of that sign."""
     try:
+        if isinstance(value, _NOT_REAL):
+            raise TypeError
         value = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
@@ -109,23 +116,38 @@ def _require(name, value, kind):
     return value
 
 
+def _not_real(arr) -> str:
+    """The type of the first str, bytes or bool entry of ``arr``, or "": a
+    test of its dtype, and a pass over the entries of an object array only."""
+    if arr.dtype.kind == "O":
+        return next((type(v).__name__ for v in arr.flat if isinstance(v, _NOT_REAL)), "")
+    return {"b": "bool", "S": "bytes", "U": "str"}.get(arr.dtype.kind, "")
+
+
 def _float_array(name, values, flat=True) -> np.ndarray:
-    """A fresh float64 copy of ``values``, 1-D unless ``flat`` is false."""
+    """A fresh float64 copy of ``values``, 1-D unless ``flat`` is false; an
+    entry that numpy reads as a str, bytes or bool is refused."""
     try:
-        arr = np.array(values, dtype=np.float64, copy=True)
+        src = np.asarray(values)
+        bad = _not_real(src)
+        # a str that is no number fails on ``values``, with numpy's message
+        arr = np.array(values if bad else src, dtype=np.float64, copy=True)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} entries must be real numbers: {exc}") from None
+    if bad:
+        raise ValidationError(f"{name} entries must be real numbers, not {bad}")
     return arr.reshape(-1) if flat else arr
 
 
 def _float_rows(names, values, mismatch) -> np.ndarray:
     """The 1-D ``values`` copied into the rows of one float64 array. Rows
-    that do not stack are copied one by one by ``_float_array``, which names
-    one that is not numeric and flattens, and ``mismatch``, formatted with
-    their sizes, is raised if those differ. So every error, and which row it
-    names, is the one the rows raise when copied one by one."""
+    that do not stack, or hold a str, bytes or bool, are copied one by one
+    by ``_float_array``, which names a row it refuses and flattens, and
+    ``mismatch``, formatted with their sizes, is raised if those differ. So
+    every error, and the row it names, is the one of a row-by-row copy."""
     try:
-        rows = np.array(values, dtype=np.float64)
+        srcs = [np.asarray(v) for v in values]
+        rows = None if any(map(_not_real, srcs)) else np.array(srcs, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         rows = None
     if rows is None or rows.ndim != 2:

@@ -23,6 +23,7 @@ from diamondnet import (
     rate_table,
     tight_config,
 )
+from diamondnet import kernels
 from diamondnet.af import _af_weights
 from diamondnet.verify import trial_seed
 
@@ -530,12 +531,37 @@ class TestAfGridSearch:
         assert alpha.tolist() == [1.0, 1.0]
 
     def test_chunked_path_matches_flat_path(self):
-        # n=5 exercises the outer-loop chunking; compare against n<=4 logic
-        # by restricting the fifth coordinate to zero gain
+        # n=5 at 11 points runs 11 blocks of 11**4 rows; compare against the
+        # one block of n=4 by restricting the fifth coordinate to zero gain
         net = Network(2.0, [1.0] * 4 + [0.0], [1.0] * 4 + [0.0])
-        rate5, _ = af_grid_search(net, 5)
-        rate4, _ = af_grid_search(Network(2.0, [1.0] * 4, [1.0] * 4), 5)
+        rate5, _ = af_grid_search(net, 11)
+        rate4, _ = af_grid_search(Network(2.0, [1.0] * 4, [1.0] * 4), 11)
         assert rate5 == pytest.approx(rate4, abs=1e-12)
+
+    def test_blocks_hold_as_many_trailing_coordinates_as_fit(self, monkeypatch):
+        # a block holds the trailing coordinates whose points**inner rows fit
+        # in 2**16: 2 points over 19 relays once took 32,768 kernel calls of
+        # 16 rows each. The pick is the first maximum of one call on the
+        # whole grid, bit for bit, since each row is rated alone
+        real, calls = kernels.af_rate_batch, []
+
+        def counted(w, v, snr, alphas):
+            calls.append(len(alphas))
+            return real(w, v, snr, alphas)
+
+        monkeypatch.setattr(kernels, "af_rate_batch", counted)
+        for n, points, blocks in ((19, 2, 8), (7, 5, 5), (3, 41, 41), (1, 3, 1)):
+            net = random_network(n, 1.0, n)
+            calls.clear()
+            rate, alpha = af_grid_search(net, points)
+            assert calls == [points ** n // blocks] * blocks
+            if points**n <= 10**5:
+                levels = np.linspace(0.0, 1.0, points)
+                grid = np.meshgrid(*[levels] * n, indexing="ij")
+                grid = np.stack(grid, axis=-1).reshape(-1, n)
+                rates = real(*_af_weights(net), net.snr, grid)
+                best = int(np.argmax(rates))
+                assert rate == rates[best] and alpha.tolist() == grid[best].tolist()
 
     def test_rejects_bad_points(self):
         with pytest.raises(ValidationError):

@@ -172,8 +172,8 @@ def test_fused_sandwich_scan_is_bit_exact(monkeypatch):
 
 
 def test_tiled_kernels_are_bit_exact_past_one_tile():
-    # n = 18 spans 16 tiles at the default width
-    assert kernels._TILE_BITS < 18
+    # n = 18 spans 4 tiles at the default width
+    assert kernels._TILE_BITS == 16
     rng = np.random.default_rng(287)
     tied = rng.integers(0, 3, (2, 18)).astype(float)
     for r_s, r_d in (rng.exponential(2.0, (2, 18)), tied):
@@ -182,17 +182,24 @@ def test_tiled_kernels_are_bit_exact_past_one_tile():
 
 
 def test_brute_force_working_memory_stays_within_a_few_tiles():
-    # whole 2**20 tables took 24 MB (omega) and 32 MB (sandwich)
+    # whole 2**20 tables took 24 MB (omega) and 32 MB (sandwich), and a
+    # tile per relay past the 14th took 2.8 and 4.1 MB at n = 24. One tile
+    # buffer serves the walk at any n: only the outer table grows, by at
+    # most 3 blocks of 2**(24 - _TILE_BITS) floats from n = 20 to 24
     rng = np.random.default_rng(288)
-    rt = RateTable(rng.exponential(2.0, 20), rng.exponential(2.0, 20))
+    tables = [RateTable(*rng.exponential(2.0, (2, n))) for n in (20, 24)]
     for oracle in (omega_bruteforce, sandwich):
-        tracemalloc.start()
-        try:
-            oracle(rt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, oracle.__name__
+        peaks = []
+        for rt in tables:
+            tracemalloc.start()
+            try:
+                oracle(rt)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 3 * 2**20, (oracle.__name__, peaks)
+        growth = 3 * 8 << 24 - kernels._TILE_BITS
+        assert peaks[1] <= peaks[0] + growth, (oracle.__name__, peaks)
 
 
 def test_lattice_walk_is_the_one_size_guard():
@@ -375,9 +382,10 @@ def stacked_rows(seed, widths):
 
 
 def test_stacked_brute_omega_matches_per_row_calls(monkeypatch):
-    # n = 15 and 16 walk 2 and 4 tiles at the default width, and 2-bit
+    # n = 17 and 18 walk 2 and 4 tiles at the default width, and 2-bit
     # tiles walk up to 2**10 of them
-    cases = [(kernels._TILE_BITS, range(1, 17)), (2, range(1, 13))]
+    assert kernels._TILE_BITS == 16
+    cases = [(kernels._TILE_BITS, range(1, 19)), (2, range(1, 13))]
     for bits, widths in cases:
         monkeypatch.setattr(kernels, "_TILE_BITS", bits)
         for r_s, r_d in stacked_rows(341, widths):
@@ -434,23 +442,24 @@ def test_stacked_rows_whose_sums_overflow_run_without_a_warning():
 def tile_walk_order(n):
     """The base mask of each tile of a 2**n lattice walk, in walk order."""
     rows = np.zeros((2, 1, n))
-    return [base for base, _ in kernels._cut_tiles(rows, 1, np.maximum)]
+    return [base for base, _, _ in kernels._cut_tiles(rows, 1, np.maximum)]
 
 
-def test_brute_omega_settles_ties_across_tiles_by_mask():
-    # n = 15 and 16 walk 2 and 4 tiles, and the walk meets a tile of high
-    # masks first, so a later tile can hold the least minimal mask while an
-    # earlier one holds another minimal cut: the running minimum must
-    # compare masks, and read the value at the mask, which keeps the sign
-    # of a zero. Rows of 12 and 13 rates ride in the stack, padded with
-    # zero-rate relays past one tile; each row is checked against every cut
-    # value of its own, unpadded lattice
-    assert kernels._TILE_BITS == 14
-    tile = 1 << kernels._TILE_BITS
+def test_brute_omega_ties_across_tiles_keep_the_least_mask():
+    # n = 17 and 18 walk 2 and 4 tiles in increasing order, the tile of mask
+    # m being m mod 2**a. A row's minimal cuts are closed under intersection
+    # (monotone rounding of max r_d + max r_s), so the least one, their
+    # common part, lies in the first tile of the walk to hold a minimum: a
+    # tie with a later tile keeps the earlier one. Rows whose minimal cuts
+    # spread over several tiles, of zeros of both signs too, and rows of 12
+    # and 13 rates padded with zero-rate relays share the stack; each row is
+    # checked against every cut value of its own, unpadded lattice
+    assert kernels._TILE_BITS == 16
     rng = np.random.default_rng(343)
-    later = signed = 0
-    for n in (15, 16):
-        walk = tile_walk_order(n)
+    spread = signed = 0
+    for n in (17, 18):
+        a = n - kernels._TILE_BITS
+        assert tile_walk_order(n) == list(range(1 << a))
         rows = [np.ones((2, n)), rng.integers(0, 2, (2, n)).astype(float)]
         rows += [rng.choice([0.0, -0.0], (2, n)) for _ in range(2)]
         rows += [rng.choice([0.0, -0.0, 1.0], (2, n))]
@@ -466,11 +475,11 @@ def test_brute_omega_settles_ties_across_tiles_by_mask():
             assert masks[i] == first and same_bits(values[i], own[first])
             # the minimal cuts of the walked row, padding relays included
             cuts = old_subset_max(r_d[i]) + old_subset_max(r_s[i])[::-1]
-            minimal = np.flatnonzero(cuts == cuts[first]).tolist()
-            seen = min(walk.index(mask - mask % tile) for mask in minimal)
-            later += walk.index(first - first % tile) > seen
+            minimal = np.flatnonzero(cuts == cuts[first])
+            assert np.bitwise_and.reduce(minimal) == first
+            spread += len(set((minimal % (1 << a)).tolist())) > 1
             signed += len({math.copysign(1.0, c) for c in cuts[minimal]}) == 2
-    assert later and signed
+    assert spread and signed
 
 
 def test_sorted_scan_of_one_row_is_its_row_of_a_stack():

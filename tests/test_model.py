@@ -9,12 +9,14 @@ import diamondnet as dn
 from diamondnet import (
     AfCoefficients,
     Cut,
+    af_rate_batch,
     Network,
     RateTable,
     ValidationError,
     af_optimize,
     from_network,
     from_rates,
+    guarantee,
     network_from,
     point_capacity,
     random_network,
@@ -202,7 +204,6 @@ class TestRowsThatDoNotStack:
             (([[1.0, 2.0]], [[3.0, 4.0]]), ([1.0, 2.0], [3.0, 4.0])),
             (([[1.0], [2.0]], [3.0, 4.0]), ([1.0, 2.0], [3.0, 4.0])),
             (([1.0, 2.0], [[1.0], [2.0]]), ([1.0, 2.0], [1.0, 2.0])),
-            (("1.5", "2.5"), ([1.5], [2.5])),
         ],
     )
     def test_rows_that_do_not_stack_are_flattened(self, rows, relays):
@@ -611,3 +612,50 @@ class TestArgumentRules:
         assert Cut.from_mask(np.int64(5)) == Cut([1, 3])
         report = run_verification(np.int64(1), nmax=np.int64(3), seed=-1)
         assert report.trials == 1 and report.ok
+
+
+# float() and numpy read a str of digits, bytes and a bool as numbers ("1_0"
+# as 10, the Arabic-Indic digit as 1, True as 1.0); the library refuses them,
+# as a network file does, with a message naming the argument
+NOT_REAL_NUMBERS = [
+    (lambda: random_network(3, "1_0", 0), "snr must be a real number, got '1_0'"),
+    (lambda: RateTable(["1_0"], [1.0]), "r_s entries must be real numbers, not str"),
+    (lambda: RateTable("1.5", "2.5"), "r_s entries must be real numbers, not str"),
+    (lambda: Network("2", ["1"], ["\u0661"]), "gain_s entries must be real numbers, not str"),
+    (lambda: Network(2.0, [1.0], ["\u0661"]), "gain_d entries must be real numbers, not str"),
+    (
+        lambda: guarantee("1_000", 1, 2),
+        "c_bar_approx must be a real number, got '1_000'",
+    ),
+    (lambda: random_network(3, True, 0), "snr must be a real number, got True"),
+    (lambda: point_capacity(b"1", 1.0), "snr must be a real number, got b'1'"),
+    (lambda: point_capacity(1.0, np.True_), "gain must be a real number, got np.True_"),
+    (lambda: RateTable([True], [1.0]), "r_s entries must be real numbers, not bool"),
+    (
+        lambda: RateTable([1.0, 2.0], np.array([True, False])),
+        "r_d entries must be real numbers, not bool",
+    ),
+    (
+        lambda: Network(1.0, np.ones(2, bool), [1.0, 1.0]),
+        "gain_s entries must be real numbers, not bool",
+    ),
+    (lambda: RateTable([b"1"], [1.0]), "r_s entries must be real numbers, not bytes"),
+    (
+        lambda: RateTable(np.array([1.0, "2"], dtype=object), [1.0, 2.0]),
+        "r_s entries must be real numbers, not str",
+    ),
+    (lambda: AfCoefficients([True]), "alpha entries must be real numbers, not bool"),
+    (
+        lambda: af_rate_batch(random_network(2, 1.0, 0), np.ones((1, 2), bool)),
+        "alphas entries must be real numbers, not bool",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call,message", NOT_REAL_NUMBERS, ids=range(len(NOT_REAL_NUMBERS))
+)
+def test_text_bytes_and_bools_are_not_numbers(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
